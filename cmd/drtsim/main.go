@@ -117,6 +117,9 @@ func main() {
 	if err != nil {
 		cli.Usagef("drtsim: %v", err)
 	}
+	if *microTile < 1 {
+		cli.Usagef("drtsim: -microtile %d: must be at least 1", *microTile)
+	}
 	grid, err := tiling.ParseMode(*gridMode)
 	if err != nil {
 		cli.Usagef("drtsim: %v", err)
@@ -175,18 +178,24 @@ func main() {
 		"scale", *scale, "stream", *stream, "trace-cache", *traceCache)
 	runStart := time.Now()
 
-	genSpan := rec.Begin(obs.CatPhase, "generate")
-	a := e.Generate(*scale)
-	w, err := accel.NewWorkloadWith(e.Name, a, a, accel.WorkloadConfig{
-		MicroTile: *microTile,
-		Grid:      grid,
-		Parallel:  *parallel,
+	// The workload comes from the exp context, which records its generator
+	// spec, so -trace-store keys its entries by the inputs and not by the
+	// matrix name alone. drtsim generates its operand fresh and leaves the
+	// on-disk operand cache alone.
+	c := exp.NewContext(exp.Options{
+		Scale:          *scale,
+		MicroTile:      *microTile,
+		Grid:           grid,
+		Parallel:       *parallel,
+		NoOperandCache: true,
+		TraceStore:     exp.TraceStoreDir(*traceStore),
 	})
+	genSpan := rec.Begin(obs.CatPhase, "generate")
+	w, err := c.Square(e)
 	rec.End(genSpan)
 	if err != nil {
 		cli.Fatalf("drtsim: %v", err)
 	}
-	c := exp.NewContext(exp.Options{Scale: *scale, MicroTile: *microTile, TraceStore: exp.TraceStoreDir(*traceStore)})
 	m := c.Machine()
 	if rec != nil {
 		rec.SetMeta("machine.global_buffer_bytes", fmt.Sprint(m.GlobalBuffer))

@@ -25,8 +25,7 @@ func TestCompactEngineEquivalence(t *testing.T) {
 		Extractor: extractor.ParallelExtractor,
 		PELevel: &PELevelOptions{
 			CapA: 1 << 10, CapB: 1 << 10, CapO: 1 << 10,
-			LoopOrder: []int{DimK, DimI, DimJ},
-			Strategy:  core.GreedyContractedFirst,
+			Strategy: core.GreedyContractedFirst,
 		},
 	}
 	for _, square := range []bool{false, true} {

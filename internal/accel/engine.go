@@ -60,10 +60,10 @@ type EngineOptions struct {
 	Rec obs.Recorder
 }
 
-// PELevelOptions configures the inner (LLB→PE) tiling level.
+// PELevelOptions configures the inner (LLB→PE) tiling level. Its
+// dataflow is always Fig. 5's K→I→J (see newPEState).
 type PELevelOptions struct {
 	CapA, CapB, CapO int64 // per-PE buffer partitions
-	LoopOrder        []int // the LLB→PE dataflow (Fig. 5 uses K→I→J)
 	Strategy         core.Strategy
 }
 
@@ -301,7 +301,7 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace) (sim.Result, error) {
 			// Hierarchical DRT: a second tile extractor splits the LLB
 			// task into PE sub-tasks; each sub-task is one round-robin
 			// work item and its tile distribution rides the NoC.
-			inner, err := runPELevel(ps, &opt, t, pe, spa, trc)
+			inner, err := runPELevel(ps, &opt, t, pe, trc)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -424,19 +424,26 @@ type peLevelStats struct {
 
 // peState is the hierarchical level's reusable machinery: one enumerator
 // re-windowed per outer task (its builder scratch and box cache survive
-// the Reset) and the per-outer-task multicast maps, cleared in place.
+// the Reset), the per-outer-task multicast maps, cleared in place, and
+// the count scratch that prices sub-tasks.
 type peState struct {
 	w    *Workload
 	e    *core.Enumerator
 	err  error
 	seen [2]map[[2][2]int]bool
+	// slab holds the J-sweep counts of the current resident A sub-tile
+	// (see runPELevel).
+	slab kernels.SlabCounts
 }
 
 func newPEState(w *Workload, pl *PELevelOptions) *peState {
 	ps := &peState{w: w}
 	k := w.Kernel(pl.CapA, pl.CapB)
+	// The LLB→PE dataflow is Fig. 5's K→I→J: A's sub-tile stays resident
+	// while J sweeps the outer task's J window, which is what lets
+	// runPELevel price a whole sweep from one SlabCounts pass.
 	cfg := &core.Config{
-		LoopOrder: pl.LoopOrder,
+		LoopOrder: []int{DimK, DimI, DimJ},
 		Strategy:  pl.Strategy,
 	}
 	ps.e, ps.err = core.NewEnumerator(k, cfg)
@@ -451,7 +458,14 @@ func newPEState(w *Workload, pl *PELevelOptions) *peState {
 // With a non-nil trc it captures each sub-task's intersection work, each
 // fresh sub-tile's Aggregate tile count and each distribution event into
 // the trace's flat ledgers (the caller closes the task's windows).
-func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, pe *sim.PEArray, spa *kernels.SPA, trc *Trace) (peLevelStats, error) {
+//
+// Sub-tasks are priced without multiplying: the first non-empty sub-task
+// of each A sub-tile counts that slab's MACCs per J micro tile over the
+// outer J window (Workload.CountSlab), and it and every later sub-task of
+// the same slab read their MACCs and scanned-A from those counts. Over one
+// outer task the slab passes visit each of its MACCs at most once, and
+// the caller checks the sub-tasks' MACCs against the outer multiply's.
+func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, pe *sim.PEArray, trc *Trace) (peLevelStats, error) {
 	var st peLevelStats
 	if ps.err != nil {
 		return st, ps.err
@@ -463,6 +477,11 @@ func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, pe *sim.PEArr
 		return st, err
 	}
 	mt := w.MicroTile
+	jW := kernels.Range{Lo: outer.Ranges[DimJ].Lo * mt, Hi: outer.Ranges[DimJ].Hi * mt}
+	// slabKey names the A sub-tile (I and K grid ranges) whose counts
+	// over this task's J window ps.slab holds, once slabOK is set.
+	var slabKey [2]core.Range
+	slabOK := false
 	pending := [2]int64{}
 	// pendRec mirrors pending for capture: a rebuild overwrites its
 	// operand's slot (matching the engine's assignment semantics), and the
@@ -543,16 +562,20 @@ func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, pe *sim.PEArr
 			}
 		}
 		st.nocBytes += distributed
-		iR := kernels.Range{Lo: t.Ranges[DimI].Lo * mt, Hi: t.Ranges[DimI].Hi * mt}
-		jR := kernels.Range{Lo: t.Ranges[DimJ].Lo * mt, Hi: t.Ranges[DimJ].Hi * mt}
-		kR := kernels.Range{Lo: t.Ranges[DimK].Lo * mt, Hi: t.Ranges[DimK].Hi * mt}
-		tr := w.Restricted(iR, kR, jR, spa)
-		st.maccs += tr.MACCs
-		cycles := sim.ComputeCycles(opt.Intersect, tr.ScannedA+2*tr.MACCs, tr.MACCs)
+		if key := [2]core.Range{t.Ranges[DimI], t.Ranges[DimK]}; !slabOK || key != slabKey {
+			iR := kernels.Range{Lo: key[0].Lo * mt, Hi: key[0].Hi * mt}
+			kR := kernels.Range{Lo: key[1].Lo * mt, Hi: key[1].Hi * mt}
+			w.CountSlab(iR, kR, jW, &ps.slab)
+			slabKey, slabOK = key, true
+		}
+		maccs := ps.slab.MACCs(kernels.Range{Lo: t.Ranges[DimJ].Lo * mt, Hi: t.Ranges[DimJ].Hi * mt})
+		scanned := ps.slab.ScannedA + 2*maccs
+		st.maccs += maccs
+		cycles := sim.ComputeCycles(opt.Intersect, scanned, maccs)
 		pe.Assign(cycles)
 		st.computeSum += cycles
 		if trc != nil {
-			trc.subs = append(trc.subs, rowCost{scanned: tr.ScannedA + 2*tr.MACCs, maccs: tr.MACCs})
+			trc.subs = append(trc.subs, rowCost{scanned: scanned, maccs: maccs})
 		}
 		rec.Count("pe.subtasks", 1)
 		rec.Observe("pe.subtask_cycles", cycles)

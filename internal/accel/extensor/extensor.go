@@ -151,8 +151,7 @@ func engineOptions(v Variant, opt Options) accel.EngineOptions {
 			pa, pb, po := opt.Partition.Split(opt.Machine.PEBuffer)
 			base.PELevel = &accel.PELevelOptions{
 				CapA: pa, CapB: pb, CapO: po,
-				LoopOrder: []int{accel.DimK, accel.DimI, accel.DimJ},
-				Strategy:  opt.Strategy,
+				Strategy: opt.Strategy,
 			}
 		}
 	}

@@ -36,8 +36,7 @@ func recordedEngineOptions() map[string]EngineOptions {
 	hier := flat
 	hier.PELevel = &PELevelOptions{
 		CapA: 1 << 10, CapB: 1 << 10, CapO: 1 << 10,
-		LoopOrder: []int{DimK, DimI, DimJ},
-		Strategy:  core.GreedyContractedFirst,
+		Strategy: core.GreedyContractedFirst,
 	}
 	return map[string]EngineOptions{"flat": flat, "hierarchical": hier}
 }

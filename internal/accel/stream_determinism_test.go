@@ -29,8 +29,7 @@ func TestRunTasksStreamDeterminism(t *testing.T) {
 		Extractor: extractor.ParallelExtractor,
 		PELevel: &PELevelOptions{
 			CapA: 1 << 10, CapB: 1 << 10, CapO: 1 << 10,
-			LoopOrder: []int{DimK, DimI, DimJ},
-			Strategy:  core.GreedyContractedFirst,
+			Strategy: core.GreedyContractedFirst,
 		},
 	}
 	want, err := RunTasks(w, base)

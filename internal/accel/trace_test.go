@@ -44,8 +44,7 @@ func TestRetimeMatchesRun(t *testing.T) {
 	hier := flat
 	hier.PELevel = &PELevelOptions{
 		CapA: 1 << 10, CapB: 1 << 10, CapO: 1 << 10,
-		LoopOrder: []int{DimK, DimI, DimJ},
-		Strategy:  core.GreedyContractedFirst,
+		Strategy: core.GreedyContractedFirst,
 	}
 	cases := []struct {
 		name string

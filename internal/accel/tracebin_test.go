@@ -69,8 +69,7 @@ func recordedFixtures(t *testing.T) map[string]*Trace {
 	hier := flat
 	hier.PELevel = &PELevelOptions{
 		CapA: 1 << 10, CapB: 1 << 10, CapO: 1 << 10,
-		LoopOrder: []int{DimK, DimI, DimJ},
-		Strategy:  core.GreedyContractedFirst,
+		Strategy: core.GreedyContractedFirst,
 	}
 	out := map[string]*Trace{}
 	for name, opt := range map[string]EngineOptions{"flat": flat, "hierarchical": hier} {

@@ -285,6 +285,18 @@ func (w *Workload) Restricted(iR, kR, jR kernels.Range, spa *kernels.SPA) kernel
 	return kernels.RestrictedGustavson(w.A, w.B, iR, kR, jR, spa)
 }
 
+// CountSlab prices one resident A slab's J sweep over the window jR with
+// the workload's micro tile, at the active operand width (see
+// kernels.CountSlab). Every tile-aligned J sub-range then reads the MACCs
+// and ScannedA that Restricted would compute for it.
+func (w *Workload) CountSlab(iR, kR, jR kernels.Range, s *kernels.SlabCounts) {
+	if w.A32 != nil {
+		kernels.CountSlab(w.A32, w.B32, iR, kR, jR, w.MicroTile, s)
+		return
+	}
+	kernels.CountSlab(w.A, w.B, iR, kR, jR, w.MicroTile, s)
+}
+
 // SuggestMicroTile picks the footprint-minimizing micro-tile edge for A
 // from the candidates (tiling.SuggestMicroTile at the active width).
 func (w *Workload) SuggestMicroTile(candidates ...int) int {

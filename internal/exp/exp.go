@@ -155,6 +155,9 @@ type Context struct {
 	traceSeen  map[traceKey]bool
 	traceBytes int64 // retained recorded-trace bytes, vs Opt.TraceBudget
 	useTick    int64 // LRU clock for trace eviction
+	// specs holds the generator spec behind each workload the context
+	// built, by workload key; the trace store's disk keys include it.
+	specs map[string]gen.Spec
 }
 
 // workloadCell is one memoized workload; the Once guarantees exactly one
@@ -186,6 +189,7 @@ func NewContext(opt Options) *Context {
 		grams:     map[string]*gramCell{},
 		traces:    map[traceKey]*traceCell{},
 		traceSeen: map[traceKey]bool{},
+		specs:     map[string]gen.Spec{},
 	}
 	if opt.TraceStore != "" {
 		budget := opt.TraceStoreBudget
@@ -362,9 +366,7 @@ func (c *Context) buildSquare(e workloads.Entry) (*accel.Workload, error) {
 	span := rec.Begin(obs.CatPhase, "prepare")
 	defer rec.End(span)
 	spec := e.Spec(c.Opt.Scale)
-	if blob, err := json.Marshal(spec); err == nil {
-		rec.SetMeta("workload."+e.Name+".spec", string(blob))
-	}
+	c.noteSpec(e.Name, spec)
 	op, err := c.operand(spec, rec)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", e.Name, err)
@@ -379,6 +381,19 @@ func (c *Context) buildSquare(e workloads.Entry) (*accel.Workload, error) {
 		return nil, fmt.Errorf("exp: %s: %w", e.Name, err)
 	}
 	return w, nil
+}
+
+// noteSpec records the generator spec behind the workload named key: it
+// joins the run metadata, and it keys the workload's trace-store entries,
+// so a store never replays a schedule recorded for other inputs under the
+// same name.
+func (c *Context) noteSpec(key string, spec gen.Spec) {
+	if blob, err := json.Marshal(spec); err == nil {
+		obs.OrNop(c.Opt.Rec).SetMeta("workload."+key+".spec", string(blob))
+	}
+	c.mu.Lock()
+	c.specs[key] = spec
+	c.mu.Unlock()
 }
 
 // operand materializes one generator spec, through the on-disk operand

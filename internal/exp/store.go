@@ -7,6 +7,7 @@ import (
 
 	"drt/internal/accel"
 	"drt/internal/diskcache"
+	"drt/internal/gen"
 	"drt/internal/obs"
 	"drt/internal/sim"
 )
@@ -37,7 +38,8 @@ const defaultTraceStoreBudget = 4 << 30
 // storeKeyVersion is the trace-store keying generation, folded into every
 // disk key next to accel.TraceFormatVersion. Bump it when storeKey gains
 // or reinterprets a field, so older entries are never looked up again.
-const storeKeyVersion = 1
+// Version 2 added the workload's generator spec.
+const storeKeyVersion = 2
 
 // TraceStoreDir resolves a -trace-store flag value to a store root:
 // "off" (also "none", "0", "") disables the store, "auto" defers to the
@@ -57,16 +59,19 @@ func TraceStoreDir(flagValue string) string {
 
 // storeKey is the canonical JSON form a disk key hashes: the trace-format
 // and keying version salts, the Context-wide workload shaping knobs
-// (Scale, MicroTile — wkey names a workload only within one Context), and
-// every schedule-shaping field of the in-memory traceKey. Machine speed
-// and pricing knobs are deliberately absent, exactly as they are absent
-// from traceKey: one stored schedule serves every retime point.
+// (Scale, MicroTile — wkey names a workload only within one Context), the
+// generator spec the workload was built from (its seed, and its shape
+// after any catalog edit), and every schedule-shaping field of the
+// in-memory traceKey. Machine speed and pricing knobs are deliberately
+// absent, exactly as they are absent from traceKey: one stored schedule
+// serves every retime point.
 type storeKey struct {
 	Format    int // accel.TraceFormatVersion
 	KeyVer    int // storeKeyVersion
 	Scale     int
 	MicroTile int
 	Workload  string
+	Spec      gen.Spec
 	Variant   int
 	Part      sim.Partition
 	Strategy  int
@@ -78,16 +83,22 @@ type storeKey struct {
 }
 
 // diskKey content-addresses one recorded schedule for the store:
-// the sha256 of the canonical storeKey JSON. Returns "" (never stored,
-// never looked up) if marshaling fails, which it cannot for these field
-// types.
+// the sha256 of the canonical storeKey JSON. A workload the context did
+// not build (one a RunExtensor caller prepared itself) has no recorded
+// spec and keys by name alone, so such callers must keep names unique
+// across everyone sharing the store. Returns "" (never stored, never
+// looked up) if marshaling fails, which it cannot for these field types.
 func (c *Context) diskKey(k traceKey) string {
+	c.mu.Lock()
+	spec := c.specs[k.workload]
+	c.mu.Unlock()
 	blob, err := json.Marshal(storeKey{
 		Format:    accel.TraceFormatVersion,
 		KeyVer:    storeKeyVersion,
 		Scale:     c.Opt.Scale,
 		MicroTile: c.Opt.MicroTile,
 		Workload:  k.workload,
+		Spec:      spec,
 		Variant:   int(k.variant),
 		Part:      k.part,
 		Strategy:  int(k.strategy),

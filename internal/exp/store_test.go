@@ -7,6 +7,7 @@ import (
 
 	"drt/internal/accel"
 	"drt/internal/accel/extensor"
+	"drt/internal/gen"
 	"drt/internal/obs"
 )
 
@@ -250,5 +251,80 @@ func TestTraceStoreKeying(t *testing.T) {
 		if c.diskKey(k2) == dk {
 			t.Errorf("%s change shared the disk key", name)
 		}
+	}
+}
+
+// TestTraceStoreKeyingSpec pins the generator spec's part in the disk
+// key: any spec change (another seed, or a catalog edit) splits it, equal
+// specs in two contexts share it, and a workload built outside the
+// context (no recorded spec) never shares a spec'd workload's key.
+func TestTraceStoreKeyingSpec(t *testing.T) {
+	spec := gen.Spec{Kind: "uniform", Rows: 64, Cols: 64, NNZ: 256, Seed: 1}
+	base := Options{Scale: 64, MicroTile: 8, TraceStore: "/nonexistent"}
+	key := traceKey{workload: "w", variant: extensor.OPDRT, gb: 1 << 20, pb: 1 << 14}
+	keyWith := func(s *gen.Spec) string {
+		c := NewContext(base)
+		if s != nil {
+			c.noteSpec("w", *s)
+		}
+		return c.diskKey(key)
+	}
+	dk := keyWith(&spec)
+	if dk == "" || keyWith(&spec) != dk {
+		t.Fatalf("equal specs gave disk keys %q and %q", dk, keyWith(&spec))
+	}
+	for name, mut := range map[string]func(s *gen.Spec){
+		"seed": func(s *gen.Spec) { s.Seed++ },
+		"nnz":  func(s *gen.Spec) { s.NNZ++ },
+		"kind": func(s *gen.Spec) { s.Kind = "rmat" },
+	} {
+		s2 := spec
+		mut(&s2)
+		if keyWith(&s2) == dk {
+			t.Errorf("%s change shared the disk key", name)
+		}
+	}
+	if keyWith(nil) == dk {
+		t.Error("a workload without a spec shared the spec'd workload's disk key")
+	}
+}
+
+// TestTraceStoreSeparatesSeeds pins the disk key's provenance: two
+// contexts that share one store directory and build an entry under the
+// same name from different generator seeds never replay each other's
+// schedules, while contexts with equal seeds do.
+func TestTraceStoreSeparatesSeeds(t *testing.T) {
+	dir := t.TempDir()
+	run := func(seed int64) *obs.Collector {
+		t.Helper()
+		rec := obs.NewCollector()
+		c := NewContext(Options{Scale: 64, MicroTile: 8, NoOperandCache: true, TraceStore: dir, Rec: rec})
+		e := c.fig6Entries()[0]
+		e.Seed += seed
+		w, err := c.Square(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.runExtensor(extensor.OPDRT, e.Name, w, c.extensorOptions()); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	for i, step := range []struct {
+		seed         int64
+		hits, misses int64
+	}{
+		{seed: 0, misses: 1},
+		{seed: 1, misses: 1}, // same name, other seed: must not hit seed 0's entry
+		{seed: 0, hits: 1},
+		{seed: 1, hits: 1},
+	} {
+		rec := run(step.seed)
+		if h, m := rec.Counter("trace_store.hits"), rec.Counter("trace_store.misses"); h != step.hits || m != step.misses {
+			t.Errorf("step %d (seed %d): hits %d misses %d, want %d and %d", i, step.seed, h, m, step.hits, step.misses)
+		}
+	}
+	if n := len(storeFiles(t, dir)); n != 2 {
+		t.Errorf("store holds %d entries, want one per seed (2)", n)
 	}
 }

@@ -107,6 +107,90 @@ func RestrictedGustavson[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, spa
 	return res
 }
 
+// SlabCounts prices the J sweep of one resident A slab. Fig. 5's K→I→J
+// PE dataflow keeps A's sub-tile (iR, kR) resident while J sweeps the
+// outer task's J window, and the engine reads only two numbers per
+// sub-task: its MACCs and its scanned-A count. CountSlab fills both for
+// every tile-aligned J sub-range of the window at once, so pricing a
+// sub-task is two loads instead of a RestrictedGustavson call.
+type SlabCounts struct {
+	// ScannedA is the number of A elements in the slab. Every J sub-range
+	// walks all of them, so it is RestrictedGustavson's ScannedA for any
+	// jR inside the window.
+	ScannedA int64
+	jLo, mt  int
+	// cum[t] is the slab's MACCs over the window's first t micro tiles.
+	cum []int64
+	// mult[k-kR.Lo] counts the slab's A elements in column k. ks lists
+	// the columns hit, so mult is back to zero at the end of every call.
+	mult []int64
+	ks   []int
+}
+
+// MACCs returns the slab's MACCs over j ∈ jR, which must be a tile-aligned
+// sub-range of the window CountSlab priced. It equals RestrictedGustavson's
+// MACCs over (iR, kR, jR).
+func (s *SlabCounts) MACCs(jR Range) int64 {
+	return s.cum[(jR.Hi-s.jLo)/s.mt] - s.cum[(jR.Lo-s.jLo)/s.mt]
+}
+
+// CountSlab prices the J sweep of the A slab (iR, kR) over the window jR
+// with micro tile edge mt; jR's bounds must be multiples of mt (the
+// engines' ranges are grid coordinates × micro tile). One pass over
+// A[iR, kR] counts the slab's elements per contracted coordinate k, and
+// one pass over each hit row of B inside the window bins k's count by
+// micro-tile column. The cost is nnz(A[iR, kR]), plus the hit B rows'
+// window lengths (at most the slab's MACCs over the window), plus one
+// pass over the window's micro tiles; the call allocates nothing once s's
+// scratch has grown.
+func CountSlab[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, mt int, s *SlabCounts) {
+	s.ScannedA = 0
+	s.jLo, s.mt = jR.Lo, mt
+	nb := max(jR.Hi-jR.Lo, 0) / mt
+	if cap(s.cum) < nb+1 {
+		s.cum = make([]int64, nb+1)
+	}
+	cum := s.cum[:nb+1]
+	clear(cum)
+	kw := max(kR.Hi-kR.Lo, 0)
+	if cap(s.mult) < kw {
+		s.mult = make([]int64, kw)
+	}
+	mult, ks := s.mult[:kw], s.ks[:0]
+	for i := max(iR.Lo, 0); i < iR.Hi && i < a.Rows; i++ {
+		lo, hi := a.RowRange(i, kR.Lo, kR.Hi)
+		s.ScannedA += int64(hi - lo)
+		for _, k := range a.Idx[lo:hi] {
+			off := int(k) - kR.Lo
+			if mult[off] == 0 {
+				ks = append(ks, int(k))
+			}
+			mult[off]++
+		}
+	}
+	for _, k := range ks {
+		m := mult[k-kR.Lo]
+		mult[k-kR.Lo] = 0
+		lo, hi := b.RowRange(k, jR.Lo, jR.Hi)
+		// B's row is sorted, so each micro tile's columns are one run:
+		// one division per run, not per element.
+		for q := lo; q < hi; {
+			t := (int(b.Idx[q]) - jR.Lo) / mt
+			end := jR.Lo + (t+1)*mt
+			r := q + 1
+			for r < hi && int(b.Idx[r]) < end {
+				r++
+			}
+			cum[t+1] += m * int64(r-q)
+			q = r
+		}
+	}
+	s.ks = ks
+	for t := 1; t <= nb; t++ {
+		cum[t] += cum[t-1]
+	}
+}
+
 // Record publishes the task's effectual-work distribution into the
 // recorder's histograms: per-task MACCs, intersection stream length,
 // partial-output points and active rows. rec may be nil; the call is
