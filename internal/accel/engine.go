@@ -402,16 +402,21 @@ func newTaskSource(k *core.Kernel, cfg *core.Config, stream bool, parallel int) 
 	return e.Source(), nil
 }
 
-// recordCacheStats publishes the run's box-query cache totals — outer
-// extraction level plus, when present, the hierarchical PE level.
+// recordCacheStats publishes the run's box-query cache and sweep-log
+// totals — outer extraction level plus, when present, the hierarchical
+// PE level.
 func recordCacheStats(rec obs.Recorder, st core.ExtractStats, ps *peState) {
 	if ps != nil {
 		inner := ps.e.CacheStats()
 		st.BoxHits += inner.BoxHits
 		st.BoxMisses += inner.BoxMisses
+		st.StepHits += inner.StepHits
+		st.StepMisses += inner.StepMisses
 	}
 	rec.Count("extract.boxcache.hits", st.BoxHits)
 	rec.Count("extract.boxcache.misses", st.BoxMisses)
+	rec.Count("extract.steplog.hits", st.StepHits)
+	rec.Count("extract.steplog.misses", st.StepMisses)
 }
 
 // peLevelStats aggregates one LLB task's inner (LLB→PE) tiling level.

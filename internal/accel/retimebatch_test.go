@@ -121,6 +121,9 @@ func TestRetimeAllocFree(t *testing.T) {
 			cfgs := randConfigs(rand.New(rand.NewSource(9)), 12)
 			Retime(tr, ro)       // warm the pool
 			tr.RetimeBatch(cfgs) // grow the lane scratch to this shape
+			if raceEnabled {
+				t.Skip("alloc ceiling skipped under -race: sync.Pool.Put drops a quarter of its items in race builds, so the pooled retime scratch reallocates")
+			}
 			if allocs := testing.AllocsPerRun(20, func() { Retime(tr, ro) }); allocs != 0 {
 				t.Errorf("Retime allocates %.1f objects per call with warm pool, want 0", allocs)
 			}

@@ -389,6 +389,9 @@ func TestTraceBinaryDecodeAllocs(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
+	if raceEnabled {
+		t.Skip("alloc ceiling skipped under -race: sync.Pool.Put drops a quarter of its items in race builds, so the pooled decode scratch reallocates")
+	}
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := ReadTrace(bytes.NewReader(data)); err != nil {
 			t.Fatal(err)

@@ -29,14 +29,20 @@ type builder struct {
 
 	// order caches the stationarity ordering of the operands.
 	order []int
-	// scratch holds per-operand reusable range buffers for opRanges.
-	scratch map[*Operand][]Range
+	// scratch holds each operand's reusable range buffer for opRanges,
+	// indexed like boxes.
+	scratch [][]Range
 
 	// boxes memoizes View box queries per operand (see query); hit/miss
 	// totals feed the extract.boxcache obs counters via ExtractStats.
 	boxes     []opBoxCache
 	boxHits   int64
 	boxMisses int64
+	// logs is each operand's sweep log (see step); hit/miss totals feed
+	// the extract.steplog obs counters via ExtractStats.
+	logs       []stepLog
+	stepHits   int64
+	stepMisses int64
 	// task is the pooled emit target: emit refills its slices in place, so
 	// the Task returned by build aliases this scratch and is only valid
 	// until the next build (retainers must Clone).
@@ -52,8 +58,8 @@ const (
 )
 
 const (
-	// boxCacheDims bounds the operand rank the box cache handles;
-	// higher-rank operands bypass the cache.
+	// boxCacheDims bounds the operand rank the box cache and the sweep
+	// log handle; higher-rank operands bypass both.
 	boxCacheDims = 3
 	// boxCacheWays is the per-operand associativity. Between evictions the
 	// grow/retry loop revisits only a handful of distinct boxes — the
@@ -173,16 +179,12 @@ func stationarityOrder(k *Kernel, loopOrder []int) []int {
 	return idx
 }
 
-// opRanges materializes the operand's region for the current base/sizes,
+// opRanges materializes operand oi's region for the current base/sizes,
 // clamped to the window. The returned slice is per-operand scratch reused
 // across calls — callers must not retain it past the next query.
-func (b *builder) opRanges(op *Operand) []Range {
-	rs := b.scratch[op]
-	if rs == nil {
-		rs = make([]Range, len(op.Dims))
-		b.scratch[op] = rs
-	}
-	for i, d := range op.Dims {
+func (b *builder) opRanges(oi int) []Range {
+	rs := b.scratch[oi]
+	for i, d := range b.k.Operands[oi].Dims {
 		hi := b.base[d] + b.sizes[d]
 		if hi > b.window[d].Hi {
 			hi = b.window[d].Hi
@@ -220,10 +222,10 @@ func (b *builder) tryToGrow(oi, d, step int) bool {
 	if next > limit {
 		next = limit
 	}
-	before := b.query(oi, b.opRanges(op), metricTiles)
+	before := b.query(oi, b.opRanges(oi), metricTiles)
 	old := b.sizes[d]
 	b.sizes[d] = next
-	rs := b.opRanges(op)
+	rs := b.opRanges(oi)
 	b.probes++
 	b.scans += b.query(oi, rs, metricTiles) - before // newly scanned micro-tile metadata
 	if b.query(oi, rs, metricFootprint) > op.Capacity {
@@ -250,11 +252,11 @@ func (b *builder) growMax(oi, d int) {
 	if b.sizes[d] >= limit {
 		return
 	}
-	startTiles := b.query(oi, b.opRanges(op), metricTiles)
+	startTiles := b.query(oi, b.opRanges(oi), metricTiles)
 	fits := func(sz int) bool {
 		old := b.sizes[d]
 		b.sizes[d] = sz
-		fp := b.query(oi, b.opRanges(op), metricFootprint)
+		fp := b.query(oi, b.opRanges(oi), metricFootprint)
 		b.sizes[d] = old
 		b.probes++
 		return fp <= op.Capacity
@@ -279,7 +281,7 @@ func (b *builder) growMax(oi, d int) {
 	}
 	// The Aggregate unit still scans every stored micro tile the final
 	// macro tile covers, regardless of how the shape search probed.
-	b.scans += b.query(oi, b.opRanges(op), metricTiles) - startTiles
+	b.scans += b.query(oi, b.opRanges(oi), metricTiles) - startTiles
 }
 
 // growDims is Algorithm 2: expand operand oi's dimensions per the
@@ -334,7 +336,7 @@ func (b *builder) growDims(oi int) {
 // already-constrained dimension (returned as retryDim >= 0).
 func (b *builder) loadTile(oi int) (retryDim int) {
 	op := &b.k.Operands[oi]
-	if b.query(oi, b.opRanges(op), metricFootprint) <= op.Capacity {
+	if b.query(oi, b.opRanges(oi), metricFootprint) <= op.Capacity {
 		return -1
 	}
 	// Shrink this operand's still-growable dimensions to 1.
@@ -343,7 +345,7 @@ func (b *builder) loadTile(oi int) (retryDim int) {
 			b.sizes[d] = 1
 		}
 	}
-	if b.query(oi, b.opRanges(op), metricFootprint) <= op.Capacity {
+	if b.query(oi, b.opRanges(oi), metricFootprint) <= op.Capacity {
 		return -1
 	}
 	// Fallback path (Alg. 1 line 13): subdivide the largest dimension of
@@ -361,6 +363,141 @@ func (b *builder) loadTile(oi int) (retryDim int) {
 	// Even a single micro-tile slab exceeds the partition: the tile will
 	// be streamed (counted, not dropped).
 	b.overflw = true
+	return -1
+}
+
+// stepLogOff makes every sweep-log lookup miss; tests flip it to check
+// that replay changes no task.
+var stepLogOff bool
+
+// stepDim is the state a step reads of one of its operand's dimensions.
+type stepDim struct {
+	base, size, cap, hi int
+	frozen, constrained bool
+}
+
+// stepEntry logs one step of one operand: the per-dim state it started
+// from, what it wrote, and — filled lazily by emit — the View metrics of
+// the box it settled on. used marks a slot that holds a logged step.
+type stepEntry struct {
+	key      [boxCacheDims]stepDim
+	sizes    [boxCacheDims]int
+	val      [numMetrics]int64
+	scans    int64
+	probes   int
+	retry    int
+	used     bool
+	overflow bool
+	has      bool
+}
+
+// stepLog is one operand's sweep log: one entry per build in the
+// operand's current sweep, at being the current build's position (see
+// Enumerator.plan). Every attempt of a build, fallback retries included,
+// steps through the same entry. The log only grows to the operand's
+// longest sweep and is reused across Reset.
+type stepLog struct {
+	at      int
+	entries []stepEntry
+}
+
+// slot returns operand oi's log entry at the log's current position, or
+// nil when the operand's steps are not logged: above the logged rank, or
+// under the Static strategy. A Static step never grows its tiles, so it
+// is a footprint check the box cache already serves, and logging it
+// costs memory for nothing: Fig. 6's S-U-C shape sweeps build many
+// short-lived static enumerators.
+func (b *builder) slot(oi int) *stepEntry {
+	if b.cfg.Strategy == Static || len(b.k.Operands[oi].Dims) > boxCacheDims {
+		return nil
+	}
+	l := &b.logs[oi]
+	for len(l.entries) <= l.at {
+		l.entries = append(l.entries, stepEntry{})
+	}
+	return &l.entries[l.at]
+}
+
+// step is Algorithm 1's per-tensor body — loadTile, then growDims unless
+// a fallback retry is requested — run through operand oi's sweep log.
+// For each of the operand's dims a step reads only the stepDim fields
+// (plus the immutable view, capacity and strategy) and writes only those
+// dims' sizes, the probe/scan totals, the overflow flag and its retry
+// dim: it is a pure function of the key. So when the entry at this sweep
+// position was logged from an equal key, replaying its outcome is exact;
+// otherwise the step runs and overwrites the entry. The position is only
+// a hint for where an equal key is likely to be.
+func (b *builder) step(oi int) (retryDim int) {
+	dims := b.k.Operands[oi].Dims
+	e := b.slot(oi)
+	if e == nil {
+		return b.runStep(oi)
+	}
+	if !stepLogOff && e.matches(b, dims) {
+		b.stepHits++
+		for i, d := range dims {
+			b.sizes[d] = e.sizes[i]
+		}
+		b.probes += e.probes
+		b.scans += e.scans
+		b.overflw = b.overflw || e.overflow
+		return e.retry
+	}
+	b.stepMisses++
+	for i, d := range dims {
+		e.key[i] = stepDim{b.base[d], b.sizes[d], b.cap[d], b.window[d].Hi, b.frozen[d], b.constrained[d]}
+	}
+	e.used = true
+	probes, scans, overflw := b.probes, b.scans, b.overflw
+	b.overflw = false
+	e.retry = b.runStep(oi)
+	for i, d := range dims {
+		e.sizes[i] = b.sizes[d]
+	}
+	e.probes, e.scans = b.probes-probes, b.scans-scans
+	e.overflow = b.overflw
+	e.has = false
+	b.overflw = b.overflw || overflw
+	return e.retry
+}
+
+// matches reports whether the entry was logged from the current state of
+// dims. Like query's, the compare is hand-rolled: a struct == goes
+// through a generated equality function on this hot path.
+func (e *stepEntry) matches(b *builder, dims []int) bool {
+	if !e.used {
+		return false
+	}
+	for i, d := range dims {
+		k := &e.key[i]
+		if k.base != b.base[d] || k.size != b.sizes[d] || k.cap != b.cap[d] || k.hi != b.window[d].Hi ||
+			k.frozen != b.frozen[d] || k.constrained != b.constrained[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// holds reports whether the box the entry's step settled on is dims'
+// current box.
+func (e *stepEntry) holds(b *builder, dims []int) bool {
+	if !e.used {
+		return false
+	}
+	for i, d := range dims {
+		if e.key[i].base != b.base[d] || e.sizes[i] != b.sizes[d] || e.key[i].hi != b.window[d].Hi {
+			return false
+		}
+	}
+	return true
+}
+
+// runStep runs one step without the log.
+func (b *builder) runStep(oi int) (retryDim int) {
+	if rd := b.loadTile(oi); rd >= 0 {
+		return rd
+	}
+	b.growDims(oi)
 	return -1
 }
 
@@ -394,8 +531,12 @@ func newBuilder(k *Kernel, cfg *Config) *builder {
 		constrained: make([]bool, n),
 		cap:         make([]int, n),
 		order:       stationarityOrder(k, cfg.LoopOrder),
-		scratch:     make(map[*Operand][]Range, len(k.Operands)),
+		scratch:     make([][]Range, len(k.Operands)),
 		boxes:       make([]opBoxCache, len(k.Operands)),
+		logs:        make([]stepLog, len(k.Operands)),
+	}
+	for oi := range k.Operands {
+		b.scratch[oi] = make([]Range, len(k.Operands[oi].Dims))
 	}
 	return b
 }
@@ -440,11 +581,10 @@ func (b *builder) build(base, sizes []int, frozen []bool, rebuild []bool) (Task,
 			if !rebuild[oi] {
 				continue
 			}
-			if rd := b.loadTile(oi); rd >= 0 {
+			if rd := b.step(oi); rd >= 0 {
 				retryDim = rd
 				break
 			}
-			b.growDims(oi)
 			// Growing a dimension becomes a constraint on later tensors
 			// (co-tiling, Alg. 1 line 7 comment).
 			for _, d := range b.k.Operands[oi].Dims {
@@ -487,18 +627,44 @@ func (b *builder) emit() Task {
 		t.Ranges[d] = Range{b.base[d], hi}
 	}
 	for oi := range b.k.Operands {
-		op := &b.k.Operands[oi]
-		// opRanges' clamp matches t.Ranges exactly, so the per-operand
-		// scratch doubles as the emit query box.
-		rs := b.opRanges(op)
-		t.OpFootprint[oi] = b.query(oi, rs, metricFootprint)
-		t.OpNNZ[oi] = b.query(oi, rs, metricNNZ)
-		t.OpTiles[oi] = b.query(oi, rs, metricTiles)
-		if t.OpNNZ[oi] == 0 && !op.Output {
+		v := b.emitMetrics(oi)
+		t.OpFootprint[oi], t.OpNNZ[oi], t.OpTiles[oi] = v[metricFootprint], v[metricNNZ], v[metricTiles]
+		if t.OpNNZ[oi] == 0 && !b.k.Operands[oi].Output {
 			t.Empty = true
 		}
 	}
 	return *t
+}
+
+// emitMetrics returns operand oi's View metrics for emit. When the log
+// entry at the operand's position settled on the current box, the entry
+// holds (or lazily takes) them. For a logged operand that is always so
+// when it was rebuilt, since its dims are constrained from its last step
+// on, and usually when it is resident, since its dims have been frozen
+// since its last build.
+func (b *builder) emitMetrics(oi int) [numMetrics]int64 {
+	dims := b.k.Operands[oi].Dims
+	lg := &b.logs[oi]
+	if lg.at >= len(lg.entries) || !lg.entries[lg.at].holds(b, dims) {
+		return b.metrics(oi)
+	}
+	e := &lg.entries[lg.at]
+	if !e.has {
+		e.val, e.has = b.metrics(oi), true
+	}
+	return e.val
+}
+
+// metrics queries operand oi's current box. opRanges' clamp matches
+// emit's t.Ranges exactly, so the per-operand scratch doubles as the
+// query box.
+func (b *builder) metrics(oi int) [numMetrics]int64 {
+	rs := b.opRanges(oi)
+	var v [numMetrics]int64
+	for m := range v {
+		v[m] = b.query(oi, rs, m)
+	}
+	return v
 }
 
 // growRanges returns s resized to n entries, reallocating only on

@@ -94,7 +94,8 @@ func NewEnumerator(k *Kernel, cfg *Config) (*Enumerator, error) {
 
 // Reset rewinds the enumerator to the start of a new window, reusing
 // every piece of traversal and builder scratch (including the box-query
-// cache, whose absolute-coordinate entries stay valid across windows).
+// cache, whose absolute-coordinate entries stay valid across windows, and
+// the sweep logs, whose entries replay only on an equal key).
 // The kernel and config are unchanged; w must have one range per kernel
 // dimension. Hierarchical DRT re-tiles thousands of outer tasks through
 // one enumerator this way instead of allocating one per task.
@@ -125,7 +126,8 @@ func (e *Enumerator) Next() (Task, bool, error) {
 		return Task{}, false, nil
 	}
 	level := 0
-	if !e.started {
+	first := !e.started
+	if first {
 		e.started = true
 	} else {
 		// Advance the odometer innermost-first; each dimension steps by
@@ -148,13 +150,7 @@ func (e *Enumerator) Next() (Task, bool, error) {
 		level = p
 	}
 
-	n := e.k.NDims()
-	for d := 0; d < n; d++ {
-		e.frozen[d] = e.pos[d] < level
-	}
-	for oi := range e.rebuild {
-		e.rebuild[oi] = e.station[oi] >= level
-	}
+	e.plan(level, first)
 	t, err := e.b.build(e.base, e.sizes, e.frozen, e.rebuild)
 	if err != nil {
 		e.done = true
@@ -164,6 +160,29 @@ func (e *Enumerator) Next() (Task, bool, error) {
 		e.coalesceEmpty(&t)
 	}
 	return t, true, nil
+}
+
+// plan sets up the build of a task at loop level `level`: dimensions of
+// outer, mid-flight loops freeze, and the operands whose stationarity
+// depth reaches the level rebuild. A rebuilt operand's sweep-log position
+// goes back to the sweep's start when a loop outside the operand's
+// innermost dimension advanced (or the traversal just began), and one
+// step on otherwise.
+func (e *Enumerator) plan(level int, first bool) {
+	for d := range e.frozen {
+		e.frozen[d] = e.pos[d] < level
+	}
+	for oi := range e.rebuild {
+		e.rebuild[oi] = e.station[oi] >= level
+		if !e.rebuild[oi] {
+			continue
+		}
+		if lg := &e.b.logs[oi]; first || level < e.station[oi] {
+			lg.at = 0
+		} else {
+			lg.at++
+		}
+	}
 }
 
 // coalesceEmpty widens an empty task along the innermost loop dimension
@@ -207,10 +226,10 @@ func (e *Enumerator) coalesceEmpty(t *Task) {
 			if probeHi > hiEnd {
 				probeHi = hiEnd
 			}
-			if e.opNNZAt(op, t.Ranges, d, pos, probeHi) != 0 {
+			if e.opNNZAt(oi, t.Ranges, d, pos, probeHi) != 0 {
 				continue
 			}
-			run := e.emptyRunEnd(op, t.Ranges, d, pos, hiEnd)
+			run := e.emptyRunEnd(oi, t.Ranges, d, pos, hiEnd)
 			// Align down to step boundaries (relative to pos).
 			if run < hiEnd {
 				run = pos + (run-pos)/step*step
@@ -238,14 +257,11 @@ func opContains(op *Operand, d int) bool {
 	return false
 }
 
-// opNNZAt queries the operand's occupancy with dimension d's range
+// opNNZAt queries operand oi's occupancy with dimension d's range
 // overridden to [lo, hi). It reuses the builder's per-operand scratch.
-func (e *Enumerator) opNNZAt(op *Operand, ranges []Range, d, lo, hi int) int64 {
-	rs := e.b.scratch[op]
-	if rs == nil || len(rs) != len(op.Dims) {
-		rs = make([]Range, len(op.Dims))
-		e.b.scratch[op] = rs
-	}
+func (e *Enumerator) opNNZAt(oi int, ranges []Range, d, lo, hi int) int64 {
+	op := &e.k.Operands[oi]
+	rs := e.b.scratch[oi]
 	for i, od := range op.Dims {
 		if od == d {
 			rs[i] = Range{lo, hi}
@@ -259,7 +275,7 @@ func (e *Enumerator) opNNZAt(op *Operand, ranges []Range, d, lo, hi int) int64 {
 // emptyRunEnd returns the largest position end ≤ hiEnd such that the
 // operand holds no non-zeros over d ∈ [from, end), found by exponential
 // growth plus binary search on the O(1) occupancy query.
-func (e *Enumerator) emptyRunEnd(op *Operand, ranges []Range, d, from, hiEnd int) int {
+func (e *Enumerator) emptyRunEnd(oi int, ranges []Range, d, from, hiEnd int) int {
 	// Exponential phase.
 	span := 1
 	end := from + 1
@@ -268,7 +284,7 @@ func (e *Enumerator) emptyRunEnd(op *Operand, ranges []Range, d, from, hiEnd int
 		if next > hiEnd {
 			next = hiEnd
 		}
-		if e.opNNZAt(op, ranges, d, from, next) != 0 {
+		if e.opNNZAt(oi, ranges, d, from, next) != 0 {
 			break
 		}
 		end = next
@@ -284,7 +300,7 @@ func (e *Enumerator) emptyRunEnd(op *Operand, ranges []Range, d, from, hiEnd int
 	}
 	for lo+1 < hi {
 		mid := lo + (hi-lo)/2
-		if e.opNNZAt(op, ranges, d, from, mid) == 0 {
+		if e.opNNZAt(oi, ranges, d, from, mid) == 0 {
 			lo = mid
 		} else {
 			hi = mid
@@ -313,7 +329,11 @@ func (e *Enumerator) Tasks() ([]Task, error) {
 // Kernel returns the kernel this enumerator traverses.
 func (e *Enumerator) Kernel() *Kernel { return e.k }
 
-// CacheStats returns the builder's box-query cache totals so far.
+// CacheStats returns the builder's box-query cache and sweep-log totals
+// so far.
 func (e *Enumerator) CacheStats() ExtractStats {
-	return ExtractStats{BoxHits: e.b.boxHits, BoxMisses: e.b.boxMisses}
+	return ExtractStats{
+		BoxHits: e.b.boxHits, BoxMisses: e.b.boxMisses,
+		StepHits: e.b.stepHits, StepMisses: e.b.stepMisses,
+	}
 }

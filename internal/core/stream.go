@@ -13,6 +13,9 @@ type ExtractStats struct {
 	// from (respectively filled into) the per-builder memo of Summary
 	// region queries.
 	BoxHits, BoxMisses int64
+	// StepHits / StepMisses count operand tile builds that were replayed
+	// from (respectively run into) the builder's per-operand sweep logs.
+	StepHits, StepMisses int64
 }
 
 // TaskSource is the engine-facing task stream: the accel engines consume
@@ -219,8 +222,9 @@ type shardStream struct {
 	err     error
 
 	// plannerErr is written before spans is closed.
-	plannerErr         error
-	boxHits, boxMisses atomic.Int64
+	plannerErr           error
+	boxHits, boxMisses   atomic.Int64
+	stepHits, stepMisses atomic.Int64
 }
 
 func newShardStream(k *Kernel, cfg *Config, workers, depth int, onEmit func()) (*shardStream, error) {
@@ -341,6 +345,8 @@ func (s *shardStream) addStats(e *Enumerator) {
 	st := e.CacheStats()
 	s.boxHits.Add(st.BoxHits - e.statsTaken.BoxHits)
 	s.boxMisses.Add(st.BoxMisses - e.statsTaken.BoxMisses)
+	s.stepHits.Add(st.StepHits - e.statsTaken.StepHits)
+	s.stepMisses.Add(st.StepMisses - e.statsTaken.StepMisses)
 	e.statsTaken = st
 }
 
@@ -379,7 +385,10 @@ func (s *shardStream) Next() (*Task, bool, error) {
 func (s *shardStream) Close() { s.once.Do(func() { close(s.stop) }) }
 
 func (s *shardStream) Stats() ExtractStats {
-	return ExtractStats{BoxHits: s.boxHits.Load(), BoxMisses: s.boxMisses.Load()}
+	return ExtractStats{
+		BoxHits: s.boxHits.Load(), BoxMisses: s.boxMisses.Load(),
+		StepHits: s.stepHits.Load(), StepMisses: s.stepMisses.Load(),
+	}
 }
 
 // nextSpan advances the enumerator one outermost-dimension step, building
@@ -391,7 +400,8 @@ func (e *Enumerator) nextSpan() (Task, bool, error) {
 	if e.done {
 		return Task{}, false, nil
 	}
-	if !e.started {
+	first := !e.started
+	if first {
 		e.started = true
 	} else {
 		d0 := e.cfg.LoopOrder[0]
@@ -404,12 +414,7 @@ func (e *Enumerator) nextSpan() (Task, bool, error) {
 			e.base[d] = e.window[d].Lo
 		}
 	}
-	for d := range e.frozen {
-		e.frozen[d] = false
-	}
-	for oi := range e.rebuild {
-		e.rebuild[oi] = true
-	}
+	e.plan(0, first)
 	t, err := e.b.build(e.base, e.sizes, e.frozen, e.rebuild)
 	if err != nil {
 		e.done = true
@@ -426,7 +431,8 @@ func (e *Enumerator) nextSpan() (Task, bool, error) {
 // narrowed to the span, and base/sizes are the planner-captured state.
 // The interior builds freeze the outer dimension (every in-span task sits
 // at loop level ≥ 1), so they never probe past the span edge and replay
-// the sequential walk bit-for-bit.
+// the sequential walk bit-for-bit. The sweep logs rewind, as the seed's
+// level-0 build rewinds every operand the span interior rebuilds.
 func (e *Enumerator) resumeSpan(seed spanSeed) {
 	d0 := e.cfg.LoopOrder[0]
 	e.window[d0] = Range{seed.base[d0], seed.base[d0] + seed.sizes[d0]}
@@ -434,4 +440,7 @@ func (e *Enumerator) resumeSpan(seed spanSeed) {
 	copy(e.sizes, seed.sizes)
 	e.started = true
 	e.done = false
+	for oi := range e.b.logs {
+		e.b.logs[oi].at = 0
+	}
 }
