@@ -21,8 +21,8 @@
 // flight; -log off|info|debug emits structured slog records (run start/
 // end, per-experiment timing, slow cells, cache summaries) on stderr.
 //
-// Performance knobs (-parallel, -sched, -grid, -stream, -trace-cache,
-// -trace-store, -retime-batch, -index, -operand-cache, -shard) change only how fast the evaluation
+// Performance knobs (-parallel, -sched, -grid, -stream, -trace-store,
+// -index, -operand-cache, -shard) change only how fast the evaluation
 // runs, never what it prints — every table is byte-identical at any
 // setting (for -shard, after drtmetrics -merge). -parallel bounds the worker
 // goroutines used for independent (workload × configuration) cells inside
@@ -33,18 +33,15 @@
 // index order — see DESIGN.md "Scheduling"); -grid selects the micro-tile
 // grid representation; -stream pipelines DRT task extraction alongside
 // simulation, sharding the extraction across -parallel workers (see
-// DESIGN.md "Extraction pipeline"); -trace-cache (on by default) records
-// each reused (workload, tiling config) schedule on its second request
-// and retimes it for every later sweep point that only changes machine
-// speed or pricing knobs (see DESIGN.md "Trace record/replay");
-// -trace-store (auto by default: DRT_TRACE_CACHE or the user cache dir,
-// "off" disables) persists recorded schedules as content-addressed .drtt
-// files shared across processes, so warm re-runs and sharded sweeps
-// replay schedules an earlier process already recorded (see DESIGN.md
-// "Persistent trace store"); -retime-batch (on by default) prices every
-// sweep point sharing a recorded schedule in one streaming pass over the
-// trace instead of one pass per point (see DESIGN.md "Batched retiming &
-// zero-copy views"; disable to bisect or to time the per-point path);
+// DESIGN.md "Extraction pipeline"); -trace-store (auto by default:
+// DRT_TRACE_CACHE or the user cache dir, "off" disables) persists
+// recorded schedules as content-addressed .drtt files shared across
+// processes, so warm re-runs and sharded sweeps replay schedules an
+// earlier process already recorded (see DESIGN.md "Persistent trace
+// store"). Independently of any flag, each reused (workload, tiling
+// config) schedule is recorded once and every sweep point that only
+// changes machine speed or pricing knobs replays it, with the points
+// sharing a schedule priced in one pass (DESIGN.md "Trace record/replay");
 // -index picks the tensor index width (auto narrows to int32 when the
 // operands are large enough and every dimension fits); -operand-cache
 // (on by default) reuses large generated operands from a mmap-backed
@@ -82,29 +79,27 @@ import (
 
 func main() {
 	var (
-		expID       = flag.String("exp", "all", "experiment id (figN, sec65, tabN) or 'all'")
-		scale       = flag.Int("scale", 16, "workload scale-down factor (1 = full paper scale)")
-		microTile   = flag.Int("microtile", 16, "micro tile edge in coordinates")
-		maxW        = flag.Int("workloads", 0, "cap on catalog entries per experiment (0 = all)")
-		parallel    = flag.Int("parallel", runtime.NumCPU(), "worker goroutines per experiment (1 = sequential)")
-		gridMode    = flag.String("grid", "auto", "micro-tile grid representation: auto | dense | compressed")
-		stream      = flag.Bool("stream", false, "pipeline DRT task extraction alongside simulation, sharded across -parallel workers")
-		sched       = flag.String("sched", "lpt", "cell dispatch order: lpt (longest first, work stealing) | fifo (index order)")
-		traceCache  = flag.Bool("trace-cache", true, "record each reused (workload, tiling config) schedule and retime it per sweep point (bit-identical tables)")
-		traceStore  = flag.String("trace-store", "auto", "persistent trace store: auto (DRT_TRACE_CACHE or the user cache dir), off, or a directory; recorded schedules replay across processes (bit-identical tables)")
-		retimeBatch = flag.Bool("retime-batch", true, "price sweep points sharing a recorded schedule in one streaming pass (bit-identical tables; disable to bisect or time the per-point path)")
-		list        = flag.Bool("list", false, "list experiment ids and exit")
-		csv         = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-		metricsOut  = flag.String("metrics-out", "", "write all tables and run metadata as JSON to this file")
-		progress    = flag.Bool("progress", false, "print a live progress line (cells, tasks, nnz-weighted ETA) to stderr every second")
-		shardFlag   = flag.String("shard", "", "run piece k/n of the shardable experiments (fig6, fig7, tab3); merge the shards' -metrics-out dumps with drtmetrics -merge")
-		indexMode   = flag.String("index", "auto", "operand index width: auto (compact int32 when large operands fit) | wide | compact")
-		opCache     = flag.Bool("operand-cache", true, "reuse generated operands via the on-disk cache (DRT_OPERAND_CACHE; tables are bit-identical either way)")
+		expID      = flag.String("exp", "all", "experiment id (figN, sec65, tabN) or 'all'")
+		scale      = flag.Int("scale", 16, "workload scale-down factor (1 = full paper scale)")
+		microTile  = flag.Int("microtile", 16, "micro tile edge in coordinates")
+		maxW       = flag.Int("workloads", 0, "cap on catalog entries per experiment (0 = all)")
+		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines per experiment (1 = sequential)")
+		gridMode   = flag.String("grid", "auto", "micro-tile grid representation: auto | dense | compressed")
+		stream     = flag.Bool("stream", false, "pipeline DRT task extraction alongside simulation, sharded across -parallel workers")
+		sched      = flag.String("sched", "lpt", "cell dispatch order: lpt (longest first, work stealing) | fifo (index order)")
+		traceStore = flag.String("trace-store", "auto", "persistent trace store: auto (DRT_TRACE_CACHE or the user cache dir), off, or a directory; recorded schedules replay across processes (bit-identical tables)")
+		list       = flag.Bool("list", false, "list experiment ids and exit")
+		csv        = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
+		metricsOut = flag.String("metrics-out", "", "write all tables and run metadata as JSON to this file")
+		progress   = flag.Bool("progress", false, "print a live progress line (cells, tasks, nnz-weighted ETA) to stderr every second")
+		shardFlag  = flag.String("shard", "", "run piece k/n of the shardable experiments (fig6, fig7, tab3); merge the shards' -metrics-out dumps with drtmetrics -merge")
+		indexMode  = flag.String("index", "auto", "operand index width: auto (compact int32 when large operands fit) | wide | compact")
+		opCache    = flag.Bool("operand-cache", true, "reuse generated operands via the on-disk cache (DRT_OPERAND_CACHE; tables are bit-identical either way)")
 	)
 	listen := cli.AddListenFlag()
 	logLevel := cli.AddLogFlag()
 	prof := cli.AddProfileFlags()
-	cli.GroupUsage("drtbench", "Performance knobs", "parallel", "sched", "grid", "stream", "trace-cache", "trace-store", "retime-batch", "index", "operand-cache", "shard")
+	cli.GroupUsage("drtbench", "Performance knobs", "parallel", "sched", "grid", "stream", "trace-store", "index", "operand-cache", "shard")
 	flag.Parse()
 	defer cli.Cleanup()
 	stopProf := prof.Start("drtbench")
@@ -129,9 +124,7 @@ func main() {
 		rec.SetMeta("grid", *gridMode)
 		rec.SetMeta("stream", fmt.Sprint(*stream))
 		rec.SetMeta("sched", *sched)
-		rec.SetMeta("trace-cache", fmt.Sprint(*traceCache))
 		rec.SetMeta("trace-store", exp.TraceStoreDir(*traceStore))
-		rec.SetMeta("retime-batch", fmt.Sprint(*retimeBatch))
 		for k, v := range obs.BuildMeta() {
 			rec.SetMeta(k, v)
 		}
@@ -181,7 +174,7 @@ func main() {
 		defer stopLine()
 	}
 
-	opts := exp.Options{Scale: *scale, MicroTile: *microTile, MaxWorkloads: *maxW, Parallel: *parallel, Grid: grid, Stream: *stream, Sched: schedMode, NoTraceCache: !*traceCache, TraceStore: exp.TraceStoreDir(*traceStore), NoRetimeBatch: !*retimeBatch, Progress: prog, Shard: shard, Index: index, NoOperandCache: !*opCache}
+	opts := exp.Options{Scale: *scale, MicroTile: *microTile, MaxWorkloads: *maxW, Parallel: *parallel, Grid: grid, Stream: *stream, Sched: schedMode, TraceStore: exp.TraceStoreDir(*traceStore), Progress: prog, Shard: shard, Index: index, NoOperandCache: !*opCache}
 	if rec != nil {
 		opts.Rec = rec
 	}
@@ -194,7 +187,7 @@ func main() {
 		ids = strings.Split(*expID, ",")
 	}
 	logger.Info("run start", "cmd", "drtbench", "exp", *expID, "scale", *scale,
-		"parallel", *parallel, "sched", schedMode.String(), "stream", *stream, "trace-cache", *traceCache)
+		"parallel", *parallel, "sched", schedMode.String(), "stream", *stream)
 	runStart := time.Now()
 	var dump metrics.Dump
 	for _, id := range ids {

@@ -19,22 +19,19 @@
 // structured slog records. Exit codes: 2 for usage errors, 1 for runtime
 // errors.
 //
-// Performance knobs (-parallel, -sched, -grid, -stream, -trace-cache,
-// -trace-store) change only how fast the simulation runs, never its
-// result: -parallel
+// Performance knobs (-parallel, -sched, -grid, -stream, -trace-store)
+// change only how fast the simulation runs, never its result: -parallel
 // bounds worker goroutines (static-shape sweep, reference kernel, sharded
 // extraction), -sched picks their dispatch order (lpt longest-first with
 // work stealing, or fifo index order — see DESIGN.md "Scheduling"), -grid
 // picks the micro-tile grid representation, -stream pipelines DRT task
 // extraction alongside simulation (see DESIGN.md "Extraction pipeline"),
-// and -trace-cache routes the run through the record/replay split (record
-// the schedule, then retime it — the verification path for DESIGN.md
-// "Trace record/replay"; the S-U-C ExTensor variants sweep tile shapes
-// per machine and fall back to the direct run), and -trace-store (off by
-// default; "auto" resolves DRT_TRACE_CACHE or the user cache dir) serves
-// the extensor-op-drt schedule from the persistent trace store when an
-// earlier run recorded it (see DESIGN.md "Persistent trace store"). The
-// report is byte-identical at any setting of all six.
+// and -trace-store (off by default; "auto" resolves DRT_TRACE_CACHE or the
+// user cache dir) serves the extensor-op-drt schedule from the persistent
+// trace store when an earlier run recorded it (see DESIGN.md "Persistent
+// trace store"). The report is byte-identical at any setting of all five.
+// Every run is priced by the same per-task replay that retimes a recorded
+// schedule (DESIGN.md "Trace record/replay").
 package main
 
 import (
@@ -85,7 +82,6 @@ func main() {
 		gridMode   = flag.String("grid", "auto", "micro-tile grid representation: auto | dense | compressed")
 		stream     = flag.Bool("stream", false, "pipeline DRT task extraction alongside simulation, sharded across -parallel workers")
 		schedFlag  = flag.String("sched", "lpt", "cell dispatch order: lpt (longest first, work stealing) | fifo (index order)")
-		traceCache = flag.Bool("trace-cache", false, "run via the record/replay split: record the tile schedule, then retime it (byte-identical report)")
 		traceStore = flag.String("trace-store", "off", "persistent trace store for extensor-op-drt: off, auto (DRT_TRACE_CACHE or the user cache dir), or a directory; replays schedules recorded by earlier runs (byte-identical report)")
 		trace      = flag.Bool("trace", false, "render the DRT task tiling of the K×J plane as ASCII")
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON on stdout instead of text")
@@ -96,7 +92,7 @@ func main() {
 	listen := cli.AddListenFlag()
 	logLevel := cli.AddLogFlag()
 	prof := cli.AddProfileFlags()
-	cli.GroupUsage("drtsim", "Performance knobs", "parallel", "sched", "grid", "stream", "trace-cache", "trace-store")
+	cli.GroupUsage("drtsim", "Performance knobs", "parallel", "sched", "grid", "stream", "trace-store")
 	flag.Parse()
 	defer cli.Cleanup()
 	stopProf := prof.Start("drtsim")
@@ -142,7 +138,6 @@ func main() {
 		rec.SetMeta("grid", *gridMode)
 		rec.SetMeta("stream", fmt.Sprint(*stream))
 		rec.SetMeta("sched", *schedFlag)
-		rec.SetMeta("trace-cache", fmt.Sprint(*traceCache))
 		rec.SetMeta("trace-store", exp.TraceStoreDir(*traceStore))
 		rec.SetMeta("seed", fmt.Sprint(e.Seed))
 		if spec, err := json.Marshal(e.Spec(*scale)); err == nil {
@@ -175,7 +170,7 @@ func main() {
 		defer stopLine()
 	}
 	logger.Info("run start", "cmd", "drtsim", "matrix", e.Name, "accel", *accelName,
-		"scale", *scale, "stream", *stream, "trace-cache", *traceCache)
+		"scale", *scale, "stream", *stream)
 	runStart := time.Now()
 
 	// The workload comes from the exp context, which records its generator
@@ -205,7 +200,7 @@ func main() {
 	}
 
 	prog.SetPhase("simulate")
-	r, err := run(c, e.Name, *accelName, w, m, *parallel, sched, *stream, *traceCache, rec)
+	r, err := run(c, e.Name, *accelName, w, m, *parallel, sched, *stream, rec)
 	if err != nil {
 		cli.Fatalf("drtsim: %v", err)
 	}
@@ -302,7 +297,7 @@ func printTrace(a *accel.Workload, microTile int) error {
 	return nil
 }
 
-func run(c *exp.Context, wkey, name string, w *accel.Workload, m sim.Machine, parallel int, sched par.Sched, stream bool, traceCache bool, rec *obs.Collector) (sim.Result, error) {
+func run(c *exp.Context, wkey, name string, w *accel.Workload, m sim.Machine, parallel int, sched par.Sched, stream bool, rec *obs.Collector) (sim.Result, error) {
 	var r obs.Recorder
 	if rec != nil {
 		r = rec
@@ -315,58 +310,12 @@ func run(c *exp.Context, wkey, name string, w *accel.Workload, m sim.Machine, pa
 	exOpt.Rec = r
 	osOpt := outerspace.Options{Machine: m, Partition: exOpt.Partition, Stream: stream, Parallel: parallel, Rec: r}
 	mrOpt := matraptor.Options{Machine: m, Partition: exOpt.Partition, Stream: stream, Parallel: parallel, Rec: r}
-	// With -trace-cache the engine-backed variants run through the
-	// record/replay split: the record pass carries the recorder (it does all
-	// the engine work, so instrumentation is identical to the direct run),
-	// and the retime pass prices the trace without re-recording. The untiled
-	// baselines invert that — their record captures only the closed-form
-	// invariants, so the retime is the pass that reports the result.
-	runOS := func(v outerspace.Variant) (sim.Result, error) {
-		if !traceCache {
-			return outerspace.Run(v, w, osOpt)
-		}
-		tr, err := outerspace.Record(v, w, osOpt)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		ro := osOpt
-		if v != outerspace.Untiled {
-			ro.Rec = nil
-		}
-		return outerspace.Retime(tr, ro), nil
-	}
-	runMR := func(v matraptor.Variant) (sim.Result, error) {
-		if !traceCache {
-			return matraptor.Run(v, w, mrOpt)
-		}
-		tr, err := matraptor.Record(v, w, mrOpt)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		ro := mrOpt
-		if v != matraptor.Untiled {
-			ro.Rec = nil
-		}
-		return matraptor.Retime(tr, ro), nil
-	}
 	switch name {
 	case "extensor":
-		// The S-U-C variants sweep static tile shapes per machine (the
-		// winner is machine-dependent), so they are not recordable here and
-		// keep the direct path regardless of -trace-cache.
 		return extensor.Run(extensor.Original, w, exOpt)
 	case "extensor-op":
 		return extensor.Run(extensor.OP, w, exOpt)
 	case "extensor-op-drt":
-		if traceCache {
-			tr, err := extensor.Record(extensor.OPDRT, w, exOpt)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			ro := exOpt
-			ro.Rec = nil
-			return extensor.Retime(extensor.OPDRT, tr, ro), nil
-		}
 		// The exp context routes the run through the two-tier trace cache
 		// when -trace-store attached one (a warm store replays the schedule
 		// instead of re-running the engine); without a store — or with a
@@ -374,17 +323,17 @@ func run(c *exp.Context, wkey, name string, w *accel.Workload, m sim.Machine, pa
 		// this is exactly extensor.Run.
 		return c.RunExtensor(extensor.OPDRT, wkey, w, exOpt)
 	case "outerspace":
-		return runOS(outerspace.Untiled)
+		return outerspace.Run(outerspace.Untiled, w, osOpt)
 	case "outerspace-suc":
-		return runOS(outerspace.SUC)
+		return outerspace.Run(outerspace.SUC, w, osOpt)
 	case "outerspace-drt":
-		return runOS(outerspace.DRT)
+		return outerspace.Run(outerspace.DRT, w, osOpt)
 	case "matraptor":
-		return runMR(matraptor.Untiled)
+		return matraptor.Run(matraptor.Untiled, w, mrOpt)
 	case "matraptor-suc":
-		return runMR(matraptor.SUC)
+		return matraptor.Run(matraptor.SUC, w, mrOpt)
 	case "matraptor-drt":
-		return runMR(matraptor.DRT)
+		return matraptor.Run(matraptor.DRT, w, mrOpt)
 	}
 	return sim.Result{}, fmt.Errorf("unknown accelerator %q", name)
 }

@@ -40,21 +40,15 @@ func TestReportGolden(t *testing.T) {
 	a := e.Generate(scale)
 	golden := filepath.Join("testdata", "report_bcsstk17.golden")
 	for _, cfg := range []struct {
-		grid       tiling.Mode
-		sched      par.Sched
-		stream     bool
-		traceCache bool
+		grid   tiling.Mode
+		sched  par.Sched
+		stream bool
 	}{
-		{tiling.Dense, par.FIFO, false, false},
-		{tiling.Dense, par.LPT, false, false},
-		{tiling.Dense, par.LPT, true, false},
-		{tiling.Compressed, par.FIFO, false, false},
-		{tiling.Compressed, par.LPT, true, false},
-		// -trace-cache reruns the same workload through the record/replay
-		// split; matching the golden bytes pins Retime's bit-for-bit
-		// equality with the direct run at the CLI surface.
-		{tiling.Dense, par.FIFO, false, true},
-		{tiling.Dense, par.LPT, true, true},
+		{tiling.Dense, par.FIFO, false},
+		{tiling.Dense, par.LPT, false},
+		{tiling.Dense, par.LPT, true},
+		{tiling.Compressed, par.FIFO, false},
+		{tiling.Compressed, par.LPT, true},
 	} {
 		grid := cfg.grid
 		w, err := accel.NewWorkloadWith(e.Name, a, a,
@@ -69,14 +63,14 @@ func TestReportGolden(t *testing.T) {
 		// several cases, the pipelined sharded extraction — and still
 		// matching it byte-for-byte pins the parallel paths' determinism
 		// guarantee.
-		r, err := run(c, e.Name, accelName, w, m, 4, cfg.sched, cfg.stream, cfg.traceCache, nil)
+		r, err := run(c, e.Name, accelName, w, m, 4, cfg.sched, cfg.stream, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		report(&buf, w, r, m)
 
-		if *update && grid == tiling.Dense && cfg.sched == par.FIFO && !cfg.stream && !cfg.traceCache {
+		if *update && grid == tiling.Dense && cfg.sched == par.FIFO && !cfg.stream {
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +84,7 @@ func TestReportGolden(t *testing.T) {
 			t.Fatalf("missing golden file (run with -update to create): %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("report with -grid %s -sched %s -stream=%v -trace-cache=%v diverged from golden file.\n--- got ---\n%s--- want ---\n%s", grid, cfg.sched, cfg.stream, cfg.traceCache, buf.Bytes(), want)
+			t.Errorf("report with -grid %s -sched %s -stream=%v diverged from golden file.\n--- got ---\n%s--- want ---\n%s", grid, cfg.sched, cfg.stream, buf.Bytes(), want)
 		}
 	}
 }
@@ -118,7 +112,7 @@ func TestReportGoldenTraceStore(t *testing.T) {
 	for pass, name := range []string{"cold", "warm"} {
 		rec := obs.NewCollector()
 		c := exp.NewContext(exp.Options{Scale: 64, MicroTile: 8, TraceStore: dir, Rec: rec})
-		r, err := run(c, e.Name, "extensor-op-drt", w, c.Machine(), 4, par.LPT, false, false, nil)
+		r, err := run(c, e.Name, "extensor-op-drt", w, c.Machine(), 4, par.LPT, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +159,7 @@ func TestJSONMatchesText(t *testing.T) {
 	c := exp.NewContext(exp.Options{Scale: 64, MicroTile: 8})
 	m := c.Machine()
 	rec := obs.NewCollector()
-	r, err := run(c, e.Name, "extensor-op-drt", w, m, 1, par.FIFO, false, false, rec)
+	r, err := run(c, e.Name, "extensor-op-drt", w, m, 1, par.FIFO, false, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

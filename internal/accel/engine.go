@@ -177,22 +177,36 @@ func maxI64(a, b int64) int64 {
 
 // RunTasks drives the task-stream engine: enumerate DRT (or static) tasks,
 // charge input tile traffic as tiles are rebuilt, run the exact
-// range-restricted kernel for compute statistics, feed the PE array and
-// the extraction pipeline, and account output traffic through the
-// multiply-and-merge model. It verifies the task partition covers the
-// kernel exactly.
+// range-restricted kernel for compute statistics, account output traffic
+// through the multiply-and-merge model, and price each task on the PE
+// array and the extraction pipeline as soon as it is captured. It
+// verifies the task partition covers the kernel exactly.
 func RunTasks(w *Workload, opt EngineOptions) (sim.Result, error) {
-	return runTasks(w, opt, nil)
-}
-
-// runTasks is the engine loop behind RunTasks and RecordTasks: with a
-// non-nil trace it additionally captures the machine-invariant schedule
-// (see Trace). Capture is pure addition — it never changes what the engine
-// computes — so the recording pass's Result equals RunTasks exactly.
-func runTasks(w *Workload, opt EngineOptions, trc *Trace) (sim.Result, error) {
 	rec := obs.OrNop(opt.Rec)
 	runSpan := rec.Begin(obs.CatPhase, "simulate")
 	defer rec.End(runSpan)
+	sc := retimePool.Get().(*retimeScratch)
+	defer retimePool.Put(sc)
+	sc.plan([]RetimeConfig{{Machine: opt.Machine, Intersect: opt.Intersect, Extractor: opt.Extractor}}, opt.Rec)
+	trc := &sc.capture
+	*trc = Trace{Name: w.Name, hierarchical: opt.PELevel != nil,
+		taskRecs: trc.taskRecs[:0], rows: trc.rows[:0], subs: trc.subs[:0], exts: trc.exts[:0], dists: trc.dists[:0]}
+	if err := runTasks(w, opt, trc, sc); err != nil {
+		return sim.Result{}, err
+	}
+	res := sc.result(trc, 0)
+	res.RecordTo(opt.Rec)
+	return res, nil
+}
+
+// runTasks is the engine loop behind RunTasks and RecordTasks. It only
+// captures: every non-empty task's machine-invariant record (see Trace)
+// lands in trc, and the run's ledgers land in trc when the stream ends.
+// With a non-nil price, each task is priced as soon as it is captured and
+// trc's per-task arrays are then emptied, so a direct run never holds
+// more than one task of its schedule.
+func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) error {
+	rec := obs.OrNop(opt.Rec)
 	// prog is the process-wide live-telemetry sink; nil (the default, and
 	// the only state benchmarks ever see) makes every tick a no-op, so the
 	// task loop stays allocation-free.
@@ -209,12 +223,10 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace) (sim.Result, error) {
 	}
 	src, err := newTaskSource(k, cfg, opt.Stream, opt.Parallel)
 	if err != nil {
-		return sim.Result{}, err
+		return err
 	}
 	defer src.Close()
 
-	res := sim.Result{Name: w.Name, MACCs: 0}
-	pe := sim.NewPEArray(opt.Machine.PEs)
 	out := newOutputModel(w, opt.CapO)
 	spa := kernels.NewSPA(w.BCols())
 	mt := w.MicroTile
@@ -224,10 +236,6 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace) (sim.Result, error) {
 	// fetched, so the charge lands on the first non-empty task that uses
 	// the residency.
 	pendingLoad := [2]int64{}
-	var extractTotal float64
-	var inputTraffic int64
-	var pipe sim.Pipeline
-	pipe.Rec = opt.Rec
 	var ps *peState
 	if opt.PELevel != nil {
 		ps = newPEState(w, opt.PELevel)
@@ -236,15 +244,15 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace) (sim.Result, error) {
 	for {
 		t, ok, err := src.Next()
 		if err != nil {
-			return sim.Result{}, err
+			return err
 		}
 		if !ok {
 			break
 		}
-		res.Tasks++
+		trc.tasks++
 		prog.TaskDone(1)
 		if t.Overflow {
-			res.Overflows++
+			trc.overflows++
 		}
 		for oi := 0; oi < 2; oi++ {
 			if t.Rebuilt[oi] {
@@ -258,7 +266,7 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace) (sim.Result, error) {
 			}
 		}
 		if t.Empty {
-			res.EmptyTasks++
+			trc.emptyTasks++
 			continue
 		}
 		// Charge input tile loads.
@@ -267,25 +275,21 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace) (sim.Result, error) {
 			if pendingLoad[oi] > 0 {
 				taskBytes += pendingLoad[oi]
 				if oi == OpA {
-					res.Traffic.A += pendingLoad[oi]
+					trc.traffic.A += pendingLoad[oi]
 				} else {
-					res.Traffic.B += pendingLoad[oi]
+					trc.traffic.B += pendingLoad[oi]
 				}
 				pendingLoad[oi] = 0
 			}
 		}
-		inputTraffic += taskBytes
-
-		var tc *traceTask
-		if trc != nil {
-			var rebuiltTiles int64
-			for oi, n := range t.OpTiles {
-				if t.Rebuilt == nil || t.Rebuilt[oi] {
-					rebuiltTiles += n
-				}
+		trc.inputTraffic += taskBytes
+		var rebuiltTiles int64
+		for oi, n := range t.OpTiles {
+			if t.Rebuilt == nil || t.Rebuilt[oi] {
+				rebuiltTiles += n
 			}
-			tc = trc.beginTask(taskBytes, t.ScanTiles, t.Probes, rebuiltTiles)
 		}
+		tc := trc.beginTask(taskBytes, t.ScanTiles, t.Probes, rebuiltTiles)
 
 		// Exact task-local compute.
 		iR := kernels.Range{Lo: t.Ranges[DimI].Lo * mt, Hi: t.Ranges[DimI].Hi * mt}
@@ -293,95 +297,46 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace) (sim.Result, error) {
 		kR := kernels.Range{Lo: t.Ranges[DimK].Lo * mt, Hi: t.Ranges[DimK].Hi * mt}
 		tr := w.Restricted(iR, kR, jR, spa)
 		tr.Record(opt.Rec)
-		res.MACCs += tr.MACCs
-		res.IntersectOps += tr.ScannedA + 2*tr.MACCs
+		trc.maccs += tr.MACCs
+		trc.intersectOps += tr.ScannedA + 2*tr.MACCs
 
-		var taskCompute float64
-		if opt.PELevel != nil {
+		if ps != nil {
 			// Hierarchical DRT: a second tile extractor splits the LLB
 			// task into PE sub-tasks; each sub-task is one round-robin
 			// work item and its tile distribution rides the NoC.
-			inner, err := runPELevel(ps, &opt, t, pe, trc)
+			maccs, err := runPELevel(ps, &opt, t, trc)
 			if err != nil {
-				return sim.Result{}, err
+				return err
 			}
-			if inner.maccs != tr.MACCs {
-				return sim.Result{}, fmt.Errorf("accel: %s: PE level covered %d MACCs of task's %d", w.Name, inner.maccs, tr.MACCs)
+			if maccs != tr.MACCs {
+				return fmt.Errorf("accel: %s: PE level covered %d MACCs of task's %d", w.Name, maccs, tr.MACCs)
 			}
-			res.NoCBytes += inner.nocBytes
-			extractTotal += inner.extract
-			taskCompute = inner.computeSum / float64(opt.Machine.PEs)
-			if tc != nil {
-				tc.subsHi = len(trc.subs)
-				tc.extsHi = len(trc.exts)
-				tc.distsHi = len(trc.dists)
-			}
+			tc.subsHi = len(trc.subs)
+			tc.extsHi = len(trc.exts)
+			tc.distsHi = len(trc.dists)
 		} else {
 			for _, rw := range tr.Rows {
-				rc := sim.ComputeCycles(opt.Intersect, int64(rw.AElems)+rw.MACCs, rw.MACCs)
-				pe.Assign(rc)
-				taskCompute += rc
-				if tc != nil {
-					trc.rows = append(trc.rows, rowCost{scanned: int64(rw.AElems) + rw.MACCs, maccs: rw.MACCs})
-				}
+				trc.rows = append(trc.rows, rowCost{scanned: int64(rw.AElems) + rw.MACCs, maccs: rw.MACCs})
 			}
-			taskCompute /= float64(opt.Machine.PEs)
-			if tc != nil {
-				tc.rowsHi = len(trc.rows)
-			}
+			tc.rowsHi = len(trc.rows)
 		}
 
 		// Output accounting.
 		out.touch([4]int{t.Ranges[DimI].Lo, t.Ranges[DimI].Hi, t.Ranges[DimJ].Lo, t.Ranges[DimJ].Hi}, tr.OutputNNZ)
-
-		// Extraction pipeline bookkeeping: phase total plus an explicit
-		// event-driven schedule (extract → fetch → compute per task with
-		// double buffering and per-request DRAM latency).
-		cost := extractor.TaskCost(opt.Extractor, t)
-		cost.Record(opt.Rec)
-		taskExtract := cost.Total()
-		extractTotal += taskExtract
-		fetch := 0.0
-		if taskBytes > 0 {
-			fetch = opt.Machine.DRAMLatency + opt.Machine.DRAMCycles(taskBytes)
-		}
 		rec.Observe("task.input_bytes", float64(taskBytes))
-		rec.Observe("task.compute_cycles", taskCompute)
-		pipe.Push(taskExtract, fetch, taskCompute)
+		if price != nil {
+			price.price(trc, tc)
+			trc.dropTasks()
+		}
 	}
 	out.flush()
-	res.Traffic.Z = out.zTotal
+	trc.traffic.Z = out.zTotal
 	recordCacheStats(rec, src.Stats(), ps)
 
-	if res.MACCs != w.MACCs {
-		return sim.Result{}, fmt.Errorf("accel: %s: task partition covered %d MACCs, kernel has %d", w.Name, res.MACCs, w.MACCs)
+	if trc.maccs != w.MACCs {
+		return fmt.Errorf("accel: %s: task partition covered %d MACCs, kernel has %d", w.Name, trc.maccs, w.MACCs)
 	}
-
-	res.DRAMCycles = opt.Machine.DRAMCycles(res.Traffic.Total())
-	res.ComputeCycles = pe.MaxBusy()
-	res.ExtractCycles = extractTotal
-	// The event-driven schedule covers input fetches; output drain shares
-	// the memory channel, so the makespan is additionally bounded by the
-	// full DRAM phase.
-	res.PipelineCyclesExact = pipe.Makespan()
-	if res.DRAMCycles > res.PipelineCyclesExact {
-		res.PipelineCyclesExact = res.DRAMCycles
-	}
-	res.BufferAccessBytes = inputTraffic + res.Traffic.Z + res.MACCs*PartialBytes
-	if opt.PELevel == nil {
-		res.NoCBytes = inputTraffic
-	}
-	if trc != nil {
-		trc.traffic = res.Traffic
-		trc.maccs = res.MACCs
-		trc.intersectOps = res.IntersectOps
-		trc.tasks = res.Tasks
-		trc.emptyTasks = res.EmptyTasks
-		trc.overflows = res.Overflows
-		trc.inputTraffic = inputTraffic
-	}
-	res.RecordTo(opt.Rec)
-	return res, nil
+	return nil
 }
 
 // newTaskSource builds the engine's task stream: inline extraction on
@@ -419,14 +374,6 @@ func recordCacheStats(rec obs.Recorder, st core.ExtractStats, ps *peState) {
 	rec.Count("extract.steplog.misses", st.StepMisses)
 }
 
-// peLevelStats aggregates one LLB task's inner (LLB→PE) tiling level.
-type peLevelStats struct {
-	maccs      int64
-	nocBytes   int64
-	computeSum float64
-	extract    float64
-}
-
 // peState is the hierarchical level's reusable machinery: one enumerator
 // re-windowed per outer task (its builder scratch and box cache survive
 // the Reset), the per-outer-task multicast maps, cleared in place, and
@@ -459,10 +406,11 @@ func newPEState(w *Workload, pl *PELevelOptions) *peState {
 }
 
 // runPELevel re-tiles one outer task with the PE-level extractor and
-// distributes the resulting sub-tasks round-robin across the PE array.
-// With a non-nil trc it captures each sub-task's intersection work, each
-// fresh sub-tile's Aggregate tile count and each distribution event into
-// the trace's flat ledgers (the caller closes the task's windows).
+// captures, into the trace's flat ledgers, each non-empty sub-task's
+// intersection work, each fresh sub-tile's Aggregate tile count and each
+// NoC distribution event (the caller closes the task's windows). It
+// returns the MACCs its sub-tasks cover; pricing deals the sub-tasks
+// round-robin across the PE array.
 //
 // Sub-tasks are priced without multiplying: the first non-empty sub-task
 // of each A sub-tile counts that slab's MACCs per J micro tile over the
@@ -470,16 +418,15 @@ func newPEState(w *Workload, pl *PELevelOptions) *peState {
 // the same slab read their MACCs and scanned-A from those counts. Over one
 // outer task the slab passes visit each of its MACCs at most once, and
 // the caller checks the sub-tasks' MACCs against the outer multiply's.
-func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, pe *sim.PEArray, trc *Trace) (peLevelStats, error) {
-	var st peLevelStats
+func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, trc *Trace) (int64, error) {
 	if ps.err != nil {
-		return st, ps.err
+		return 0, ps.err
 	}
 	w := ps.w
 	rec := obs.OrNop(opt.Rec)
 	e := ps.e
 	if err := e.Reset(outer.Ranges); err != nil {
-		return st, err
+		return 0, err
 	}
 	mt := w.MicroTile
 	jW := kernels.Range{Lo: outer.Ranges[DimJ].Lo * mt, Hi: outer.Ranges[DimJ].Hi * mt}
@@ -487,11 +434,10 @@ func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, pe *sim.PEArr
 	// over this task's J window ps.slab holds, once slabOK is set.
 	var slabKey [2]core.Range
 	slabOK := false
-	pending := [2]int64{}
-	// pendRec mirrors pending for capture: a rebuild overwrites its
-	// operand's slot (matching the engine's assignment semantics), and the
-	// slots flush to the trace at distribution time.
-	var pendRec [2]distEvent
+	// pending holds each operand's rebuilt sub-tile until a non-empty
+	// sub-task distributes it: a later rebuild overwrites the slot, and
+	// tiles rebuilt during empty sub-tasks are never sent.
+	var pending [2]distEvent
 	var pendSet [2]bool
 	// seenRegions remembers each operand's already-distributed sub-tile
 	// regions within this outer task: a rebuild that re-derives a region
@@ -513,10 +459,11 @@ func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, pe *sim.PEArr
 		}
 		return r
 	}
+	var maccs int64
 	for {
 		t, ok, err := e.Next()
 		if err != nil {
-			return st, err
+			return 0, err
 		}
 		if !ok {
 			break
@@ -525,65 +472,43 @@ func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, pe *sim.PEArr
 			if !t.Rebuilt[oi] {
 				continue
 			}
+			pendSet[oi] = true
 			reg := opRegion(oi, &t)
 			if seenRegions[oi][reg] {
 				// Multicast replay of an already-distributed sub-tile.
-				pending[oi] = t.OpFootprint[oi] / int64(opt.Machine.PEs)
+				pending[oi] = distEvent{footprint: t.OpFootprint[oi], multicast: true}
 				rec.Count("pe.multicast_replays", 1)
-				if trc != nil {
-					pendRec[oi] = distEvent{footprint: t.OpFootprint[oi], multicast: true}
-					pendSet[oi] = true
-				}
 				continue
 			}
-			pending[oi] = t.OpFootprint[oi]
+			pending[oi] = distEvent{footprint: t.OpFootprint[oi]}
 			seenRegions[oi][reg] = true
-			if trc != nil {
-				pendRec[oi] = distEvent{footprint: t.OpFootprint[oi]}
-				pendSet[oi] = true
-				// Captured unconditionally so a trace recorded under either
-				// extractor kind retimes correctly for both.
-				trc.exts = append(trc.exts, t.OpTiles[oi])
-			}
 			// Second-level extraction for this operand's new sub-tile is
 			// the Aggregate unit's P-wide pass over its micro-tile
 			// metadata; metadata itself was already built by the DRAM
 			// S-DOP (Fig. 5 streams micro tile pointers to the PEs, with
-			// no re-emission at this level).
-			if opt.Extractor == extractor.ParallelExtractor {
-				st.extract += float64(t.OpTiles[oi]) / extractor.Width
-			}
+			// no re-emission at this level). Captured under either
+			// extractor kind so the trace prices correctly for both.
+			trc.exts = append(trc.exts, t.OpTiles[oi])
 		}
 		if t.Empty {
 			continue
 		}
-		var distributed int64
 		for oi := 0; oi < 2; oi++ {
-			distributed += pending[oi]
-			pending[oi] = 0
 			if pendSet[oi] {
-				trc.dists = append(trc.dists, pendRec[oi])
+				trc.dists = append(trc.dists, pending[oi])
 				pendSet[oi] = false
 			}
 		}
-		st.nocBytes += distributed
 		if key := [2]core.Range{t.Ranges[DimI], t.Ranges[DimK]}; !slabOK || key != slabKey {
 			iR := kernels.Range{Lo: key[0].Lo * mt, Hi: key[0].Hi * mt}
 			kR := kernels.Range{Lo: key[1].Lo * mt, Hi: key[1].Hi * mt}
 			w.CountSlab(iR, kR, jW, &ps.slab)
 			slabKey, slabOK = key, true
 		}
-		maccs := ps.slab.MACCs(kernels.Range{Lo: t.Ranges[DimJ].Lo * mt, Hi: t.Ranges[DimJ].Hi * mt})
-		scanned := ps.slab.ScannedA + 2*maccs
-		st.maccs += maccs
-		cycles := sim.ComputeCycles(opt.Intersect, scanned, maccs)
-		pe.Assign(cycles)
-		st.computeSum += cycles
-		if trc != nil {
-			trc.subs = append(trc.subs, rowCost{scanned: scanned, maccs: maccs})
-		}
+		m := ps.slab.MACCs(kernels.Range{Lo: t.Ranges[DimJ].Lo * mt, Hi: t.Ranges[DimJ].Hi * mt})
+		maccs += m
+		trc.subs = append(trc.subs, rowCost{scanned: ps.slab.ScannedA + 2*m, maccs: m})
 		rec.Count("pe.subtasks", 1)
-		rec.Observe("pe.subtask_cycles", cycles)
 	}
-	return st, nil
+	return maccs, nil
 }

@@ -180,18 +180,13 @@ func RunGram(w *GramWorkload, opt GramOptions) (sim.Result, error) {
 		tr := kernels.RestrictedGram(w.X, gr(GramDimI), gr(GramDimL), gr(GramDimJ), gr(GramDimK))
 		res.MACCs += tr.MACCs
 		res.IntersectOps += tr.ScannedA + tr.MACCs
-		var taskCompute float64
 		for _, rw := range tr.Rows {
-			rc := sim.ComputeCycles(opt.Intersect, int64(rw.AElems)+rw.MACCs, rw.MACCs)
-			pe.Assign(rc)
-			taskCompute += rc
+			pe.Assign(sim.ComputeCycles(opt.Intersect, int64(rw.AElems)+rw.MACCs, rw.MACCs))
 		}
-		taskCompute /= float64(opt.Machine.PEs)
 
 		out.touch([4]int{t.Ranges[GramDimI].Lo, t.Ranges[GramDimI].Hi, t.Ranges[GramDimL].Lo, t.Ranges[GramDimL].Hi}, tr.OutputNNZ)
 
 		extractTotal += extractor.TaskCost(opt.Extractor, t).Total()
-		_ = taskCompute
 	}
 	out.flush()
 	res.Traffic.Z = out.zTotal

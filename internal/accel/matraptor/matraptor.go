@@ -99,82 +99,8 @@ func Run(v Variant, w *accel.Workload, opt Options) (sim.Result, error) {
 	return sim.Result{}, fmt.Errorf("matraptor: unknown variant %d", v)
 }
 
-// Trace is the machine-invariant half of one Run: the recorded task
-// schedule for the tiled variants, or the untiled design's closed-form
-// traffic ledger. Retiming is valid under any Machine speed knob; the
-// schedule is bound to the workload, variant, partition and buffer sizes
-// it was recorded with.
-type Trace struct {
-	v   Variant
-	eng *accel.Trace // tiled variants
-	inv sim.Result   // untiled: traffic + MACCs, timing left zero
-}
-
-// Record runs the variant once in capture mode and returns the recorded
-// schedule (the untiled closed form has no task stream; its invariant
-// traffic ledger is captured directly).
-func Record(v Variant, w *accel.Workload, opt Options) (*Trace, error) {
-	switch v {
-	case Untiled:
-		return &Trace{v: v, inv: untiledInvariant(w)}, nil
-	case SUC, DRT:
-		eng, err := accel.RecordTasks(w, engineOptions(v, w, opt))
-		if err != nil {
-			return nil, err
-		}
-		return &Trace{v: v, eng: eng}, nil
-	}
-	return nil, fmt.Errorf("matraptor: unknown variant %d", v)
-}
-
-// Retime re-prices a recorded schedule under opt's machine. The design's
-// idealized on-chip hardware (oracle intersection, no DRT extractor) is
-// re-applied exactly as Run applies it.
-func Retime(tr *Trace, opt Options) sim.Result {
-	if tr.v == Untiled {
-		res := tr.inv
-		res.DRAMCycles = opt.Machine.DRAMCycles(res.Traffic.Total())
-		res.ComputeCycles = float64(res.MACCs) / float64(opt.Machine.PEs)
-		res.RecordTo(opt.Rec)
-		return res
-	}
-	return accel.Retime(tr.eng, accel.RetimeOptions{
-		Machine:   opt.Machine,
-		Intersect: sim.SerialOptimal,
-		Extractor: extractor.IdealExtractor,
-		Rec:       opt.Rec,
-	})
-}
-
-// RetimeBatch prices a recorded schedule under every machine in one
-// streaming pass (accel.Trace.RetimeBatch), pinning the design's
-// idealized on-chip hardware per configuration exactly as Retime does.
-// Results are bit-identical to calling Retime per configuration; any
-// attached recorders are ignored.
-func RetimeBatch(tr *Trace, opts []Options) []sim.Result {
-	if tr.v == Untiled {
-		out := make([]sim.Result, len(opts))
-		for i, o := range opts {
-			res := tr.inv
-			res.DRAMCycles = o.Machine.DRAMCycles(res.Traffic.Total())
-			res.ComputeCycles = float64(res.MACCs) / float64(o.Machine.PEs)
-			out[i] = res
-		}
-		return out
-	}
-	cfgs := make([]accel.RetimeConfig, len(opts))
-	for i, o := range opts {
-		cfgs[i] = accel.RetimeConfig{
-			Machine:   o.Machine,
-			Intersect: sim.SerialOptimal,
-			Extractor: extractor.IdealExtractor,
-		}
-	}
-	return tr.eng.RetimeBatch(cfgs)
-}
-
-// untiledInvariant charges the original design's traffic in closed form.
-func untiledInvariant(w *accel.Workload) sim.Result {
+// untiled charges the original design's traffic in closed form.
+func untiled(w *accel.Workload, opt Options) sim.Result {
 	fa, _ := w.InputFootprint()
 	res := sim.Result{Name: w.Name, MACCs: w.MACCs}
 	res.Traffic.A = fa
@@ -186,11 +112,6 @@ func untiledInvariant(w *accel.Workload) sim.Result {
 	}
 	// Output rows complete on chip and are written exactly once.
 	res.Traffic.Z = w.OutputFootprint()
-	return res
-}
-
-func untiled(w *accel.Workload, opt Options) sim.Result {
-	res := untiledInvariant(w)
 	res.DRAMCycles = opt.Machine.DRAMCycles(res.Traffic.Total())
 	res.ComputeCycles = float64(w.MACCs) / float64(opt.Machine.PEs)
 	res.RecordTo(opt.Rec)

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"drt/internal/extractor"
+	"drt/internal/obs"
 	"drt/internal/sim"
 )
 
@@ -17,8 +18,13 @@ type RetimeConfig struct {
 	Extractor extractor.Kind
 }
 
-// Retiming shares work across configurations wherever the replay
-// arithmetic allows it without changing a single float operation:
+// This file is the one place a tile schedule becomes cycles. Every run is
+// priced here task by task: RunTasks hands each task over as soon as the
+// engine has captured it, Retime replays a recorded trace under one
+// configuration, and RetimeBatch replays it under K.
+//
+// Pricing shares work across configurations wherever the arithmetic
+// allows it without changing a single float operation:
 //
 //   - The per-task compute replay (sim.ComputeCycles per work item, the
 //     round-robin PEArray, the NoC byte ledger) depends only on the
@@ -31,16 +37,16 @@ type RetimeConfig struct {
 //   - Only the task pipeline (whose fetch stage prices DRAM latency and
 //     bandwidth) is inherently per-configuration.
 //
-// Every lane replays exactly the accumulation order Retime uses for any
-// configuration mapped to it, so batched results stay bit-identical to
-// sequential replay (pinned by TestRetimeBatchMatchesSequential).
+// Each lane accumulates in task order exactly as a one-configuration
+// replay does, so batched results stay bit-identical to sequential
+// replay (pinned by TestRetimeBatchMatchesSequential).
 
 // computeLane is the shared compute replay for one (intersect kind, PE
 // count) group: the PE array, the NoC ledger, and the current task's
 // compute duration.
 type computeLane struct {
 	kind sim.IntersectKind
-	pes  int // raw Machine.PEs, exactly as Retime reads it
+	pes  int // raw Machine.PEs: the per-task mean divides by it unclamped
 	pe   *sim.PEArray
 	noc  int64
 	task float64
@@ -53,39 +59,36 @@ type extractLane struct {
 	task  float64
 }
 
-// configLane is one configuration's private state: its task pipeline and
-// the indices of the shared lanes it prices from.
+// configLane is one configuration's private state: its machine, its task
+// pipeline and the indices of the shared lanes it prices from.
 type configLane struct {
 	comp, ext int
+	m         sim.Machine
 	pipe      sim.Pipeline
 }
 
-// retimeScratch pools the replay state of both Retime (one PE array) and
-// RetimeBatch (the lane sets), so steady-state replay is allocation-free
-// regardless of the hierarchy shape — the slices and PE arrays grow to
-// the largest shape seen and are reused.
+// retimeScratch is the pooled pricing state: the lane sets, the recorder
+// of a one-configuration replay, and the direct run's capture buffer. The
+// slices, PE arrays and capture arrays grow to the largest shape seen and
+// are reused, so steady-state pricing is allocation-free.
 type retimeScratch struct {
-	pe    *sim.PEArray
 	comp  []computeLane
 	ext   []extractLane
 	lanes []configLane
+	rec   obs.Recorder
+	// capture holds the task RunTasks is pricing; its per-task arrays are
+	// truncated after every task.
+	capture Trace
 }
 
 var retimePool = sync.Pool{New: func() any { return &retimeScratch{} }}
 
-// peArray returns the scratch's pooled PE array, re-idled at n PEs.
-func (sc *retimeScratch) peArray(n int) *sim.PEArray {
-	if sc.pe == nil {
-		sc.pe = sim.NewPEArray(n)
-		return sc.pe
-	}
-	sc.pe.Reset(n)
-	return sc.pe
-}
-
 // plan maps each configuration onto its shared compute/extract lanes,
-// reusing the scratch's slices and PE arrays.
-func (sc *retimeScratch) plan(configs []RetimeConfig) {
+// reusing the scratch's slices and PE arrays. rec, when non-nil, receives
+// the per-task pricing observations; only one-configuration replays pass
+// one.
+func (sc *retimeScratch) plan(configs []RetimeConfig, rec obs.Recorder) {
+	sc.rec = rec
 	sc.comp = sc.comp[:0]
 	sc.ext = sc.ext[:0]
 	if cap(sc.lanes) < len(configs) {
@@ -131,8 +134,113 @@ func (sc *retimeScratch) plan(configs []RetimeConfig) {
 			ei = len(sc.ext)
 			sc.ext = append(sc.ext, extractLane{kind: cfg.Extractor})
 		}
-		sc.lanes[i] = configLane{comp: ci, ext: ei}
+		sc.lanes[i] = configLane{comp: ci, ext: ei, m: cfg.Machine}
+		sc.lanes[i].pipe.Rec = rec
 	}
+}
+
+// price runs one recorded task of t through every planned lane: the
+// extraction cost (outer task plus, when hierarchical, the PE level's
+// Aggregate passes), the compute of its work items on the PE array, the
+// NoC distribution ledger, and one extract → fetch → compute pipeline
+// step per configuration.
+func (sc *retimeScratch) price(t *Trace, task *traceTask) {
+	rec := sc.rec
+	for ei := range sc.ext {
+		el := &sc.ext[ei]
+		if t.hierarchical {
+			var innerExtract float64
+			if el.kind == extractor.ParallelExtractor {
+				for _, n := range t.exts[task.extsLo:task.extsHi] {
+					innerExtract += float64(n) / extractor.Width
+				}
+			}
+			el.total += innerExtract
+		}
+		cost := extractor.CostScalars(el.kind, task.scanTiles, task.probes, task.rebuiltTiles)
+		cost.Record(rec)
+		el.task = cost.Total()
+		el.total += el.task
+	}
+	for ci := range sc.comp {
+		cl := &sc.comp[ci]
+		var sum float64
+		if t.hierarchical {
+			for _, s := range t.subs[task.subsLo:task.subsHi] {
+				cycles := sim.ComputeCycles(cl.kind, s.scanned, s.maccs)
+				cl.pe.Assign(cycles)
+				sum += cycles
+				if rec != nil {
+					rec.Observe("pe.subtask_cycles", cycles)
+				}
+			}
+			for _, d := range t.dists[task.distsLo:task.distsHi] {
+				if d.multicast {
+					cl.noc += d.footprint / int64(cl.pes)
+				} else {
+					cl.noc += d.footprint
+				}
+			}
+		} else {
+			for _, r := range t.rows[task.rowsLo:task.rowsHi] {
+				cycles := sim.ComputeCycles(cl.kind, r.scanned, r.maccs)
+				cl.pe.Assign(cycles)
+				sum += cycles
+			}
+		}
+		cl.task = sum / float64(cl.pes)
+		if rec != nil {
+			rec.Observe("task.compute_cycles", cl.task)
+		}
+	}
+	for li := range sc.lanes {
+		ln := &sc.lanes[li]
+		fetch := 0.0
+		if task.bytes > 0 {
+			fetch = ln.m.DRAMLatency + ln.m.DRAMCycles(task.bytes)
+		}
+		ln.pipe.Push(sc.ext[ln.ext].task, fetch, sc.comp[ln.comp].task)
+	}
+}
+
+// replay prices every recorded task of t.
+func (sc *retimeScratch) replay(t *Trace) {
+	for ti := range t.taskRecs {
+		sc.price(t, &t.taskRecs[ti])
+	}
+}
+
+// result assembles configuration li's Result from t's ledgers and the
+// lanes' totals once every task has been priced.
+func (sc *retimeScratch) result(t *Trace, li int) sim.Result {
+	ln := &sc.lanes[li]
+	cl := &sc.comp[ln.comp]
+	res := sim.Result{
+		Name:         t.Name,
+		Traffic:      t.traffic,
+		MACCs:        t.maccs,
+		IntersectOps: t.intersectOps,
+		Tasks:        t.tasks,
+		EmptyTasks:   t.emptyTasks,
+		Overflows:    t.overflows,
+	}
+	res.DRAMCycles = ln.m.DRAMCycles(res.Traffic.Total())
+	res.ComputeCycles = cl.pe.MaxBusy()
+	res.ExtractCycles = sc.ext[ln.ext].total
+	// The event-driven schedule covers input fetches; output drain shares
+	// the memory channel, so the makespan is additionally bounded by the
+	// full DRAM phase.
+	res.PipelineCyclesExact = ln.pipe.Makespan()
+	if res.DRAMCycles > res.PipelineCyclesExact {
+		res.PipelineCyclesExact = res.DRAMCycles
+	}
+	res.BufferAccessBytes = t.inputTraffic + res.Traffic.Z + res.MACCs*PartialBytes
+	if t.hierarchical {
+		res.NoCBytes = cl.noc
+	} else {
+		res.NoCBytes = t.inputTraffic
+	}
+	return res
 }
 
 // RetimeBatch prices the recorded schedule under every configuration in
@@ -148,87 +256,10 @@ func (t *Trace) RetimeBatch(configs []RetimeConfig) []sim.Result {
 		return out
 	}
 	sc := retimePool.Get().(*retimeScratch)
-	sc.plan(configs)
-	for ti := range t.taskRecs {
-		task := &t.taskRecs[ti]
-		for ei := range sc.ext {
-			el := &sc.ext[ei]
-			if t.hierarchical {
-				var innerExtract float64
-				if el.kind == extractor.ParallelExtractor {
-					for _, n := range t.exts[task.extsLo:task.extsHi] {
-						innerExtract += float64(n) / extractor.Width
-					}
-				}
-				el.total += innerExtract
-			}
-			el.task = extractor.CostScalars(el.kind, task.scanTiles, task.probes, task.rebuiltTiles).Total()
-			el.total += el.task
-		}
-		for ci := range sc.comp {
-			cl := &sc.comp[ci]
-			pes := float64(cl.pes)
-			if t.hierarchical {
-				var innerCompute float64
-				for _, s := range t.subs[task.subsLo:task.subsHi] {
-					cycles := sim.ComputeCycles(cl.kind, s.scanned, s.maccs)
-					cl.pe.Assign(cycles)
-					innerCompute += cycles
-				}
-				for _, d := range t.dists[task.distsLo:task.distsHi] {
-					if d.multicast {
-						cl.noc += d.footprint / int64(cl.pes)
-					} else {
-						cl.noc += d.footprint
-					}
-				}
-				cl.task = innerCompute / pes
-			} else {
-				var taskCompute float64
-				for _, r := range t.rows[task.rowsLo:task.rowsHi] {
-					rc := sim.ComputeCycles(cl.kind, r.scanned, r.maccs)
-					cl.pe.Assign(rc)
-					taskCompute += rc
-				}
-				cl.task = taskCompute / pes
-			}
-		}
-		for li := range sc.lanes {
-			ln := &sc.lanes[li]
-			fetch := 0.0
-			if task.bytes > 0 {
-				m := &configs[li].Machine
-				fetch = m.DRAMLatency + m.DRAMCycles(task.bytes)
-			}
-			ln.pipe.Push(sc.ext[ln.ext].task, fetch, sc.comp[ln.comp].task)
-		}
-	}
+	sc.plan(configs, nil)
+	sc.replay(t)
 	for li := range configs {
-		ln := &sc.lanes[li]
-		cl := &sc.comp[ln.comp]
-		res := sim.Result{
-			Name:         t.Name,
-			Traffic:      t.traffic,
-			MACCs:        t.maccs,
-			IntersectOps: t.intersectOps,
-			Tasks:        t.tasks,
-			EmptyTasks:   t.emptyTasks,
-			Overflows:    t.overflows,
-		}
-		res.DRAMCycles = configs[li].Machine.DRAMCycles(res.Traffic.Total())
-		res.ComputeCycles = cl.pe.MaxBusy()
-		res.ExtractCycles = sc.ext[ln.ext].total
-		res.PipelineCyclesExact = ln.pipe.Makespan()
-		if res.DRAMCycles > res.PipelineCyclesExact {
-			res.PipelineCyclesExact = res.DRAMCycles
-		}
-		res.BufferAccessBytes = t.inputTraffic + res.Traffic.Z + res.MACCs*PartialBytes
-		if t.hierarchical {
-			res.NoCBytes = cl.noc
-		} else {
-			res.NoCBytes = t.inputTraffic
-		}
-		out[li] = res
+		out[li] = sc.result(t, li)
 	}
 	retimePool.Put(sc)
 	return out

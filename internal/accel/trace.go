@@ -106,115 +106,53 @@ type RetimeOptions struct {
 	Machine   sim.Machine
 	Intersect sim.IntersectKind
 	Extractor extractor.Kind
-	// Rec, when non-nil, receives the retimed result's phase spans and
-	// ledger counters (sim.Result.RecordTo) and the pipeline model's
-	// per-task stage spans. Per-task engine histograms (tile sizes, cache
-	// statistics) belong to the recording pass, which runs the full
-	// engine, and are not re-emitted here.
+	// Rec, when non-nil, receives the machine-dependent half of a run's
+	// instrumentation: the per-task extract.*_cycles, task.compute_cycles
+	// and pe.subtask_cycles histograms, the pipeline model's per-task stage
+	// spans, and the result's phase spans and ledger counters
+	// (sim.Result.RecordTo). The capture-time half — tile sizes, kernel
+	// statistics, cache counters — belongs to the recording pass, so
+	// RecordTasks and Retime with the same recorder publish exactly what
+	// one RunTasks does.
 	Rec obs.Recorder
 }
 
 // Retime converts a recorded schedule into the simulation result it would
-// have produced under the given machine configuration. For the same
-// machine, intersection unit and extractor kind as the recording run the
-// returned Result is bit-for-bit identical to RunTasks — the float
-// accumulation order of every phase total is replayed exactly — at a cost
-// that is a small constant per recorded work item, with no extraction,
-// kernel or output-model work.
+// have produced under the given machine configuration: the one-
+// configuration replay of RetimeBatch, with the recorder attached. For the
+// same machine, intersection unit and extractor kind as the recording run
+// the returned Result is bit-for-bit identical to RunTasks, which prices
+// through the same replay, at a cost that is a small constant per recorded
+// work item, with no extraction, kernel or output-model work.
 func Retime(tr *Trace, opt RetimeOptions) sim.Result {
-	res := sim.Result{
-		Name:         tr.Name,
-		Traffic:      tr.traffic,
-		MACCs:        tr.maccs,
-		IntersectOps: tr.intersectOps,
-		Tasks:        tr.tasks,
-		EmptyTasks:   tr.emptyTasks,
-		Overflows:    tr.overflows,
-	}
 	sc := retimePool.Get().(*retimeScratch)
-	pe := sc.peArray(opt.Machine.PEs)
-	pes := float64(opt.Machine.PEs)
-	var extractTotal float64
-	var nocBytes int64
-	var pipe sim.Pipeline
-	pipe.Rec = opt.Rec
-	for ti := range tr.taskRecs {
-		t := &tr.taskRecs[ti]
-		var taskCompute float64
-		if tr.hierarchical {
-			// Replay the PE level in the engine's accumulation order:
-			// the inner level's extraction and compute sums first, then
-			// the outer task's extraction cost.
-			var innerExtract, innerCompute float64
-			if opt.Extractor == extractor.ParallelExtractor {
-				for _, n := range tr.exts[t.extsLo:t.extsHi] {
-					innerExtract += float64(n) / extractor.Width
-				}
-			}
-			for _, s := range tr.subs[t.subsLo:t.subsHi] {
-				cycles := sim.ComputeCycles(opt.Intersect, s.scanned, s.maccs)
-				pe.Assign(cycles)
-				innerCompute += cycles
-			}
-			for _, d := range tr.dists[t.distsLo:t.distsHi] {
-				if d.multicast {
-					nocBytes += d.footprint / int64(opt.Machine.PEs)
-				} else {
-					nocBytes += d.footprint
-				}
-			}
-			extractTotal += innerExtract
-			taskCompute = innerCompute / pes
-		} else {
-			for _, r := range tr.rows[t.rowsLo:t.rowsHi] {
-				rc := sim.ComputeCycles(opt.Intersect, r.scanned, r.maccs)
-				pe.Assign(rc)
-				taskCompute += rc
-			}
-			taskCompute /= pes
-		}
-		taskExtract := extractor.CostScalars(opt.Extractor, t.scanTiles, t.probes, t.rebuiltTiles).Total()
-		extractTotal += taskExtract
-		fetch := 0.0
-		if t.bytes > 0 {
-			fetch = opt.Machine.DRAMLatency + opt.Machine.DRAMCycles(t.bytes)
-		}
-		pipe.Push(taskExtract, fetch, taskCompute)
-	}
-	res.DRAMCycles = opt.Machine.DRAMCycles(res.Traffic.Total())
-	res.ComputeCycles = pe.MaxBusy()
+	sc.plan([]RetimeConfig{{Machine: opt.Machine, Intersect: opt.Intersect, Extractor: opt.Extractor}}, opt.Rec)
+	sc.replay(tr)
+	res := sc.result(tr, 0)
 	retimePool.Put(sc)
-	res.ExtractCycles = extractTotal
-	res.PipelineCyclesExact = pipe.Makespan()
-	if res.DRAMCycles > res.PipelineCyclesExact {
-		res.PipelineCyclesExact = res.DRAMCycles
-	}
-	res.BufferAccessBytes = tr.inputTraffic + res.Traffic.Z + res.MACCs*PartialBytes
-	if tr.hierarchical {
-		res.NoCBytes = nocBytes
-	} else {
-		res.NoCBytes = tr.inputTraffic
-	}
 	res.RecordTo(opt.Rec)
 	return res
 }
 
 // RecordTasks runs the task-stream engine once and returns the recorded
-// schedule. The recording pass is RunTasks plus capture: it performs the
-// full extraction, kernel and output-model work, honors every engine
-// option (including Stream/Parallel and an attached Recorder), and the
-// Result it would have returned is recovered exactly by retiming the trace
-// under the same machine, intersection unit and extractor kind.
+// schedule without pricing it. It performs the full extraction, kernel and
+// output-model work and honors every engine option (including
+// Stream/Parallel and an attached Recorder, which receives the capture-
+// time observations); retiming the trace under the run's machine,
+// intersection unit and extractor kind yields exactly RunTasks' Result.
 func RecordTasks(w *Workload, opt EngineOptions) (*Trace, error) {
+	rec := obs.OrNop(opt.Rec)
+	runSpan := rec.Begin(obs.CatPhase, "simulate")
+	defer rec.End(runSpan)
 	trc := &Trace{Name: w.Name, hierarchical: opt.PELevel != nil}
-	if _, err := runTasks(w, opt, trc); err != nil {
+	if err := runTasks(w, opt, trc, nil); err != nil {
 		return nil, err
 	}
 	return trc, nil
 }
 
 // beginTask opens the capture record for one non-empty task; the engine
-// fills the replayable scalars as it prices the task.
+// fills the task's item windows as it captures them.
 func (t *Trace) beginTask(bytes, scanTiles int64, probes int, rebuiltTiles int64) *traceTask {
 	t.taskRecs = append(t.taskRecs, traceTask{
 		bytes:        bytes,
@@ -227,4 +165,10 @@ func (t *Trace) beginTask(bytes, scanTiles int64, probes int, rebuiltTiles int64
 		distsLo: len(t.dists), distsHi: len(t.dists),
 	})
 	return &t.taskRecs[len(t.taskRecs)-1]
+}
+
+// dropTasks empties the per-task arrays, keeping their capacity: the
+// direct run reuses one task's worth of capture buffer for every task.
+func (t *Trace) dropTasks() {
+	t.taskRecs, t.rows, t.subs, t.exts, t.dists = t.taskRecs[:0], t.rows[:0], t.subs[:0], t.exts[:0], t.dists[:0]
 }

@@ -2,11 +2,13 @@ package accel
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"drt/internal/core"
 	"drt/internal/extractor"
 	"drt/internal/gen"
+	"drt/internal/obs"
 	"drt/internal/sim"
 )
 
@@ -134,5 +136,45 @@ func TestRecordTasksResultUnchanged(t *testing.T) {
 	}
 	if g1, g2 := Retime(tr1, ro), Retime(tr2, ro); g1 != g2 {
 		t.Errorf("two recordings retime differently:\n %+v\n %+v", g1, g2)
+	}
+}
+
+// TestRecordRetimeObservesLikeRun pins that observing never depends on the
+// path: recording with a collector attached and then retiming with the
+// same collector publishes exactly the counters, histograms and span
+// count of one direct RunTasks. The recording pass owns the capture-time
+// observations, the replay the machine-dependent ones, and neither emits
+// the other's.
+func TestRecordRetimeObservesLikeRun(t *testing.T) {
+	w := recordedWorkload(t)
+	for name, opt := range recordedEngineOptions() {
+		t.Run(name, func(t *testing.T) {
+			direct := obs.NewCollector()
+			run := opt
+			run.Rec = direct
+			if _, err := RunTasks(w, run); err != nil {
+				t.Fatal(err)
+			}
+
+			split := obs.NewCollector()
+			record := opt
+			record.Rec = split
+			tr, err := RecordTasks(w, record)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Retime(tr, RetimeOptions{Machine: opt.Machine, Intersect: opt.Intersect, Extractor: opt.Extractor, Rec: split})
+
+			want, got := direct.Snapshot(), split.Snapshot()
+			if !reflect.DeepEqual(got.Counters, want.Counters) {
+				t.Errorf("counters differ:\n got %v\nwant %v", got.Counters, want.Counters)
+			}
+			if !reflect.DeepEqual(got.Histograms, want.Histograms) {
+				t.Errorf("histograms differ:\n got %v\nwant %v", got.Histograms, want.Histograms)
+			}
+			if gotN, wantN := split.SpanCount(), direct.SpanCount(); gotN != wantN {
+				t.Errorf("record + retime emitted %d spans, run emitted %d", gotN, wantN)
+			}
+		})
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"os"
 	"strconv"
 	"unsafe"
-
-	"drt/internal/sim"
 )
 
 // TraceView is a read-only Trace over a .drtt file image. On the mmap
@@ -39,15 +37,6 @@ func (v *TraceView) Mapped() bool { return v.mapped != nil }
 
 // Bytes returns the file image size the view covers.
 func (v *TraceView) Bytes() int64 { return v.size }
-
-// Retime prices the viewed schedule under one configuration.
-func (v *TraceView) Retime(opt RetimeOptions) sim.Result { return Retime(v.tr, opt) }
-
-// RetimeBatch prices the viewed schedule under every configuration in one
-// streaming pass (see Trace.RetimeBatch).
-func (v *TraceView) RetimeBatch(configs []RetimeConfig) []sim.Result {
-	return v.tr.RetimeBatch(configs)
-}
 
 // Close releases the mapping (a no-op for heap-backed views). The view's
 // Trace must not be used afterwards.

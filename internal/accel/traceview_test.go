@@ -52,12 +52,12 @@ func viewEqualsDecoded(t *testing.T, tr *Trace, rng *rand.Rand) {
 			Intersect: kinds[rng.Intn(len(kinds))],
 			Extractor: exts[rng.Intn(len(exts))],
 		}
-		if got, want := v.Retime(ro), Retime(tr, ro); got != want {
+		if got, want := Retime(v.Trace(), ro), Retime(tr, ro); got != want {
 			t.Fatalf("view retime diverges (%v/%v):\n got %+v\nwant %+v", ro.Intersect, ro.Extractor, got, want)
 		}
 	}
 	cfgs := randConfigs(rng, 8)
-	got := v.RetimeBatch(cfgs)
+	got := v.Trace().RetimeBatch(cfgs)
 	for i, cfg := range cfgs {
 		want := Retime(tr, RetimeOptions{Machine: cfg.Machine, Intersect: cfg.Intersect, Extractor: cfg.Extractor})
 		if got[i] != want {

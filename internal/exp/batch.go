@@ -29,9 +29,8 @@ type sweepPoint struct {
 // cache's recording policy change.
 //
 // Grouping: points eligible for the trace cache group by (workload,
-// variant, trace key); ineligible points — and every point when
-// Options.NoRetimeBatch is set — stay singleton groups, so one-shot
-// grids (Fig. 14's 78 partition×workload cells) keep their per-cell
+// variant, trace key); ineligible points stay singleton groups, so
+// one-shot grids (Fig. 14's partition×workload cells) keep their per-cell
 // parallelism and record-on-second-use policy. The par fan-out runs over
 // groups with nnz×K weights, preserving the longest-first scheduling
 // economics of the per-cell fan-outs this replaces.
@@ -44,7 +43,7 @@ func (c *Context) runPoints(points []sweepPoint) ([]sim.Result, error) {
 	var order [][]int // group → input indices, in first-seen order
 	byKey := make(map[groupKey]int)
 	for i, p := range points {
-		if c.Opt.NoRetimeBatch || !c.traceEligible(p.V, p.Opt) {
+		if retimeBatchOff || !c.traceEligible(p.V, p.Opt) {
 			order = append(order, []int{i})
 			continue
 		}

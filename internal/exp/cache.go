@@ -23,13 +23,16 @@ import (
 // Fig. 14/Fig. 17 regressions of the 2026-08-06_3 snapshot were exactly
 // that failure mode (see DESIGN.md "Trace record/replay"):
 //
-//   - Record on second use. The recording pass is a full engine run plus
-//     capture, strictly slower than a direct run, so a configuration seen
-//     for the first time runs direct and is only recorded when a second
-//     request proves the schedule is actually reused. One-shot sweep grids
-//     (Fig. 14's 78 partition×workload cells) never pay capture or retain
-//     traces; genuinely shared configurations (Fig. 12's 12 machine points
-//     per workload) pay one extra direct run and then replay as before.
+//   - Record on second use. A direct run captures its schedule too, one
+//     task at a time, so recording costs about what a direct run does;
+//     what it adds is retention — the whole trace stays live. A
+//     configuration seen for the first time therefore runs direct and is
+//     only recorded when a second request proves the schedule is actually
+//     reused. One-shot sweep grids never retain traces (Fig. 14's cells
+//     in figbench's fig14-cold would hold 22 MB of them against a 32 MB
+//     peak RSS); genuinely shared configurations (Fig. 12's 12 machine
+//     points per workload) pay one extra direct run and then replay as
+//     before.
 //   - Retention budget. Recorded traces are evicted least-recently-used
 //     once their estimated bytes exceed TraceBudget, so a long-lived
 //     Context (the shared benchmark context, a future drtserve process)
@@ -79,14 +82,19 @@ func canonSize(s []int) [3]int {
 	return out
 }
 
+// traceCacheOff and retimeBatchOff route every cell through the direct
+// engine run and every sweep point through its own replay, respectively;
+// tests flip them to check that neither the trace cache nor batching
+// changes a table.
+var traceCacheOff, retimeBatchOff bool
+
 // traceEligible reports whether a run can be served from the trace cache:
-// the cache must be enabled, the run must not carry per-run
-// instrumentation (a recorder wants the full engine's histograms), and the
-// variant's schedule must be machine-invariant — OPDRT always is, the
-// S-U-C variants only under a pinned StaticShape (their shape sweep picks
-// a winner by cycle count).
+// the run must not carry per-run instrumentation (a recorder wants the
+// full engine's histograms), and the variant's schedule must be machine-
+// invariant — OPDRT always is, the S-U-C variants only under a pinned
+// StaticShape (their shape sweep picks a winner by cycle count).
 func (c *Context) traceEligible(v extensor.Variant, opt extensor.Options) bool {
-	if c.Opt.NoTraceCache || opt.Rec != nil {
+	if traceCacheOff || opt.Rec != nil {
 		return false
 	}
 	return v == extensor.OPDRT || opt.StaticShape != nil
@@ -148,7 +156,7 @@ func (c *Context) runExtensorBatch(v extensor.Variant, wkey string, w *accel.Wor
 		}
 		return []sim.Result{r}, nil
 	}
-	if c.Opt.NoRetimeBatch || !c.traceEligible(v, opts[0]) {
+	if retimeBatchOff || !c.traceEligible(v, opts[0]) {
 		out := make([]sim.Result, len(opts))
 		for i, o := range opts {
 			r, err := c.runExtensor(v, wkey, w, o)

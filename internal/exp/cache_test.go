@@ -10,10 +10,19 @@ import (
 	"drt/internal/sim"
 )
 
+// setSeam turns one of the package's test seams on for the rest of the
+// calling test.
+func setSeam(t *testing.T, seam *bool) {
+	t.Helper()
+	*seam = true
+	t.Cleanup(func() { *seam = false })
+}
+
 // TestTraceCacheTableIdentical is the exp-level acceptance check for the
 // record/replay rewrite: every rewired runner must render byte-identical
-// tables with the trace cache on (default) and off (NoTraceCache), because
-// retiming a recorded schedule is bit-for-bit equal to the direct run. The
+// tables with the trace cache on (default) and off (the traceCacheOff
+// seam), because retiming a recorded schedule is bit-for-bit equal to the
+// direct run. The
 // ids cover the sweep shapes — machine-knob sweep over shared traces
 // (fig12), schedule-shaping sweep with per-config traces (fig16), paired
 // strategy runs (fig15), extractor-kind pair from one trace plus static
@@ -23,7 +32,9 @@ func TestTraceCacheTableIdentical(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			render := func(noCache bool) string {
-				c := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Parallel: 4, NoTraceCache: noCache})
+				traceCacheOff = noCache
+				defer func() { traceCacheOff = false }()
+				c := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Parallel: 4})
 				f, ok := c.Runner(id)
 				if !ok {
 					t.Fatalf("no runner for %s", id)
@@ -125,12 +136,14 @@ func TestTraceCacheCounters(t *testing.T) {
 	}
 }
 
-// TestTraceCacheCountersUnbatched pins that NoRetimeBatch restores the
-// per-point record-on-second-use accounting Fig. 12 had before batching:
-// first cell direct, second records, the remaining 12N - 2N replay.
+// TestTraceCacheCountersUnbatched pins that the retimeBatchOff seam
+// restores the per-point record-on-second-use accounting Fig. 12 had
+// before batching: first cell direct, second records, the remaining
+// 12N - 2N replay.
 func TestTraceCacheCountersUnbatched(t *testing.T) {
+	setSeam(t, &retimeBatchOff)
 	rec := obs.NewCollector()
-	c := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Rec: rec, NoRetimeBatch: true})
+	c := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Rec: rec})
 	if _, err := c.Fig12(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +175,7 @@ func TestFig12BatchIdentical(t *testing.T) {
 	}
 	base := Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Parallel: 4}
 	batched := render(base)
-	base.NoRetimeBatch = true
+	setSeam(t, &retimeBatchOff)
 	if unbatched := render(base); batched != unbatched {
 		t.Errorf("batched retiming changed the table:\n--- batched ---\n%s\n--- unbatched ---\n%s", batched, unbatched)
 	}

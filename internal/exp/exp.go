@@ -57,21 +57,6 @@ type Options struct {
 	// across Parallel workers where the dataflow allows. Task sequences are
 	// byte-identical either way, so every table is unchanged by this knob.
 	Stream bool
-	// NoTraceCache disables the record-on-reuse trace cache: sweep runners
-	// then re-run the full engine for every cell instead of recording each
-	// reused (workload, tiling config) schedule and retiming it per machine
-	// point. Replay is bit-for-bit identical to the direct run, so every
-	// table is byte-identical either way; the knob exists for verification
-	// and timing comparisons.
-	NoTraceCache bool
-	// NoRetimeBatch disables batched retiming: sweep runners then price
-	// every (machine, unit) point with its own sequential Retime pass
-	// instead of grouping the points that share a recorded schedule into
-	// one streaming RetimeBatch pass. Batched and sequential replay are
-	// bit-identical (pinned by accel's equivalence tests), so every table
-	// is byte-identical either way; the knob exists for bisection and
-	// timing comparisons.
-	NoRetimeBatch bool
 	// TraceBudget bounds the bytes of recorded schedules the context
 	// retains (least-recently-used traces are evicted past it). 0 selects
 	// the 256 MiB default; negative disables eviction. Eviction only costs

@@ -22,9 +22,9 @@ import (
 // cell's Once materializes it.
 //
 // The store also changes the recording policy. Without it the cache only
-// records on a configuration's second request, because capture costs more
-// than a direct run and a one-shot sweep cell would pay it for nothing
-// (see cache.go). With a store attached, persistence itself is the proof
+// records on a configuration's second request, because a recorded trace
+// stays live and a one-shot sweep cell would retain it for nothing (see
+// cache.go). With a store attached, persistence itself is the proof
 // of reuse — the next process replays what this one records — so every
 // eligible cell records on first use and one-shot grids (Fig. 14's
 // partition sweep, Fig. 17's micro-tile ablation) become replay-bound on

@@ -51,9 +51,11 @@ func TestTraceStoreColdProcessIdentity(t *testing.T) {
 	dir := t.TempDir()
 	base := Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Parallel: 4}
 
-	directOpt := base
-	directOpt.NoTraceCache = true
-	direct := renderFig12(t, directOpt)
+	direct := func() string {
+		traceCacheOff = true
+		defer func() { traceCacheOff = false }()
+		return renderFig12(t, base)
+	}()
 
 	coldRec := obs.NewCollector()
 	coldOpt := base

@@ -76,8 +76,8 @@ func TaskCost(kind Kind, t *core.Task) Cost {
 // CostScalars is TaskCost on the task's pre-reduced probe statistics:
 // scanTiles metadata words scanned by the Aggregate unit, probes growth
 // probes, and rebuiltTiles stored micro tiles across the task's rebuilt
-// macro tiles. Trace replay (accel.Retime) re-prices recorded schedules
-// through this, so it must stay arithmetically identical to TaskCost.
+// macro tiles. The SpMSpM engine prices every task through this (accel's
+// per-task replay), so it must stay arithmetically identical to TaskCost.
 func CostScalars(kind Kind, scanTiles int64, probes int, rebuiltTiles int64) Cost {
 	if kind == IdealExtractor {
 		return Cost{}
@@ -91,23 +91,4 @@ func CostScalars(kind Kind, scanTiles int64, probes int, rebuiltTiles int64) Cos
 	// tile (Fig. 5's coordinate, size and pointer arrays).
 	md := float64(3 * rebuiltTiles)
 	return Cost{Aggregate: agg, MDBuild: md}
-}
-
-// PipelineCycles folds a sequence of per-task extraction costs into the
-// cycles that remain visible after overlapping with the given per-task
-// cover times (typically each task's distribution/compute time): for each
-// task, only the excess of extraction over the previous task's cover leaks
-// into the runtime.
-func PipelineCycles(costs []Cost, cover []float64) float64 {
-	var total float64
-	for i, c := range costs {
-		visible := c.Total()
-		if i > 0 && i-1 < len(cover) {
-			visible -= cover[i-1]
-		}
-		if visible > 0 {
-			total += visible
-		}
-	}
-	return total
 }

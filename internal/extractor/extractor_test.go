@@ -34,20 +34,3 @@ func TestParallelExtractorScales(t *testing.T) {
 		t.Fatalf("md build with one rebuild = %g, want 24", c.MDBuild)
 	}
 }
-
-func TestPipelineHidesExtraction(t *testing.T) {
-	costs := []Cost{{Aggregate: 10}, {Aggregate: 10}, {Aggregate: 10}}
-	// Large per-task cover (distribution time) hides all but the first.
-	visible := PipelineCycles(costs, []float64{100, 100, 100})
-	if visible != 10 {
-		t.Fatalf("visible = %g, want 10 (only the pipeline fill)", visible)
-	}
-	// Zero cover hides nothing.
-	if v := PipelineCycles(costs, []float64{0, 0, 0}); v != 30 {
-		t.Fatalf("visible = %g, want 30", v)
-	}
-	// Partial cover leaks partially.
-	if v := PipelineCycles(costs, []float64{4, 4, 4}); v != 10+6+6 {
-		t.Fatalf("visible = %g, want 22", v)
-	}
-}

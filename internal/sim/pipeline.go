@@ -97,77 +97,3 @@ func (p *Pipeline) Utilization() [3]float64 {
 	}
 	return u
 }
-
-// DRAMQueue is a burst-level queueing model of the memory system (the
-// paper's "queuing models for the NoC, buffers, and DRAM — which ensure
-// data transfers are not allowed to exceed peak bandwidth"): requests
-// arrive as bursts, banks serve them in parallel, and each burst pays the
-// bank's service time. Bandwidth is capped at Banks bursts in flight; a
-// request stream that would exceed peak bandwidth queues.
-type DRAMQueue struct {
-	// BurstBytes is the transfer granularity (DRAM burst length × bus
-	// width; 64 B is a DDR4-type default).
-	BurstBytes int64
-	// ServiceCycles is the per-burst bank occupancy.
-	ServiceCycles float64
-	// Banks is the number of bursts servable in parallel.
-	Banks int
-
-	bankFree []float64
-	// TotalBytes accumulates the bytes transferred.
-	TotalBytes int64
-	last       float64
-}
-
-// NewDRAMQueue returns a queue sized so that peak bandwidth equals
-// machine bandwidth: Banks × BurstBytes / ServiceCycles bytes per cycle.
-func NewDRAMQueue(m Machine, banks int) *DRAMQueue {
-	if banks < 1 {
-		banks = 1
-	}
-	const burst = 64
-	bytesPerCycle := m.DRAMBandwidth / m.FreqHz
-	// service = banks × burst / bytesPerCycle keeps peak bandwidth equal
-	// to the machine's.
-	return &DRAMQueue{
-		BurstBytes:    burst,
-		ServiceCycles: float64(banks) * burst / bytesPerCycle,
-		Banks:         banks,
-		bankFree:      make([]float64, banks),
-	}
-}
-
-// Request enqueues a transfer of the given bytes arriving at the given
-// cycle and returns its completion cycle. Bursts are spread across banks
-// earliest-free-first.
-func (q *DRAMQueue) Request(arrival float64, bytes int64) float64 {
-	if bytes <= 0 {
-		return arrival
-	}
-	q.TotalBytes += bytes
-	bursts := (bytes + q.BurstBytes - 1) / q.BurstBytes
-	finish := arrival
-	for b := int64(0); b < bursts; b++ {
-		// Pick the earliest-free bank.
-		idx := 0
-		for i := 1; i < q.Banks; i++ {
-			if q.bankFree[i] < q.bankFree[idx] {
-				idx = i
-			}
-		}
-		start := arrival
-		if q.bankFree[idx] > start {
-			start = q.bankFree[idx]
-		}
-		end := start + q.ServiceCycles
-		q.bankFree[idx] = end
-		if end > finish {
-			finish = end
-		}
-	}
-	q.last = finish
-	return finish
-}
-
-// Drained returns the cycle at which all accepted requests complete.
-func (q *DRAMQueue) Drained() float64 { return q.last }

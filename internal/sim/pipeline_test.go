@@ -79,57 +79,3 @@ func TestPipelineBoundsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDRAMQueuePeakBandwidth(t *testing.T) {
-	m := DefaultMachine()
-	q := NewDRAMQueue(m, 8)
-	// A single huge request completes no faster than peak bandwidth.
-	bytes := int64(1 << 20)
-	end := q.Request(0, bytes)
-	ideal := m.DRAMCycles(bytes)
-	if end < ideal*0.999 {
-		t.Fatalf("queue beat peak bandwidth: %g < %g", end, ideal)
-	}
-	// And within ~one service slot of ideal for an aligned request.
-	if end > ideal+q.ServiceCycles*float64(q.Banks) {
-		t.Fatalf("queue far from peak: %g vs %g", end, ideal)
-	}
-}
-
-func TestDRAMQueueSerializesContention(t *testing.T) {
-	m := DefaultMachine()
-	q := NewDRAMQueue(m, 4)
-	// Two overlapping requests take about twice one request's time.
-	e1 := q.Request(0, 64<<10)
-	e2 := q.Request(0, 64<<10)
-	if e2 < e1 {
-		t.Fatal("later-enqueued request finished first")
-	}
-	if e2 < m.DRAMCycles(128<<10)*0.999 {
-		t.Fatalf("contention not serialized: %g < %g", e2, m.DRAMCycles(128<<10))
-	}
-}
-
-func TestDRAMQueueIdleGap(t *testing.T) {
-	m := DefaultMachine()
-	q := NewDRAMQueue(m, 4)
-	q.Request(0, 6400)
-	// A request arriving long after the first drains starts fresh.
-	late := q.Request(1e9, 6400)
-	if late < 1e9 {
-		t.Fatal("request completed before its arrival")
-	}
-	if late > 1e9+m.DRAMCycles(6400)+q.ServiceCycles*4 {
-		t.Fatalf("idle queue still delayed the request: %g", late)
-	}
-}
-
-func TestDRAMQueueZeroBytes(t *testing.T) {
-	q := NewDRAMQueue(DefaultMachine(), 2)
-	if end := q.Request(5, 0); end != 5 {
-		t.Fatalf("zero-byte request took time: %g", end)
-	}
-	if q.TotalBytes != 0 {
-		t.Fatal("zero-byte request counted bytes")
-	}
-}

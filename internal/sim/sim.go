@@ -9,7 +9,6 @@ package sim
 import (
 	"fmt"
 
-	"drt/internal/kernels"
 	"drt/internal/metrics"
 	"drt/internal/obs"
 )
@@ -217,25 +216,6 @@ func (p *PEArray) MaxBusy() float64 {
 		}
 	}
 	return m
-}
-
-// MeanBusy returns the average per-PE cycles, the perfectly balanced bound.
-func (p *PEArray) MeanBusy() float64 {
-	var s float64
-	for _, b := range p.busy {
-		s += b
-	}
-	return s / float64(len(p.busy))
-}
-
-// RowWorkCycles converts a task's per-row work into the PE assignment
-// stream, returning each row's compute cycles under the intersection unit.
-func RowWorkCycles(kind IntersectKind, rows []kernels.RowWork) []float64 {
-	out := make([]float64, len(rows))
-	for i, r := range rows {
-		out[i] = ComputeCycles(kind, int64(r.AElems)+r.MACCs, r.MACCs)
-	}
-	return out
 }
 
 // Result is the outcome of simulating one workload on one accelerator
