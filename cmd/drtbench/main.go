@@ -21,36 +21,35 @@
 // flight; -log off|info|debug emits structured slog records (run start/
 // end, per-experiment timing, slow cells, cache summaries) on stderr.
 //
-// Performance knobs (-parallel, -sched, -grid, -stream, -trace-store,
-// -index, -operand-cache, -shard) change only how fast the evaluation
-// runs, never what it prints — every table is byte-identical at any
-// setting (for -shard, after drtmetrics -merge). -parallel bounds the worker
-// goroutines used for independent (workload × configuration) cells inside
-// each experiment (results are reassembled in input order, so -parallel 1
-// reproduces the sequential run exactly); -sched picks the dispatch order
-// across those cells (lpt, the default, starts the heaviest cells first
-// with idle workers stealing the largest remaining one; fifo is plain
-// index order — see DESIGN.md "Scheduling"); -grid selects the micro-tile
-// grid representation; -stream pipelines DRT task extraction alongside
-// simulation, sharding the extraction across -parallel workers (see
-// DESIGN.md "Extraction pipeline"); -trace-store (auto by default:
-// DRT_TRACE_CACHE or the user cache dir, "off" disables) persists
-// recorded schedules as content-addressed .drtt files shared across
-// processes, so warm re-runs and sharded sweeps replay schedules an
-// earlier process already recorded (see DESIGN.md "Persistent trace
-// store"). Independently of any flag, each reused (workload, tiling
-// config) schedule is recorded once and every sweep point that only
-// changes machine speed or pricing knobs replays it, with the points
-// sharing a schedule priced in one pass (DESIGN.md "Trace record/replay");
-// -index picks the tensor index width (auto narrows to int32 when the
-// operands are large enough and every dimension fits); -operand-cache
-// (on by default) reuses large generated operands from a mmap-backed
-// on-disk cache keyed by the generator spec (DRT_OPERAND_CACHE overrides
-// the directory, "off" disables it); -shard k/n runs one contiguous
-// piece of the shardable experiments (fig6, fig7, tab3) so a full-scale
-// sweep spreads across machines, with drtmetrics -merge recombining the
-// per-shard -metrics-out dumps (see DESIGN.md "Compact tensors & operand
-// cache" and EXPERIMENTS.md for the merge recipe).
+// Performance knobs (-parallel, -sched, -trace-store, -operand-cache,
+// -shard) change only how fast the evaluation runs, never what it prints —
+// every table is byte-identical at any setting (for -shard, after
+// drtmetrics -merge). -parallel bounds the worker goroutines used for
+// independent (workload × configuration) cells inside each experiment and
+// for the reference kernels that prepare each workload (results are
+// reassembled in input order, so -parallel 1 reproduces the sequential
+// run exactly); -sched picks the dispatch order across those cells (lpt,
+// the default, starts the heaviest cells first with idle workers stealing
+// the largest remaining one; fifo is plain index order — see DESIGN.md
+// "Scheduling"); -trace-store (auto by default: DRT_TRACE_CACHE or the
+// user cache dir, "off" disables) persists recorded schedules as
+// content-addressed .drtt files shared across processes, so warm re-runs
+// and sharded sweeps replay schedules an earlier process already recorded
+// (see DESIGN.md "Persistent trace store"). Independently of any flag,
+// each reused (workload, tiling config) schedule is recorded once and
+// every sweep point that only changes machine speed or pricing knobs
+// replays it, with the points sharing a schedule priced in one pass
+// (DESIGN.md "Trace record/replay"); -operand-cache (on by default) reuses
+// large generated operands from a mmap-backed on-disk cache keyed by the
+// generator spec (DRT_OPERAND_CACHE overrides the directory, "off"
+// disables it); -shard k/n runs one contiguous piece of the shardable
+// experiments (fig6, fig7, tab3) so a full-scale sweep spreads across
+// machines, with drtmetrics -merge recombining the per-shard -metrics-out
+// dumps (see DESIGN.md "Compact tensors & operand cache" and
+// EXPERIMENTS.md for the merge recipe). The micro-tile grid representation
+// and the operand index width are not knobs: each workload picks them by
+// their Auto rules (DESIGN.md "Key design decisions" and "Compact tensors
+// & operand cache").
 //
 // -metrics-out writes every experiment's table as structured JSON together
 // with the run metadata (scale, workload generator specs, VCS revision),
@@ -67,14 +66,12 @@ import (
 	"strings"
 	"time"
 
-	"drt/internal/accel"
 	"drt/internal/cli"
 	"drt/internal/exp"
 	"drt/internal/metrics"
 	"drt/internal/obs"
 	"drt/internal/obs/httpserve"
 	"drt/internal/par"
-	"drt/internal/tiling"
 )
 
 func main() {
@@ -84,8 +81,6 @@ func main() {
 		microTile  = flag.Int("microtile", 16, "micro tile edge in coordinates")
 		maxW       = flag.Int("workloads", 0, "cap on catalog entries per experiment (0 = all)")
 		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines per experiment (1 = sequential)")
-		gridMode   = flag.String("grid", "auto", "micro-tile grid representation: auto | dense | compressed")
-		stream     = flag.Bool("stream", false, "pipeline DRT task extraction alongside simulation, sharded across -parallel workers")
 		sched      = flag.String("sched", "lpt", "cell dispatch order: lpt (longest first, work stealing) | fifo (index order)")
 		traceStore = flag.String("trace-store", "auto", "persistent trace store: auto (DRT_TRACE_CACHE or the user cache dir), off, or a directory; recorded schedules replay across processes (bit-identical tables)")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
@@ -93,13 +88,12 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write all tables and run metadata as JSON to this file")
 		progress   = flag.Bool("progress", false, "print a live progress line (cells, tasks, nnz-weighted ETA) to stderr every second")
 		shardFlag  = flag.String("shard", "", "run piece k/n of the shardable experiments (fig6, fig7, tab3); merge the shards' -metrics-out dumps with drtmetrics -merge")
-		indexMode  = flag.String("index", "auto", "operand index width: auto (compact int32 when large operands fit) | wide | compact")
 		opCache    = flag.Bool("operand-cache", true, "reuse generated operands via the on-disk cache (DRT_OPERAND_CACHE; tables are bit-identical either way)")
 	)
 	listen := cli.AddListenFlag()
 	logLevel := cli.AddLogFlag()
 	prof := cli.AddProfileFlags()
-	cli.GroupUsage("drtbench", "Performance knobs", "parallel", "sched", "grid", "stream", "trace-store", "index", "operand-cache", "shard")
+	cli.GroupUsage("drtbench", "Performance knobs", "parallel", "sched", "trace-store", "operand-cache", "shard")
 	flag.Parse()
 	defer cli.Cleanup()
 	stopProf := prof.Start("drtbench")
@@ -121,8 +115,6 @@ func main() {
 		rec.SetMeta("exp", *expID)
 		rec.SetMeta("scale", fmt.Sprint(*scale))
 		rec.SetMeta("microtile", fmt.Sprint(*microTile))
-		rec.SetMeta("grid", *gridMode)
-		rec.SetMeta("stream", fmt.Sprint(*stream))
 		rec.SetMeta("sched", *sched)
 		rec.SetMeta("trace-store", exp.TraceStoreDir(*traceStore))
 		for k, v := range obs.BuildMeta() {
@@ -130,10 +122,6 @@ func main() {
 		}
 	}
 
-	grid, err := tiling.ParseMode(*gridMode)
-	if err != nil {
-		cli.Usagef("drtbench: %v", err)
-	}
 	schedMode, err := par.ParseSched(*sched)
 	if err != nil {
 		cli.Usagef("drtbench: %v", err)
@@ -142,13 +130,8 @@ func main() {
 	if err != nil {
 		cli.Usagef("drtbench: %v", err)
 	}
-	index, err := accel.ParseIndexMode(*indexMode)
-	if err != nil {
-		cli.Usagef("drtbench: %v", err)
-	}
 	if rec != nil {
 		rec.SetMeta("shard", shard.String())
-		rec.SetMeta("index", index.String())
 	}
 
 	// Live telemetry: the progress tracker exists when either consumer
@@ -174,7 +157,7 @@ func main() {
 		defer stopLine()
 	}
 
-	opts := exp.Options{Scale: *scale, MicroTile: *microTile, MaxWorkloads: *maxW, Parallel: *parallel, Grid: grid, Stream: *stream, Sched: schedMode, TraceStore: exp.TraceStoreDir(*traceStore), Progress: prog, Shard: shard, Index: index, NoOperandCache: !*opCache}
+	opts := exp.Options{Scale: *scale, MicroTile: *microTile, MaxWorkloads: *maxW, Parallel: *parallel, Sched: schedMode, TraceStore: exp.TraceStoreDir(*traceStore), Progress: prog, Shard: shard, NoOperandCache: !*opCache}
 	if rec != nil {
 		opts.Rec = rec
 	}
@@ -187,7 +170,7 @@ func main() {
 		ids = strings.Split(*expID, ",")
 	}
 	logger.Info("run start", "cmd", "drtbench", "exp", *expID, "scale", *scale,
-		"parallel", *parallel, "sched", schedMode.String(), "stream", *stream)
+		"parallel", *parallel, "sched", schedMode.String())
 	runStart := time.Now()
 	var dump metrics.Dump
 	for _, id := range ids {

@@ -19,17 +19,15 @@
 // structured slog records. Exit codes: 2 for usage errors, 1 for runtime
 // errors.
 //
-// Performance knobs (-parallel, -sched, -grid, -stream, -trace-store)
-// change only how fast the simulation runs, never its result: -parallel
-// bounds worker goroutines (static-shape sweep, reference kernel, sharded
-// extraction), -sched picks their dispatch order (lpt longest-first with
-// work stealing, or fifo index order — see DESIGN.md "Scheduling"), -grid
-// picks the micro-tile grid representation, -stream pipelines DRT task
-// extraction alongside simulation (see DESIGN.md "Extraction pipeline"),
-// and -trace-store (off by default; "auto" resolves DRT_TRACE_CACHE or the
-// user cache dir) serves the extensor-op-drt schedule from the persistent
-// trace store when an earlier run recorded it (see DESIGN.md "Persistent
-// trace store"). The report is byte-identical at any setting of all five.
+// Performance knobs (-parallel, -sched, -trace-store) change only how fast
+// the simulation runs, never its result: -parallel bounds worker
+// goroutines (static-shape sweep, reference kernel), -sched picks their
+// dispatch order (lpt longest-first with work stealing, or fifo index
+// order — see DESIGN.md "Scheduling"), and -trace-store (off by default;
+// "auto" resolves DRT_TRACE_CACHE or the user cache dir) serves the
+// extensor-op-drt schedule from the persistent trace store when an
+// earlier run recorded it (see DESIGN.md "Persistent trace store"). The
+// report is byte-identical at any setting of all three.
 // Every run is priced by the same per-task replay that retimes a recorded
 // schedule (DESIGN.md "Trace record/replay").
 package main
@@ -60,7 +58,6 @@ import (
 	"drt/internal/obs/httpserve"
 	"drt/internal/par"
 	"drt/internal/sim"
-	"drt/internal/tiling"
 	"drt/internal/workloads"
 )
 
@@ -78,21 +75,19 @@ func main() {
 		accelName  = flag.String("accel", "extensor-op-drt", "accelerator: "+strings.Join(accelNames, " | "))
 		scale      = flag.Int("scale", 16, "workload scale-down factor")
 		microTile  = flag.Int("microtile", 16, "micro tile edge")
-		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the static-shape sweep, the reference kernel and sharded extraction (1 = sequential)")
-		gridMode   = flag.String("grid", "auto", "micro-tile grid representation: auto | dense | compressed")
-		stream     = flag.Bool("stream", false, "pipeline DRT task extraction alongside simulation, sharded across -parallel workers")
+		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the static-shape sweep and the reference kernel (1 = sequential)")
 		schedFlag  = flag.String("sched", "lpt", "cell dispatch order: lpt (longest first, work stealing) | fifo (index order)")
 		traceStore = flag.String("trace-store", "off", "persistent trace store for extensor-op-drt: off, auto (DRT_TRACE_CACHE or the user cache dir), or a directory; replays schedules recorded by earlier runs (byte-identical report)")
 		trace      = flag.Bool("trace", false, "render the DRT task tiling of the K×J plane as ASCII")
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON on stdout instead of text")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the run's spans")
 		metricsOut = flag.String("metrics-out", "", "write the JSON report to this file")
-		progress   = flag.Bool("progress", false, "print a live progress line (tasks consumed/extracted) to stderr every second")
+		progress   = flag.Bool("progress", false, "print a live progress line (engine tasks consumed) to stderr every second")
 	)
 	listen := cli.AddListenFlag()
 	logLevel := cli.AddLogFlag()
 	prof := cli.AddProfileFlags()
-	cli.GroupUsage("drtsim", "Performance knobs", "parallel", "sched", "grid", "stream", "trace-store")
+	cli.GroupUsage("drtsim", "Performance knobs", "parallel", "sched", "trace-store")
 	flag.Parse()
 	defer cli.Cleanup()
 	stopProf := prof.Start("drtsim")
@@ -116,10 +111,6 @@ func main() {
 	if *microTile < 1 {
 		cli.Usagef("drtsim: -microtile %d: must be at least 1", *microTile)
 	}
-	grid, err := tiling.ParseMode(*gridMode)
-	if err != nil {
-		cli.Usagef("drtsim: %v", err)
-	}
 	sched, err := par.ParseSched(*schedFlag)
 	if err != nil {
 		cli.Usagef("drtsim: %v", err)
@@ -135,8 +126,6 @@ func main() {
 		rec.SetMeta("accel", *accelName)
 		rec.SetMeta("scale", fmt.Sprint(*scale))
 		rec.SetMeta("microtile", fmt.Sprint(*microTile))
-		rec.SetMeta("grid", *gridMode)
-		rec.SetMeta("stream", fmt.Sprint(*stream))
 		rec.SetMeta("sched", *schedFlag)
 		rec.SetMeta("trace-store", exp.TraceStoreDir(*traceStore))
 		rec.SetMeta("seed", fmt.Sprint(e.Seed))
@@ -170,7 +159,7 @@ func main() {
 		defer stopLine()
 	}
 	logger.Info("run start", "cmd", "drtsim", "matrix", e.Name, "accel", *accelName,
-		"scale", *scale, "stream", *stream)
+		"scale", *scale)
 	runStart := time.Now()
 
 	// The workload comes from the exp context, which records its generator
@@ -180,7 +169,6 @@ func main() {
 	c := exp.NewContext(exp.Options{
 		Scale:          *scale,
 		MicroTile:      *microTile,
-		Grid:           grid,
 		Parallel:       *parallel,
 		NoOperandCache: true,
 		TraceStore:     exp.TraceStoreDir(*traceStore),
@@ -200,7 +188,7 @@ func main() {
 	}
 
 	prog.SetPhase("simulate")
-	r, err := run(c, e.Name, *accelName, w, m, *parallel, sched, *stream, rec)
+	r, err := run(c, e.Name, *accelName, w, m, *parallel, sched, rec)
 	if err != nil {
 		cli.Fatalf("drtsim: %v", err)
 	}
@@ -297,7 +285,7 @@ func printTrace(a *accel.Workload, microTile int) error {
 	return nil
 }
 
-func run(c *exp.Context, wkey, name string, w *accel.Workload, m sim.Machine, parallel int, sched par.Sched, stream bool, rec *obs.Collector) (sim.Result, error) {
+func run(c *exp.Context, wkey, name string, w *accel.Workload, m sim.Machine, parallel int, sched par.Sched, rec *obs.Collector) (sim.Result, error) {
 	var r obs.Recorder
 	if rec != nil {
 		r = rec
@@ -306,10 +294,9 @@ func run(c *exp.Context, wkey, name string, w *accel.Workload, m sim.Machine, pa
 	exOpt.Machine = m
 	exOpt.Parallel = parallel
 	exOpt.Sched = sched
-	exOpt.Stream = stream
 	exOpt.Rec = r
-	osOpt := outerspace.Options{Machine: m, Partition: exOpt.Partition, Stream: stream, Parallel: parallel, Rec: r}
-	mrOpt := matraptor.Options{Machine: m, Partition: exOpt.Partition, Stream: stream, Parallel: parallel, Rec: r}
+	osOpt := outerspace.Options{Machine: m, Partition: exOpt.Partition, Rec: r}
+	mrOpt := matraptor.Options{Machine: m, Partition: exOpt.Partition, Rec: r}
 	switch name {
 	case "extensor":
 		return extensor.Run(extensor.Original, w, exOpt)

@@ -24,8 +24,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // `go test ./cmd/drtsim -run Golden -update`).
 //
 // The SAME golden file must match under every grid representation: the
-// compressed summaries answer identical queries, so -grid only changes
-// memory, never output.
+// compressed summaries answer identical queries, so the representation
+// only changes memory, never output.
 func TestReportGolden(t *testing.T) {
 	const (
 		matrix    = "bcsstk17"
@@ -40,15 +40,13 @@ func TestReportGolden(t *testing.T) {
 	a := e.Generate(scale)
 	golden := filepath.Join("testdata", "report_bcsstk17.golden")
 	for _, cfg := range []struct {
-		grid   tiling.Mode
-		sched  par.Sched
-		stream bool
+		name  string
+		grid  tiling.Mode
+		sched par.Sched
 	}{
-		{tiling.Dense, par.FIFO, false},
-		{tiling.Dense, par.LPT, false},
-		{tiling.Dense, par.LPT, true},
-		{tiling.Compressed, par.FIFO, false},
-		{tiling.Compressed, par.LPT, true},
+		{"dense/fifo", tiling.Dense, par.FIFO},
+		{"dense/lpt", tiling.Dense, par.LPT},
+		{"compressed/fifo", tiling.Compressed, par.FIFO},
 	} {
 		grid := cfg.grid
 		w, err := accel.NewWorkloadWith(e.Name, a, a,
@@ -58,19 +56,17 @@ func TestReportGolden(t *testing.T) {
 		}
 		c := exp.NewContext(exp.Options{Scale: scale, MicroTile: microTile})
 		m := c.Machine()
-		// The golden file was produced by a sequential, non-streamed run;
-		// simulating with four workers — under both dispatch orders and, in
-		// several cases, the pipelined sharded extraction — and still
-		// matching it byte-for-byte pins the parallel paths' determinism
-		// guarantee.
-		r, err := run(c, e.Name, accelName, w, m, 4, cfg.sched, cfg.stream, nil)
+		// The golden file was produced by a sequential run; simulating
+		// with four workers under both dispatch orders and still matching
+		// it byte-for-byte pins the parallel paths' determinism guarantee.
+		r, err := run(c, e.Name, accelName, w, m, 4, cfg.sched, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		report(&buf, w, r, m)
 
-		if *update && grid == tiling.Dense && cfg.sched == par.FIFO && !cfg.stream {
+		if *update && grid == tiling.Dense && cfg.sched == par.FIFO {
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +80,7 @@ func TestReportGolden(t *testing.T) {
 			t.Fatalf("missing golden file (run with -update to create): %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("report with -grid %s -sched %s -stream=%v diverged from golden file.\n--- got ---\n%s--- want ---\n%s", grid, cfg.sched, cfg.stream, buf.Bytes(), want)
+			t.Errorf("%s report diverged from golden file.\n--- got ---\n%s--- want ---\n%s", cfg.name, buf.Bytes(), want)
 		}
 	}
 }
@@ -112,7 +108,7 @@ func TestReportGoldenTraceStore(t *testing.T) {
 	for pass, name := range []string{"cold", "warm"} {
 		rec := obs.NewCollector()
 		c := exp.NewContext(exp.Options{Scale: 64, MicroTile: 8, TraceStore: dir, Rec: rec})
-		r, err := run(c, e.Name, "extensor-op-drt", w, c.Machine(), 4, par.LPT, false, nil)
+		r, err := run(c, e.Name, "extensor-op-drt", w, c.Machine(), 4, par.LPT, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +155,7 @@ func TestJSONMatchesText(t *testing.T) {
 	c := exp.NewContext(exp.Options{Scale: 64, MicroTile: 8})
 	m := c.Machine()
 	rec := obs.NewCollector()
-	r, err := run(c, e.Name, "extensor-op-drt", w, m, 1, par.FIFO, false, rec)
+	r, err := run(c, e.Name, "extensor-op-drt", w, m, 1, par.FIFO, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,17 +34,6 @@ type EngineOptions struct {
 	// and extraction-cycle accounting. DRAM traffic is unaffected — it is
 	// set by the outer level.
 	PELevel *PELevelOptions
-	// Stream runs task extraction as a pipelined producer/consumer
-	// (core.StreamTasks) so tile shaping overlaps simulation, mirroring
-	// the paper's extractor running ahead of the PE array. The delivered
-	// task sequence — and therefore every modeled number — is byte-
-	// identical to the inline path at any Parallel setting.
-	Stream bool
-	// Parallel is the extraction shard count when Stream is set: values
-	// above one split the outermost loop dimension across that many
-	// enumerator clones with deterministic in-order stitching. ≤ 1 keeps
-	// a single background producer.
-	Parallel int
 	// ConstrainOutput registers the output tensor in the growth kernel so
 	// its tile footprint caps growth against CapO (Alg. 1's sum-of-tile-
 	// footprints check). Output-resident designs — the software study's
@@ -201,7 +190,7 @@ func RunTasks(w *Workload, opt EngineOptions) (sim.Result, error) {
 
 // runTasks is the engine loop behind RunTasks and RecordTasks. It only
 // captures: every non-empty task's machine-invariant record (see Trace)
-// lands in trc, and the run's ledgers land in trc when the stream ends.
+// lands in trc, and the run's ledgers land in trc when the walk ends.
 // With a non-nil price, each task is priced as soon as it is captured and
 // trc's per-task arrays are then emptied, so a direct run never holds
 // more than one task of its schedule.
@@ -221,11 +210,10 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) 
 		InitialSize: opt.InitialSize,
 		GrowStep:    opt.GrowStep,
 	}
-	src, err := newTaskSource(k, cfg, opt.Stream, opt.Parallel)
+	e, err := core.NewEnumerator(k, cfg)
 	if err != nil {
 		return err
 	}
-	defer src.Close()
 
 	out := newOutputModel(w, opt.CapO)
 	spa := kernels.NewSPA(w.BCols())
@@ -242,7 +230,7 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) 
 	}
 
 	for {
-		t, ok, err := src.Next()
+		t, ok, err := e.Next()
 		if err != nil {
 			return err
 		}
@@ -304,7 +292,7 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) 
 			// Hierarchical DRT: a second tile extractor splits the LLB
 			// task into PE sub-tasks; each sub-task is one round-robin
 			// work item and its tile distribution rides the NoC.
-			maccs, err := runPELevel(ps, &opt, t, trc)
+			maccs, err := runPELevel(ps, &opt, &t, trc)
 			if err != nil {
 				return err
 			}
@@ -331,30 +319,12 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) 
 	}
 	out.flush()
 	trc.traffic.Z = out.zTotal
-	recordCacheStats(rec, src.Stats(), ps)
+	recordCacheStats(rec, e.CacheStats(), ps)
 
 	if trc.maccs != w.MACCs {
 		return fmt.Errorf("accel: %s: task partition covered %d MACCs, kernel has %d", w.Name, trc.maccs, w.MACCs)
 	}
 	return nil
-}
-
-// newTaskSource builds the engine's task stream: inline extraction on
-// the caller's goroutine by default, or the pipelined (optionally
-// sharded) producer/consumer when stream is set.
-func newTaskSource(k *core.Kernel, cfg *core.Config, stream bool, parallel int) (core.TaskSource, error) {
-	if stream {
-		so := core.StreamOptions{Workers: parallel}
-		if p := obs.Active(); p != nil {
-			so.OnEmit = p.TaskExtracted
-		}
-		return core.StreamTasks(k, cfg, so)
-	}
-	e, err := core.NewEnumerator(k, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.Source(), nil
 }
 
 // recordCacheStats publishes the run's box-query cache and sweep-log

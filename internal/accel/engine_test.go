@@ -6,6 +6,7 @@ import (
 	"drt/internal/core"
 	"drt/internal/extractor"
 	"drt/internal/gen"
+	"drt/internal/obs"
 	"drt/internal/sim"
 	"drt/internal/tensor"
 )
@@ -179,5 +180,39 @@ func TestRunTasksEmptyOperandNoTraffic(t *testing.T) {
 	}
 	if r.EmptyTasks != r.Tasks || r.Tasks == 0 {
 		t.Fatalf("want all %d tasks empty, got %d", r.Tasks, r.EmptyTasks)
+	}
+}
+
+// TestRunTasksPublishesExtractCounters checks that a hierarchical run
+// publishes the builder memos' counters: the PE level's K→I→J re-tiling
+// replays B's J sweeps from the sweep log.
+func TestRunTasksPublishesExtractCounters(t *testing.T) {
+	a := gen.RMAT(256, 4000, 0.57, 0.19, 0.19, 7)
+	b := gen.RMAT(256, 4000, 0.45, 0.25, 0.20, 8)
+	w, err := NewWorkload("rmat256", a, b, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewCollector()
+	opt := EngineOptions{
+		Machine: sim.DefaultMachine(),
+		CapA:    6 << 10, CapB: 6 << 10, CapO: 6 << 10,
+		LoopOrder: []int{DimJ, DimK, DimI},
+		Strategy:  core.GreedyContractedFirst,
+		Intersect: sim.Parallel,
+		Extractor: extractor.ParallelExtractor,
+		PELevel: &PELevelOptions{
+			CapA: 1 << 10, CapB: 1 << 10, CapO: 1 << 10,
+			Strategy: core.GreedyContractedFirst,
+		},
+		Rec: rec,
+	}
+	if _, err := RunTasks(w, opt); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"extract.steplog.hits", "extract.steplog.misses", "extract.boxcache.misses"} {
+		if rec.Counter(name) <= 0 {
+			t.Errorf("%s = %d, want > 0", name, rec.Counter(name))
+		}
 	}
 }

@@ -76,19 +76,13 @@ type Options struct {
 	// candidates across (0 or negative = one per CPU, 1 = sequential).
 	// The winning shape — and therefore the returned Result — is
 	// identical at any setting: candidates are compared in proposal
-	// order. With Stream set it also shards task extraction.
+	// order.
 	Parallel int
 	// Sched is the sweep pool's dispatch order (par.LPT starts the
 	// smallest-tile candidates — the ones with the most tasks — first).
 	// The winner is compared in proposal order, so the result is
 	// identical at any setting.
 	Sched par.Sched
-	// Stream pipelines task extraction alongside simulation (see
-	// accel.EngineOptions.Stream); outputs are byte-identical either way.
-	// Inside the static-shape sweep — whose candidates already run across
-	// the worker pool — streamed extraction keeps a single producer per
-	// candidate instead of sharding, so the pool is not oversubscribed.
-	Stream bool
 	// Rec, when non-nil, receives the run's instrumentation (see
 	// accel.EngineOptions.Rec). The static-shape sweep records only the
 	// winning shape's run, so an attached recorder's totals match the
@@ -121,8 +115,6 @@ func engineOptions(v Variant, opt Options) accel.EngineOptions {
 		CapO:      capO,
 		Intersect: opt.Intersect,
 		Extractor: opt.Extractor,
-		Stream:    opt.Stream,
-		Parallel:  opt.Parallel,
 		Rec:       opt.Rec,
 	}
 	switch v {
@@ -330,9 +322,6 @@ func sweepStatic(w *accel.Workload, base accel.EngineOptions, capA, capB int64, 
 	cands, _ := par.MapWith(pool, len(shapes), func(i int) (candidate, error) {
 		opt := base
 		opt.InitialSize = []int{shapes[i][0], shapes[i][1], shapes[i][2]}
-		// Candidates already saturate the worker pool; a streamed run
-		// keeps one producer rather than sharding on top of it.
-		opt.Parallel = 1
 		r, err := accel.RunTasks(w, opt)
 		return candidate{r: r, err: err}, nil
 	})

@@ -75,10 +75,6 @@ type GramOptions struct {
 	Strategy  core.Strategy // Static = S-U-C baseline, Greedy = DRT
 	Intersect sim.IntersectKind
 	Extractor extractor.Kind
-	// Stream and Parallel mirror EngineOptions: pipelined (and optionally
-	// sharded) task extraction with a byte-identical task sequence.
-	Stream   bool
-	Parallel int
 	// ConstrainOutput caps growth by the output partition (see
 	// EngineOptions.ConstrainOutput); the default multiply-and-merge
 	// configuration leaves growth unconstrained and pays spill traffic.
@@ -126,11 +122,10 @@ func RunGram(w *GramWorkload, opt GramOptions) (sim.Result, error) {
 	if opt.Strategy == core.Static {
 		cfg.InitialSize = gramStaticShape(w, capA)
 	}
-	src, err := newTaskSource(k, cfg, opt.Stream, opt.Parallel)
+	e, err := core.NewEnumerator(k, cfg)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	defer src.Close()
 
 	res := sim.Result{Name: w.Name}
 	pe := sim.NewPEArray(opt.Machine.PEs)
@@ -142,7 +137,7 @@ func RunGram(w *GramWorkload, opt GramOptions) (sim.Result, error) {
 	prog := obs.Active()
 
 	for {
-		t, ok, err := src.Next()
+		t, ok, err := e.Next()
 		if err != nil {
 			return sim.Result{}, err
 		}
@@ -186,7 +181,7 @@ func RunGram(w *GramWorkload, opt GramOptions) (sim.Result, error) {
 
 		out.touch([4]int{t.Ranges[GramDimI].Lo, t.Ranges[GramDimI].Hi, t.Ranges[GramDimL].Lo, t.Ranges[GramDimL].Hi}, tr.OutputNNZ)
 
-		extractTotal += extractor.TaskCost(opt.Extractor, t).Total()
+		extractTotal += extractor.TaskCost(opt.Extractor, &t).Total()
 	}
 	out.flush()
 	res.Traffic.Z = out.zTotal

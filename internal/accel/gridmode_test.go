@@ -38,23 +38,45 @@ func TestGridModesIdenticalResults(t *testing.T) {
 		t.Fatal("reference outputs diverge between grid modes")
 	}
 
-	opt := EngineOptions{
+	// Every engine configuration the experiments reach: the greedy
+	// J→K→I walk, the static S-U-C dataflows of ExTensor (I→J→K) and
+	// ExTensor-OP (J→K→I), and the hierarchical PE level re-tiling each
+	// outer task.
+	greedy := EngineOptions{
 		Machine: sim.DefaultMachine(),
 		CapA:    500, CapB: 500, CapO: 500,
 		LoopOrder: []int{DimJ, DimK, DimI},
 		Strategy:  core.GreedyContractedFirst,
 		Extractor: extractor.IdealExtractor,
 	}
-	rd, err := RunTasks(wd, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := RunTasks(wc, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rd, rc) {
-		t.Fatalf("simulated results diverge between grid modes:\ndense:      %+v\ncompressed: %+v", rd, rc)
+	staticJKI := greedy
+	staticJKI.Strategy = core.Static
+	staticJKI.InitialSize = []int{2, 3, 2}
+	staticIJK := staticJKI
+	staticIJK.LoopOrder = []int{DimI, DimJ, DimK}
+	staticIJK.Intersect = sim.SkipBased
+	hier := greedy
+	hier.CapA, hier.CapB, hier.CapO = 2000, 2000, 2000
+	hier.Extractor = extractor.ParallelExtractor
+	hier.PELevel = &PELevelOptions{CapA: 300, CapB: 300, CapO: 300, Strategy: core.GreedyContractedFirst}
+	for _, tc := range []struct {
+		name string
+		opt  EngineOptions
+	}{{"greedy", greedy}, {"static-ijk", staticIJK}, {"static-jki", staticJKI}, {"hierarchical", hier}} {
+		rd, err := RunTasks(wd, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := RunTasks(wc, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.Tasks-rd.EmptyTasks < 2 {
+			t.Fatalf("%s: fixture too small: %d non-empty tasks", tc.name, rd.Tasks-rd.EmptyTasks)
+		}
+		if !reflect.DeepEqual(rd, rc) {
+			t.Fatalf("%s: simulated results diverge between grid modes:\ndense:      %+v\ncompressed: %+v", tc.name, rd, rc)
+		}
 	}
 
 	// The Gram path dispatches through Summary3; pin it the same way.

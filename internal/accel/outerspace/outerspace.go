@@ -48,11 +48,6 @@ func (v Variant) String() string {
 type Options struct {
 	Machine   sim.Machine
 	Partition sim.Partition
-	// Stream and Parallel configure pipelined/sharded task extraction for
-	// the tiled variants (see accel.EngineOptions); the untiled closed
-	// form has no task stream and ignores them.
-	Stream   bool
-	Parallel int
 	// Rec, when non-nil, receives the run's instrumentation (see
 	// accel.EngineOptions.Rec).
 	Rec obs.Recorder
@@ -76,8 +71,6 @@ func engineOptions(v Variant, w *accel.Workload, opt Options) accel.EngineOption
 		Intersect: sim.SerialOptimal, // idealized on-chip behavior
 		Extractor: extractor.IdealExtractor,
 		Strategy:  core.Static,
-		Stream:    opt.Stream,
-		Parallel:  opt.Parallel,
 		Rec:       opt.Rec,
 	}
 	if v == DRT {

@@ -61,34 +61,28 @@ func randConfigs(rng *rand.Rand, n int) []RetimeConfig {
 }
 
 // TestRetimeBatchMatchesSequential is the batched tentpole's correctness
-// pin: for every batch size 1–16, on both engine levels with streamed and
-// inline extraction, RetimeBatch(configs)[i] must equal the sequential
-// Retime of configs[i] bit-for-bit (sim.Result is comparable; == is exact
-// float equality).
+// pin: for every batch size 1–16, on both engine levels,
+// RetimeBatch(configs)[i] must equal the sequential Retime of configs[i]
+// bit-for-bit (sim.Result is comparable; == is exact float equality).
 func TestRetimeBatchMatchesSequential(t *testing.T) {
 	for name, opt := range recordedEngineOptions() {
 		t.Run(name, func(t *testing.T) {
 			w := recordedWorkload(t)
-			for _, stream := range []bool{false, true} {
-				rec := opt
-				rec.Stream = stream
-				rec.Parallel = 4
-				tr, err := RecordTasks(w, rec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(77))
-				for size := 1; size <= 16; size++ {
-					cfgs := randConfigs(rng, size)
-					got := tr.RetimeBatch(cfgs)
-					for i, cfg := range cfgs {
-						want := Retime(tr, RetimeOptions{
-							Machine: cfg.Machine, Intersect: cfg.Intersect, Extractor: cfg.Extractor,
-						})
-						if got[i] != want {
-							t.Fatalf("stream=%v batch=%d config %d (%v/%v pes=%d):\n got %+v\nwant %+v",
-								stream, size, i, cfg.Intersect, cfg.Extractor, cfg.Machine.PEs, got[i], want)
-						}
+			tr, err := RecordTasks(w, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(77))
+			for size := 1; size <= 16; size++ {
+				cfgs := randConfigs(rng, size)
+				got := tr.RetimeBatch(cfgs)
+				for i, cfg := range cfgs {
+					want := Retime(tr, RetimeOptions{
+						Machine: cfg.Machine, Intersect: cfg.Intersect, Extractor: cfg.Extractor,
+					})
+					if got[i] != want {
+						t.Fatalf("batch=%d config %d (%v/%v pes=%d):\n got %+v\nwant %+v",
+							size, i, cfg.Intersect, cfg.Extractor, cfg.Machine.PEs, got[i], want)
 					}
 				}
 			}

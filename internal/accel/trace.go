@@ -136,10 +136,10 @@ func Retime(tr *Trace, opt RetimeOptions) sim.Result {
 
 // RecordTasks runs the task-stream engine once and returns the recorded
 // schedule without pricing it. It performs the full extraction, kernel and
-// output-model work and honors every engine option (including
-// Stream/Parallel and an attached Recorder, which receives the capture-
-// time observations); retiming the trace under the run's machine,
-// intersection unit and extractor kind yields exactly RunTasks' Result.
+// output-model work and honors every engine option (including an
+// attached Recorder, which receives the capture-time observations);
+// retiming the trace under the run's machine, intersection unit and
+// extractor kind yields exactly RunTasks' Result.
 func RecordTasks(w *Workload, opt EngineOptions) (*Trace, error) {
 	rec := obs.OrNop(opt.Rec)
 	runSpan := rec.Begin(obs.CatPhase, "simulate")

@@ -26,8 +26,7 @@ func scaleMachine(rng *rand.Rand) sim.Machine {
 // TestRetimeMatchesRun is the tentpole's correctness pin: retiming a
 // recorded schedule under (machine, intersect kind, extractor kind) must
 // equal the direct RunTasks result bit-for-bit, for every combination of
-// those knobs, on both the flat and the hierarchical (PE-level) engine,
-// with streamed and inline extraction.
+// those knobs, on both the flat and the hierarchical (PE-level) engine.
 func TestRetimeMatchesRun(t *testing.T) {
 	a := gen.RMAT(256, 4000, 0.57, 0.19, 0.19, 7)
 	b := gen.RMAT(256, 4000, 0.45, 0.25, 0.20, 8)
@@ -59,38 +58,33 @@ func TestRetimeMatchesRun(t *testing.T) {
 	exts := []extractor.Kind{extractor.ParallelExtractor, extractor.IdealExtractor}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, stream := range []bool{false, true} {
-				rec := tc.base
-				rec.Stream = stream
-				rec.Parallel = 4
-				trc, err := RecordTasks(w, rec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if trc.NumTasks() < 2 {
-					t.Fatalf("fixture too small: %d non-empty tasks", trc.NumTasks())
-				}
-				rng := rand.New(rand.NewSource(42))
-				machines := []sim.Machine{tc.base.Machine}
-				for i := 0; i < 4; i++ {
-					machines = append(machines, scaleMachine(rng))
-				}
-				for _, m := range machines {
-					for _, ik := range kinds {
-						for _, ek := range exts {
-							opt := tc.base
-							opt.Machine = m
-							opt.Intersect = ik
-							opt.Extractor = ek
-							want, err := RunTasks(w, opt)
-							if err != nil {
-								t.Fatal(err)
-							}
-							got := Retime(trc, RetimeOptions{Machine: m, Intersect: ik, Extractor: ek})
-							if got != want {
-								t.Errorf("stream=%v machine{bw=%.3g lat=%.3g pes=%d} %v/%v:\n got %+v\nwant %+v",
-									stream, m.DRAMBandwidth, m.DRAMLatency, m.PEs, ik, ek, got, want)
-							}
+			trc, err := RecordTasks(w, tc.base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trc.NumTasks() < 2 {
+				t.Fatalf("fixture too small: %d non-empty tasks", trc.NumTasks())
+			}
+			rng := rand.New(rand.NewSource(42))
+			machines := []sim.Machine{tc.base.Machine}
+			for i := 0; i < 4; i++ {
+				machines = append(machines, scaleMachine(rng))
+			}
+			for _, m := range machines {
+				for _, ik := range kinds {
+					for _, ek := range exts {
+						opt := tc.base
+						opt.Machine = m
+						opt.Intersect = ik
+						opt.Extractor = ek
+						want, err := RunTasks(w, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := Retime(trc, RetimeOptions{Machine: m, Intersect: ik, Extractor: ek})
+						if got != want {
+							t.Errorf("machine{bw=%.3g lat=%.3g pes=%d} %v/%v:\n got %+v\nwant %+v",
+								m.DRAMBandwidth, m.DRAMLatency, m.PEs, ik, ek, got, want)
 						}
 					}
 				}

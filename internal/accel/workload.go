@@ -21,7 +21,9 @@ type WorkloadConfig struct {
 	MicroTile int
 	Format    tiling.Format
 	// Grid selects the micro-tile summary representation (tiling.Auto picks
-	// dense or compressed by the cell-count budget).
+	// dense or compressed by the cell-count budget). The experiments and
+	// CLIs always leave it Auto; forcing either representation is the seam
+	// TestGridModesIdenticalResults compares them through.
 	Grid tiling.Mode
 	// Parallel is the reference-kernel worker count: 0 or 1 run
 	// sequentially, <0 selects one worker per CPU. The parallel kernels are
@@ -29,7 +31,8 @@ type WorkloadConfig struct {
 	Parallel int
 	// Index selects the operand index width (IndexAuto compacts large
 	// operands to int32 when they fit; the engines are byte-identical in
-	// either width, pinned by TestCompactEngineEquivalence).
+	// either width, pinned by TestCompactEngineEquivalence, which forces
+	// each width through this field — everything else leaves it Auto).
 	Index IndexMode
 }
 
@@ -48,30 +51,6 @@ const (
 	// fails when the operands do not fit.
 	IndexCompact
 )
-
-// String names the mode as the -index flag spells it.
-func (m IndexMode) String() string {
-	switch m {
-	case IndexWide:
-		return "wide"
-	case IndexCompact:
-		return "compact"
-	}
-	return "auto"
-}
-
-// ParseIndexMode parses a -index flag value.
-func ParseIndexMode(s string) (IndexMode, error) {
-	switch s {
-	case "auto", "":
-		return IndexAuto, nil
-	case "wide":
-		return IndexWide, nil
-	case "compact":
-		return IndexCompact, nil
-	}
-	return IndexAuto, fmt.Errorf("accel: unknown index mode %q (auto, wide or compact)", s)
-}
 
 // DefaultCompactNNZ is the IndexAuto occupancy threshold: operands whose
 // combined nnz reaches it (and whose shapes fit int32) are compacted.

@@ -190,22 +190,11 @@ func (t *Task) Range(d int) Range { return t.Ranges[d] }
 // valid until the next call; callers that retain a task across calls
 // must Clone it first.
 func (t *Task) Clone() Task {
-	var c Task
-	t.cloneInto(&c)
+	c := *t
+	c.Ranges = append([]Range(nil), t.Ranges...)
+	c.OpFootprint = append([]int64(nil), t.OpFootprint...)
+	c.OpNNZ = append([]int64(nil), t.OpNNZ...)
+	c.OpTiles = append([]int64(nil), t.OpTiles...)
+	c.Rebuilt = append([]bool(nil), t.Rebuilt...)
 	return c
-}
-
-// cloneInto deep-copies t into dst, reusing dst's slice capacity. The
-// streaming extractor recycles tasks through this to stay allocation-free
-// in steady state.
-func (t *Task) cloneInto(dst *Task) {
-	dst.Ranges = append(dst.Ranges[:0], t.Ranges...)
-	dst.OpFootprint = append(dst.OpFootprint[:0], t.OpFootprint...)
-	dst.OpNNZ = append(dst.OpNNZ[:0], t.OpNNZ...)
-	dst.OpTiles = append(dst.OpTiles[:0], t.OpTiles...)
-	dst.Rebuilt = append(dst.Rebuilt[:0], t.Rebuilt...)
-	dst.Empty = t.Empty
-	dst.Overflow = t.Overflow
-	dst.Probes = t.Probes
-	dst.ScanTiles = t.ScanTiles
 }

@@ -23,11 +23,6 @@ type Enumerator struct {
 	b       *builder
 	frozen  []bool
 	rebuild []bool
-
-	// statsTaken tracks cache counters already folded into a stream's
-	// aggregate totals (shardStream.addStats), so per-span flushes never
-	// double-count.
-	statsTaken ExtractStats
 }
 
 // NewEnumerator validates the kernel/config pair and prepares a traversal.
@@ -328,6 +323,18 @@ func (e *Enumerator) Tasks() ([]Task, error) {
 
 // Kernel returns the kernel this enumerator traverses.
 func (e *Enumerator) Kernel() *Kernel { return e.k }
+
+// ExtractStats aggregates builder-side observability for one extraction
+// run.
+type ExtractStats struct {
+	// BoxHits / BoxMisses count box-query cache lookups that were served
+	// from (respectively filled into) the per-builder memo of Summary
+	// region queries.
+	BoxHits, BoxMisses int64
+	// StepHits / StepMisses count operand tile builds that were replayed
+	// from (respectively run into) the builder's per-operand sweep logs.
+	StepHits, StepMisses int64
+}
 
 // CacheStats returns the builder's box-query cache and sweep-log totals
 // so far.

@@ -170,33 +170,6 @@ func TestSweepLogHierarchicalReplay(t *testing.T) {
 	}
 }
 
-// TestSweepLogStreamReplay checks sharded extraction with replay against
-// a sequential walk without it, and that the stream sums its shards'
-// sweep-log counters.
-func TestSweepLogStreamReplay(t *testing.T) {
-	for kn, k := range replayKernels() {
-		for _, cn := range []string{"kij-greedy", "jki-alternating", "ijk-static"} {
-			cfg := replayConfigs()[cn]
-			t.Run(kn+"/"+cn, func(t *testing.T) {
-				fresh, err := NewEnumerator(k, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want []Task
-				withoutReplay(func() { want = drainWindows(t, fresh, nil) })
-				src, err := StreamTasks(k, cfg, StreamOptions{Workers: 3, Depth: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameTasks(t, "stream", drainSource(t, src), want)
-				if st := src.Stats(); cfg.Strategy != Static && st.StepHits+st.StepMisses == 0 {
-					t.Fatal("stream reported no sweep-log lookups")
-				}
-			})
-		}
-	}
-}
-
 // stepState is one operand step's key: the builder state of each dim.
 type stepState struct {
 	base, size, cap, hi [2]int

@@ -26,7 +26,6 @@ import (
 	"drt/internal/par"
 	"drt/internal/sim"
 	"drt/internal/tensor"
-	"drt/internal/tiling"
 	"drt/internal/workloads"
 )
 
@@ -41,22 +40,13 @@ type Options struct {
 	// (0 = all); tests and quick benches use small values.
 	MaxWorkloads int
 	// Parallel is the worker count the runners fan their (workload ×
-	// config) cells across (0 or negative = one worker per CPU). The same
-	// count drives the parallel reference kernels during workload
-	// preparation. Results are reassembled in input order and the parallel
-	// kernels are bit-identical to the sequential ones, so every table is
-	// byte-identical to a Parallel == 1 (sequential) run.
+	// config) cells across (0 or negative = one worker per CPU, resolved
+	// once by NewContext). The same count drives the parallel reference
+	// kernels during workload preparation. Results are reassembled in
+	// input order and the parallel kernels are bit-identical to the
+	// sequential ones, so every table is byte-identical to a Parallel == 1
+	// (sequential) run.
 	Parallel int
-	// Grid selects the micro-tile grid representation (tiling.Auto picks
-	// dense or compressed per matrix by the cell-count budget). Both
-	// representations answer queries identically, so tables do not depend
-	// on it.
-	Grid tiling.Mode
-	// Stream pipelines DRT task extraction alongside simulation in every
-	// engine run (see accel.EngineOptions.Stream), sharding extraction
-	// across Parallel workers where the dataflow allows. Task sequences are
-	// byte-identical either way, so every table is unchanged by this knob.
-	Stream bool
 	// TraceBudget bounds the bytes of recorded schedules the context
 	// retains (least-recently-used traces are evicted past it). 0 selects
 	// the 256 MiB default; negative disables eviction. Eviction only costs
@@ -79,10 +69,6 @@ type Options struct {
 	// order, so the shards' tables concatenate (and their metrics dumps
 	// merge, see metrics.MergeDumps) into exactly the unsharded tables.
 	Shard Shard
-	// Index selects the operand index width (accel.IndexAuto compacts
-	// large operands to int32 when they fit). Engine results are
-	// byte-identical in either width, so tables do not depend on it.
-	Index accel.IndexMode
 	// NoOperandCache bypasses the on-disk operand cache for this run even
 	// when DRT_OPERAND_CACHE enables it. Cached and fresh operands are
 	// bit-identical (pinned by gen's round-trip tests), so this knob never
@@ -168,6 +154,7 @@ func NewContext(opt Options) *Context {
 	if opt.MicroTile < 1 {
 		opt.MicroTile = 16
 	}
+	opt.Parallel = par.Workers(opt.Parallel)
 	c := &Context{
 		Opt:       opt,
 		spmspm:    map[string]*workloadCell{},
@@ -398,14 +385,12 @@ func (c *Context) operand(spec gen.Spec, rec obs.Recorder) (*tensor.Operand, err
 }
 
 // workloadConfig is the workload pre-processing configuration the context's
-// options select (micro tile, grid representation, reference-kernel
-// parallelism).
+// options select (micro tile and reference-kernel parallelism; the grid
+// representation and index width are left to their Auto rules).
 func (c *Context) workloadConfig() accel.WorkloadConfig {
 	return accel.WorkloadConfig{
 		MicroTile: c.Opt.MicroTile,
-		Grid:      c.Opt.Grid,
 		Parallel:  c.Opt.Parallel,
-		Index:     c.Opt.Index,
 	}
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,21 +11,22 @@ import (
 	"drt/internal/tiling"
 )
 
-// TestParallelDeterminism is the acceptance check for the parallel runner
-// and the grid-mode switch: the same experiment run sequentially with dense
-// grids, with eight workers, with eight workers on compressed grids, and
+// TestParallelDeterminism is the acceptance check for the parallel
+// runner: the same experiment run sequentially, with eight workers, and
 // with eight workers under the LPT work-stealing schedule must render
-// byte-identical tables. The ids cover the three fan-out shapes
-// the runners use — per-entry cells (fig6), a flattened multi-axis grid
-// with geomean slices over the flat results (fig16) and cells with internal
+// byte-identical tables. The ids cover the three fan-out shapes the
+// runners use — per-entry cells (fig6), a flattened multi-axis grid with
+// geomean slices over the flat results (fig16) and cells with internal
 // candidate sweeps (abl-part) — picking the cheapest experiment of each
-// shape so the run stays affordable under -race on one core.
+// shape so the run stays affordable under -race on one core. Dense and
+// compressed grids are compared per engine configuration by
+// accel.TestGridModesIdenticalResults.
 func TestParallelDeterminism(t *testing.T) {
 	for _, id := range []string{"fig6", "fig16", "abl-part"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			render := func(parallel int, grid tiling.Mode, sched par.Sched, stream bool) string {
-				c := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Parallel: parallel, Grid: grid, Sched: sched, Stream: stream})
+			render := func(parallel int, sched par.Sched) string {
+				c := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Parallel: parallel, Sched: sched})
 				f, ok := c.Runner(id)
 				if !ok {
 					t.Fatalf("no runner for %s", id)
@@ -35,20 +37,36 @@ func TestParallelDeterminism(t *testing.T) {
 				}
 				return table.String()
 			}
-			seq := render(1, tiling.Dense, par.FIFO, false)
-			if par8 := render(8, tiling.Dense, par.FIFO, false); seq != par8 {
+			seq := render(1, par.FIFO)
+			if par8 := render(8, par.FIFO); seq != par8 {
 				t.Errorf("-parallel 8 output diverged from sequential:\n--- parallel 1 ---\n%s\n--- parallel 8 ---\n%s", seq, par8)
 			}
-			if lpt := render(8, tiling.Dense, par.LPT, false); seq != lpt {
+			if lpt := render(8, par.LPT); seq != lpt {
 				t.Errorf("-sched lpt output diverged from fifo:\n--- fifo ---\n%s\n--- lpt ---\n%s", seq, lpt)
 			}
-			if comp := render(8, tiling.Compressed, par.FIFO, false); seq != comp {
-				t.Errorf("-grid compressed output diverged from dense:\n--- dense ---\n%s\n--- compressed ---\n%s", seq, comp)
-			}
-			if str := render(8, tiling.Dense, par.FIFO, true); seq != str {
-				t.Errorf("-stream output diverged from inline extraction:\n--- inline ---\n%s\n--- stream ---\n%s", seq, str)
-			}
 		})
+	}
+}
+
+// TestWorkloadConfigResolvesParallel pins the worker count workload
+// preparation sees: Options.Parallel of 0 or below means one worker per
+// CPU for the reference kernels too, where accel.WorkloadConfig would
+// read 0 as sequential.
+func TestWorkloadConfigResolvesParallel(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{-1, runtime.GOMAXPROCS(0)},
+		{1, 1},
+		{3, 3},
+	} {
+		c := NewContext(Options{MicroTile: 8, Parallel: tc.in})
+		cfg := c.workloadConfig()
+		if cfg.Parallel != tc.want {
+			t.Errorf("Parallel %d: workload config Parallel = %d, want %d", tc.in, cfg.Parallel, tc.want)
+		}
+		if cfg.MicroTile != 8 || cfg.Grid != tiling.Auto || cfg.Index != accel.IndexAuto {
+			t.Errorf("Parallel %d: workload config %+v, want micro tile 8 with Auto grid and index", tc.in, cfg)
+		}
 	}
 }
 

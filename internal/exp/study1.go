@@ -21,7 +21,6 @@ func (c *Context) extensorOptions() extensor.Options {
 	opt.Machine = c.Machine()
 	opt.Parallel = c.Opt.Parallel
 	opt.Sched = c.Opt.Sched
-	opt.Stream = c.Opt.Stream
 	return opt
 }
 

@@ -68,8 +68,6 @@ func (c *Context) Fig09() (*metrics.Table, error) {
 			Partition: sim.DefaultPartition(),
 			Intersect: sim.Parallel,
 			Extractor: extractor.ParallelExtractor,
-			Stream:    c.Opt.Stream,
-			Parallel:  c.Opt.Parallel,
 		}
 		opt.Strategy = core.Static
 		suc, err := accel.RunGram(gw, opt)

@@ -15,8 +15,8 @@ func (c *Context) Fig10() (*metrics.Table, error) {
 	t := metrics.NewTable("Fig. 10: portability — speedup over untiled baseline (×)",
 		"matrix", "accel", "SUC", "SUC-bound", "DRT", "DRT-bound")
 	m := c.Machine()
-	osOpt := outerspace.Options{Machine: m, Partition: c.extensorOptions().Partition, Stream: c.Opt.Stream, Parallel: c.Opt.Parallel}
-	mrOpt := matraptor.Options{Machine: m, Partition: osOpt.Partition, Stream: c.Opt.Stream, Parallel: c.Opt.Parallel}
+	osOpt := outerspace.Options{Machine: m, Partition: c.extensorOptions().Partition}
+	mrOpt := matraptor.Options{Machine: m, Partition: osOpt.Partition}
 	var osSUC, osDRT, mrSUC, mrDRT []float64
 	type cell struct {
 		osSUC, osSUCBound, osDRT, osDRTBound float64

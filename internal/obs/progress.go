@@ -17,15 +17,14 @@ const MaxProgressWorkers = 64
 // collector aggregates a run's history for post-hoc export, Progress holds
 // the handful of atomically updated gauges a run needs to report its own
 // state while it is still going — cells (coarse work items, e.g. one
-// workload × config point) done/total, engine tasks consumed, extracted
-// tasks from the streaming pipeline, nnz-weighted work done/total (the
-// ETA source), per-worker busy time, and per-unit (per-figure) phase
-// state.
+// workload × config point) done/total, engine tasks consumed,
+// nnz-weighted work done/total (the ETA source), per-worker busy time,
+// and per-unit (per-figure) phase state.
 //
 // All methods are safe for concurrent use and for a nil receiver: a nil
 // *Progress behaves like a no-op and its methods allocate nothing, so hot
 // paths can tick unconditionally. Update methods on the hot path (TaskDone,
-// TaskExtracted, CellDone) are single atomic adds.
+// CellDone) are single atomic adds.
 type Progress struct {
 	// now is the clock; tests inject a fake to pin ETA arithmetic.
 	now func() time.Time
@@ -35,7 +34,6 @@ type Progress struct {
 	cellsDone  atomic.Int64
 	cellsTotal atomic.Int64
 	tasksDone  atomic.Int64 // engine tasks consumed
-	tasksExt   atomic.Int64 // tasks emitted by the streaming extractor
 	workDone   atomic.Int64 // nnz-weighted units completed
 	workTotal  atomic.Int64 // nnz-weighted units registered so far
 
@@ -139,15 +137,6 @@ func (p *Progress) TaskDone(n int64) {
 	p.tasksDone.Add(n)
 }
 
-// TaskExtracted ticks one task emitted by the streaming extraction
-// pipeline, ahead of the consumer. One atomic add.
-func (p *Progress) TaskExtracted() {
-	if p == nil {
-		return
-	}
-	p.tasksExt.Add(1)
-}
-
 // UnitStart marks a named unit (one figure/table in drtbench) as running.
 func (p *Progress) UnitStart(name string) {
 	if p == nil {
@@ -204,7 +193,6 @@ type ProgressSnapshot struct {
 	CellsDone      int64   `json:"cells_done"`
 	CellsTotal     int64   `json:"cells_total"`
 	TasksDone      int64   `json:"tasks_done"`
-	TasksExtracted int64   `json:"tasks_extracted,omitempty"`
 	WorkDone       int64   `json:"work_done"`
 	WorkTotal      int64   `json:"work_total"`
 	// ETASeconds estimates time to completion from the nnz-weighted work
@@ -232,7 +220,6 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		CellsDone:      p.cellsDone.Load(),
 		CellsTotal:     p.cellsTotal.Load(),
 		TasksDone:      p.tasksDone.Load(),
-		TasksExtracted: p.tasksExt.Load(),
 		WorkDone:       p.workDone.Load(),
 		WorkTotal:      p.workTotal.Load(),
 	}

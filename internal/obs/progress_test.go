@@ -22,7 +22,6 @@ func TestNilProgressNoOp(t *testing.T) {
 	p.AddCells(3, 30)
 	p.CellDone(0, time.Second, 10)
 	p.TaskDone(5)
-	p.TaskExtracted()
 	p.UnitStart("fig6")
 	p.UnitEnd("fig6")
 	stop := p.StartPrinter(nil, time.Millisecond)
@@ -43,7 +42,6 @@ func TestNilProgressTickAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		p := Active()
 		p.TaskDone(1)
-		p.TaskExtracted()
 		p.CellDone(0, 0, 1)
 	})
 	if allocs != 0 {
@@ -60,7 +58,6 @@ func TestProgressTickAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		q := Active()
 		q.TaskDone(1)
-		q.TaskExtracted()
 		q.CellDone(1, time.Millisecond, 2)
 	})
 	if allocs != 0 {
@@ -75,13 +72,12 @@ func TestProgressSnapshot(t *testing.T) {
 	advance(10 * time.Second)
 	p.CellDone(0, 8*time.Second, 25)
 	p.TaskDone(7)
-	p.TaskExtracted()
 
 	s := p.Snapshot()
 	if s.Phase != "prepare" || s.CellsDone != 1 || s.CellsTotal != 4 {
 		t.Errorf("snapshot basics wrong: %+v", s)
 	}
-	if s.TasksDone != 7 || s.TasksExtracted != 1 {
+	if s.TasksDone != 7 {
 		t.Errorf("task counts wrong: %+v", s)
 	}
 	if s.WorkDone != 25 || s.WorkTotal != 100 {
@@ -190,7 +186,6 @@ func TestProgressConcurrent(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				q := Active()
 				q.AddCells(1, 2)
-				q.TaskExtracted()
 				q.TaskDone(1)
 				q.CellDone(w, time.Microsecond, 2)
 				if i%100 == 0 {
@@ -208,8 +203,8 @@ func TestProgressConcurrent(t *testing.T) {
 	if s.CellsDone != total || s.CellsTotal != total {
 		t.Errorf("cells %d/%d, want %d/%d", s.CellsDone, s.CellsTotal, total, total)
 	}
-	if s.TasksDone != total || s.TasksExtracted != total {
-		t.Errorf("tasks %d extracted %d, want %d", s.TasksDone, s.TasksExtracted, total)
+	if s.TasksDone != total {
+		t.Errorf("tasks %d, want %d", s.TasksDone, total)
 	}
 	if s.WorkDone != 2*total || s.WorkTotal != 2*total {
 		t.Errorf("work %d/%d, want %d/%d", s.WorkDone, s.WorkTotal, 2*total, 2*total)

@@ -122,7 +122,6 @@ func (p *Progress) WriteProm(w io.Writer) error {
 	gauge("drt_progress_cells_done", float64(s.CellsDone))
 	gauge("drt_progress_cells_total", float64(s.CellsTotal))
 	gauge("drt_progress_tasks_done", float64(s.TasksDone))
-	gauge("drt_progress_tasks_extracted", float64(s.TasksExtracted))
 	gauge("drt_progress_work_done", float64(s.WorkDone))
 	gauge("drt_progress_work_total", float64(s.WorkTotal))
 	gauge("drt_progress_eta_seconds", s.ETASeconds)

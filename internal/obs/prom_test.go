@@ -85,8 +85,6 @@ drt_progress_cells_done 2
 drt_progress_cells_total 4
 # TYPE drt_progress_tasks_done gauge
 drt_progress_tasks_done 7
-# TYPE drt_progress_tasks_extracted gauge
-drt_progress_tasks_extracted 0
 # TYPE drt_progress_work_done gauge
 drt_progress_work_done 50
 # TYPE drt_progress_work_total gauge

@@ -99,17 +99,6 @@ func Map[T any](workers, n int, f func(i int) (T, error)) ([]T, error) {
 	return MapWith(Options{Workers: workers}, n, f)
 }
 
-// MapTracked is Map with live progress reporting: before dispatch it
-// registers the n cells (and, when weights is non-nil, their summed
-// weights — typically scaled nnz, the ETA's work unit) on p, and each
-// completed cell reports the worker that ran it, its wall time and its
-// weight. Results, ordering and error semantics are exactly Map's; a nil
-// p (or nil tracker inside a disabled run) falls back to Map with zero
-// overhead, keeping the no-telemetry path timing-free.
-func MapTracked[T any](p *obs.Progress, weights []int64, workers, n int, f func(i int) (T, error)) ([]T, error) {
-	return MapWith(Options{Workers: workers, Weights: weights, Progress: p}, n, f)
-}
-
 // MapWith is Map under an explicit pool configuration: scheduling order,
 // a-priori cell weights and live progress. Results are always reassembled
 // in input order and the error returned is always the lowest-index one, so

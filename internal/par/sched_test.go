@@ -40,8 +40,12 @@ func TestMapWithWeightLengthMismatch(t *testing.T) {
 			t.Fatalf("sched=%v: no error for 2 weights over 5 cells", sched)
 		}
 	}
-	if _, err := MapTracked(obs.NewProgress(), []int64{1}, 2, 3, func(i int) (int, error) { return i, nil }); err == nil {
-		t.Fatal("MapTracked accepted 1 weight for 3 cells")
+	p := obs.NewProgress()
+	if _, err := MapWith(Options{Workers: 2, Weights: []int64{1}, Progress: p}, 3, func(i int) (int, error) { return i, nil }); err == nil {
+		t.Fatal("MapWith with progress accepted 1 weight for 3 cells")
+	}
+	if s := p.Snapshot(); s.CellsTotal != 0 {
+		t.Errorf("rejected grid registered %d cells", s.CellsTotal)
 	}
 }
 

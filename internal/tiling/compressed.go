@@ -56,30 +56,6 @@ const (
 	Compressed
 )
 
-// String names the mode as the -grid flag spells it.
-func (m Mode) String() string {
-	switch m {
-	case Dense:
-		return "dense"
-	case Compressed:
-		return "compressed"
-	}
-	return "auto"
-}
-
-// ParseMode parses a -grid flag value.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "auto", "":
-		return Auto, nil
-	case "dense":
-		return Dense, nil
-	case "compressed":
-		return Compressed, nil
-	}
-	return Auto, fmt.Errorf("tiling: unknown grid mode %q (auto, dense or compressed)", s)
-}
-
 // DefaultCellBudget is the Auto-mode cell-count threshold. A dense grid
 // stores three (GR+1)×(GC+1) int64 prefix-sum arrays — 24 bytes per cell —
 // so the budget caps the dense representation near 200 MB per grid; beyond

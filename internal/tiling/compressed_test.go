@@ -149,21 +149,6 @@ func TestSummaryGridSelection(t *testing.T) {
 	}
 }
 
-func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{"": Auto, "auto": Auto, "dense": Dense, "compressed": Compressed} {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseMode(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-	if Dense.String() != "dense" || Compressed.String() != "compressed" || Auto.String() != "auto" {
-		t.Fatal("mode names diverge from flag spellings")
-	}
-}
-
 // BenchmarkGridConstruction compares the two representations on a
 // hyper-sparse matrix whose grid is almost entirely empty cells — the
 // full-scale regime the compressed grid exists for. Run with -benchmem: the
