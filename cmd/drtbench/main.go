@@ -26,7 +26,7 @@
 // every table is byte-identical at any setting (for -shard, after
 // drtmetrics -merge). -parallel bounds the worker goroutines used for
 // independent (workload × configuration) cells inside each experiment and
-// for the reference kernels that prepare each workload (results are
+// for the reference pass that prepares each workload (results are
 // reassembled in input order, so -parallel 1 reproduces the sequential
 // run exactly); -sched picks the dispatch order across those cells (lpt,
 // the default, starts the heaviest cells first with idle workers stealing

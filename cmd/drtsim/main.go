@@ -21,7 +21,7 @@
 //
 // Performance knobs (-parallel, -sched, -trace-store) change only how fast
 // the simulation runs, never its result: -parallel bounds worker
-// goroutines (static-shape sweep, reference kernel), -sched picks their
+// goroutines (static-shape sweep, reference pass), -sched picks their
 // dispatch order (lpt longest-first with work stealing, or fifo index
 // order — see DESIGN.md "Scheduling"), and -trace-store (off by default;
 // "auto" resolves DRT_TRACE_CACHE or the user cache dir) serves the
@@ -75,7 +75,7 @@ func main() {
 		accelName  = flag.String("accel", "extensor-op-drt", "accelerator: "+strings.Join(accelNames, " | "))
 		scale      = flag.Int("scale", 16, "workload scale-down factor")
 		microTile  = flag.Int("microtile", 16, "micro tile edge")
-		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the static-shape sweep and the reference kernel (1 = sequential)")
+		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the static-shape sweep and the reference pass (1 = sequential)")
 		schedFlag  = flag.String("sched", "lpt", "cell dispatch order: lpt (longest first, work stealing) | fifo (index order)")
 		traceStore = flag.String("trace-store", "off", "persistent trace store for extensor-op-drt: off, auto (DRT_TRACE_CACHE or the user cache dir), or a directory; replays schedules recorded by earlier runs (byte-identical report)")
 		trace      = flag.Bool("trace", false, "render the DRT task tiling of the K×J plane as ASCII")

@@ -32,10 +32,13 @@ func TestGridModesIdenticalResults(t *testing.T) {
 	wd := build(tiling.Dense, 1)
 	wc := build(tiling.Compressed, 4)
 
-	// The reference products must be bit-identical (parallel kernel
-	// included), since the sim charges MACCs from them.
-	if !wd.Z.Equal(wc.Z) {
-		t.Fatal("reference outputs diverge between grid modes")
+	// The reference counts must be identical (parallel pass included),
+	// since the sim charges MACCs and output occupancy from them.
+	if wd.MACCs != wc.MACCs {
+		t.Fatalf("reference MACCs diverge between grid modes: %d vs %d", wd.MACCs, wc.MACCs)
+	}
+	if err := sameAnswers(wc.GZ, wd.GZ); err != nil {
+		t.Fatalf("reference output grids diverge between grid modes: %v", err)
 	}
 
 	// Every engine configuration the experiments reach: the greedy

@@ -1,8 +1,8 @@
 // Package accel holds the pieces shared by all modeled accelerators: the
-// Workload bundle (operands, micro-tile grids, the exact reference product
-// used both for output validation and for output-traffic accounting) and
-// the generic task-stream traffic/compute engine that each accelerator
-// configures with its own dataflow.
+// Workload bundle (operands, their micro-tile grids, and the reference
+// product's MACC count and output grid, used for output-traffic
+// accounting) and the generic task-stream traffic/compute engine that each
+// accelerator configures with its own dataflow.
 package accel
 
 import (
@@ -16,7 +16,7 @@ import (
 
 // WorkloadConfig bundles the pre-processing knobs of workload construction.
 // The zero value reproduces the historical defaults: T-UC micro tiles,
-// auto-selected grid representation, sequential reference kernel.
+// auto-selected grid representation, sequential reference pass.
 type WorkloadConfig struct {
 	MicroTile int
 	Format    tiling.Format
@@ -25,9 +25,10 @@ type WorkloadConfig struct {
 	// CLIs always leave it Auto; forcing either representation is the seam
 	// TestGridModesIdenticalResults compares them through.
 	Grid tiling.Mode
-	// Parallel is the reference-kernel worker count: 0 or 1 run
-	// sequentially, <0 selects one worker per CPU. The parallel kernels are
-	// bit-identical to the sequential ones, so this only affects wall time.
+	// Parallel is the reference-pass worker count: 0 or 1 run
+	// sequentially, <0 selects one worker per CPU. The pass counts
+	// integers, so its result is identical at any worker count and this
+	// only affects wall time.
 	Parallel int
 	// Index selects the operand index width (IndexAuto compacts large
 	// operands to int32 when they fit; the engines are byte-identical in
@@ -59,10 +60,12 @@ const (
 const DefaultCompactNNZ = 1 << 22
 
 // Workload is one SpMSpM instance Z = A·B prepared for simulation: the
-// operands pre-processed into micro tiles (Sec. 5.2.4) and the exact
-// reference result, computed once with the Gustavson reference kernel and
-// shared by every accelerator variant (the paper validates simulator
-// output sparsity against MKL; we validate against this reference).
+// operands pre-processed into micro tiles (Sec. 5.2.4) and the reference
+// product's structure — its effectual MACCs and the per-micro-tile
+// occupancy of Z — counted once and shared by every accelerator variant
+// (the paper validates simulator output sparsity against MKL; the engines
+// check their MACC totals against this reference). Z itself is never
+// built: every consumer reads counts.
 type Workload struct {
 	Name string
 	// Exactly one operand pair is non-nil: A/B in wide (int) index form,
@@ -75,9 +78,8 @@ type Workload struct {
 
 	GA tiling.Summary // A as I×K (rows I)
 	GB tiling.Summary // B as K×J (rows K)
-	GZ tiling.Summary // reference Z as I×J
+	GZ tiling.Summary // structural Z = A·B as I×J
 
-	Z     *tensor.CSR
 	MACCs int64
 }
 
@@ -153,28 +155,31 @@ func NewWorkloadOf32(name string, a, b *tensor.CSR32, cfg WorkloadConfig) (*Work
 	return finishWorkload(w, cfg)
 }
 
-// finishWorkload runs the Gustavson reference over the already-installed
-// operands and builds the summary grids at the active index width.
+// finishWorkload builds the operand grids and counts the reference
+// product over the already-installed operands at the active index width.
 func finishWorkload(w *Workload, cfg WorkloadConfig) (*Workload, error) {
-	var z *tensor.CSR
-	var st kernels.Stats
-	parallel := cfg.Parallel != 0 && cfg.Parallel != 1
-	switch {
-	case w.A32 != nil && parallel:
-		z, st = kernels.GustavsonParallel(w.A32, w.B32, cfg.Parallel)
-	case w.A32 != nil:
-		z, st = kernels.Gustavson(w.A32, w.B32)
-	case parallel:
-		z, st = kernels.GustavsonParallel(w.A, w.B, cfg.Parallel)
-	default:
-		z, st = kernels.Gustavson(w.A, w.B)
-	}
-	mt := w.MicroTile
-	w.GA, w.GB = w.operandGrids(mt, cfg)
-	w.GZ = tiling.NewSummaryGrid(z, mt, mt, cfg.Format, cfg.Grid)
-	w.Z = z
-	w.MACCs = st.MACCs
+	w.GA, w.GB = w.operandGrids(w.MicroTile, cfg)
+	w.GZ, w.MACCs = w.productGrid(w.MicroTile, cfg)
 	return w, nil
+}
+
+// productGrid counts Z = A·B per micro tile (kernels.CountProductTiles,
+// over cfg.Parallel workers) straight into Z's summary grid. It returns
+// the grid and the product's effectual MACCs.
+func (w *Workload) productGrid(mt int, cfg WorkloadConfig) (tiling.Summary, int64) {
+	workers := cfg.Parallel
+	if workers == 0 {
+		workers = 1
+	}
+	rows, _, _ := w.AShape()
+	sb := tiling.NewSummaryBuilder(rows, w.BCols(), mt, mt, cfg.Format, cfg.Grid)
+	var maccs int64
+	if w.A32 != nil {
+		maccs = kernels.CountProductTiles(w.A32, w.B32, mt, workers, sb.AddRow)
+	} else {
+		maccs = kernels.CountProductTiles(w.A, w.B, mt, workers, sb.AddRow)
+	}
+	return sb.Summary(), maccs
 }
 
 // operandGrids builds the operand summary grids at the workload's active
@@ -197,13 +202,12 @@ func (w *Workload) operandGrids(mt int, cfg WorkloadConfig) (ga, gb tiling.Summa
 	return ga, gb
 }
 
-// Retile returns a workload sharing this one's operands and reference
-// product but tiled under a new configuration. The Gustavson reference —
-// the expensive half of workload preparation — is micro-tile-invariant
-// (the product depends only on the operands), so only the summary grids
-// are rebuilt; the result is identical to NewWorkloadWith on the same
-// operands. Like NewWorkloadWith, a square self-product (B and A the same
-// tensor) shares one grid for both operands.
+// Retile returns a workload sharing this one's operands but tiled under a
+// new configuration: the operand grids are rebuilt and the reference
+// product is counted again at the new micro tile, so the result is
+// identical to NewWorkloadWith on the same operands. Like NewWorkloadWith,
+// a square self-product (B and A the same tensor) shares one grid for
+// both operands.
 func (w *Workload) Retile(cfg WorkloadConfig) (*Workload, error) {
 	mt := cfg.MicroTile
 	if mt < 1 {
@@ -213,12 +217,8 @@ func (w *Workload) Retile(cfg WorkloadConfig) (*Workload, error) {
 		Name: w.Name,
 		A:    w.A, B: w.B, A32: w.A32, B32: w.B32,
 		MicroTile: mt,
-		Z:         w.Z,
-		MACCs:     w.MACCs,
 	}
-	nw.GA, nw.GB = nw.operandGrids(mt, cfg)
-	nw.GZ = tiling.NewSummaryGrid(w.Z, mt, mt, cfg.Format, cfg.Grid)
-	return nw, nil
+	return finishWorkload(nw, cfg)
 }
 
 // Compacted reports whether the operands are stored with int32 indices.
@@ -254,9 +254,9 @@ func (w *Workload) BRowNNZ(k int) int64 {
 	return int64(w.B.Ptr[k+1] - w.B.Ptr[k])
 }
 
-// Restricted computes the range-restricted partial product over the active
+// Restricted counts the range-restricted partial product over the active
 // operand width — the engines' compute kernel, byte-identical across
-// widths (the index type never enters the arithmetic).
+// widths (the index type never enters the counts).
 func (w *Workload) Restricted(iR, kR, jR kernels.Range, spa *kernels.SPA) kernels.TaskResult {
 	if w.A32 != nil {
 		return kernels.RestrictedGustavson(w.A32, w.B32, iR, kR, jR, spa)
@@ -304,10 +304,10 @@ func (w *Workload) Kernel(capA, capB int64) *core.Kernel {
 // KernelWithOutput additionally registers the output tensor Z(I,J) so its
 // tile footprint constrains growth against the output partition, as
 // Algorithm 1's buffer-capacity check requires. Its view is the reference
-// product's grid — an oracle occupancy estimate standing in for the
-// hardware's provisioning heuristics (the paper notes output footprint "is
-// difficult to predict/provision" before intersections run; see
-// DESIGN.md §3).
+// product's structural grid — an oracle occupancy estimate standing in
+// for the hardware's provisioning heuristics (the paper notes output
+// footprint "is difficult to predict/provision" before intersections run;
+// see DESIGN.md §3).
 func (w *Workload) KernelWithOutput(capA, capB, capO int64) *core.Kernel {
 	k := w.Kernel(capA, capB)
 	k.Operands = append(k.Operands, core.Operand{

@@ -39,8 +39,8 @@ func (c *Context) AblTCC() (*metrics.Table, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		// Both representations re-tile the memoized workload: the reference
-		// product is format-invariant, only the grids differ.
+		// Both representations re-tile the memoized workload's operands;
+		// only the grids differ.
 		cfg := c.workloadConfig()
 		cfg.Format = tiling.TUC
 		wTUC, err := base.Retile(cfg)
@@ -105,8 +105,9 @@ func (c *Context) AblAutoTile() (*metrics.Table, error) {
 		run := func(mt int) (int64, error) {
 			cfg := c.workloadConfig()
 			cfg.MicroTile = mt
-			// Re-tiling the memoized workload reuses its reference product;
-			// only the summary grids are rebuilt per candidate edge.
+			// Re-tiling the memoized workload reuses its operands; only the
+			// summary grids and the reference count are rebuilt per
+			// candidate edge.
 			w, err := base.Retile(cfg)
 			if err != nil {
 				return 0, err

@@ -1,19 +1,20 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 
 	"drt/internal/gen"
 	"drt/internal/obs"
-	"drt/internal/tensor"
+	"drt/internal/tiling"
 	"drt/internal/workloads"
 )
 
 // TestOperandCacheIdentity pins the operand-cache contract end to end: a
 // workload built from a cold cache write, one from a warm (typically
 // mmap-backed) cache read, and one bypassing the cache entirely are
-// indistinguishable — same reference product, MACCs and tile summaries —
-// and the warm run actually hits the cache.
+// indistinguishable — same reference output grid, MACCs and tile
+// summaries — and the warm run actually hits the cache.
 func TestOperandCacheIdentity(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("DRT_OPERAND_CACHE", dir)
@@ -45,7 +46,7 @@ func TestOperandCacheIdentity(t *testing.T) {
 		}
 		fa, fb := w.InputFootprint()
 		return rec, &workloadsResult{
-			z: w.Z, maccs: w.MACCs, compact: w.Compacted(),
+			gz: w.GZ, maccs: w.MACCs, compact: w.Compacted(),
 			fa: fa, fb: fb, fz: w.OutputFootprint(),
 		}
 	}
@@ -61,8 +62,8 @@ func TestOperandCacheIdentity(t *testing.T) {
 		t.Fatalf("warm run hits = %d, want 1", warmRec.Counter("operand_cache.hits"))
 	}
 	for name, got := range map[string]*workloadsResult{"cold": cold, "warm": warm} {
-		if !got.z.Equal(fresh.z) {
-			t.Fatalf("%s: reference product differs from cache-bypassing build", name)
+		if !reflect.DeepEqual(got.gz, fresh.gz) {
+			t.Fatalf("%s: reference output grid differs from cache-bypassing build", name)
 		}
 		if got.maccs != fresh.maccs || got.compact != fresh.compact ||
 			got.fa != fresh.fa || got.fb != fresh.fb || got.fz != fresh.fz {
@@ -75,7 +76,7 @@ func TestOperandCacheIdentity(t *testing.T) {
 }
 
 type workloadsResult struct {
-	z          *tensor.CSR
+	gz         tiling.Summary
 	maccs      int64
 	compact    bool
 	fa, fb, fz int64

@@ -210,9 +210,9 @@ func (c *Context) Fig17() (*metrics.Table, error) {
 		entries = entries[:6]
 	}
 	// One cell per entry: the micro-tile loop re-tiles the memoized S²
-	// workload, so the exact Gustavson reference — micro-tile-invariant and
-	// the dominant cost of preparing each shape — runs once per entry (and
-	// is shared with every other figure) instead of once per (entry, mt).
+	// workload, so operand generation runs once per entry (and is shared
+	// with every other figure) instead of once per (entry, mt); each edge
+	// rebuilds only the grids and recounts the reference product.
 	mts := []int{4, 8, 16, 32, 64}
 	rows, err := forEntries(c, entries, func(e workloads.Entry) ([]float64, error) {
 		base, err := c.Square(e)

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -71,7 +72,11 @@ func TestGustavsonIdentity(t *testing.T) {
 
 // TestRestrictedPartition checks the core exactness property the
 // simulators rely on: summing RestrictedGustavson over any grid partition
-// of the (I,K,J) space reproduces the full kernel's MACC count.
+// of the (I,K,J) space reproduces the full kernel's MACC count. The
+// partition is walked twice: I→K→J, and J→K→I, where consecutive calls
+// share (kR, jR) and so reuse the scratch's row-range memo across calls.
+// Every J→K→I call's whole TaskResult must equal a call on a fresh
+// scratch.
 func TestRestrictedPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
@@ -94,6 +99,58 @@ func TestRestrictedPartition(t *testing.T) {
 		}
 		if sum != full.MACCs {
 			t.Fatalf("trial %d: partitioned MACCs %d != full %d (tiles %d,%d,%d)", trial, sum, full.MACCs, ti, tk, tj)
+		}
+
+		sum = 0
+		for j0 := 0; j0 < n; j0 += tj {
+			for k0 := 0; k0 < k; k0 += tk {
+				for i0 := 0; i0 < m; i0 += ti {
+					iR, kR, jR := Range{i0, i0 + ti}, Range{k0, k0 + tk}, Range{j0, j0 + tj}
+					sum += checkRestricted(t, a, b, iR, kR, jR, spa).MACCs
+				}
+			}
+		}
+		if sum != full.MACCs {
+			t.Fatalf("trial %d: J→K→I partitioned MACCs %d != full %d (tiles %d,%d,%d)", trial, sum, full.MACCs, ti, tk, tj)
+		}
+	}
+}
+
+// checkRestricted runs RestrictedGustavson on spa and on a fresh scratch
+// and fails unless the two TaskResults are equal, rows included.
+func checkRestricted(t *testing.T, a, b *tensor.CSR, iR, kR, jR Range, spa *SPA) TaskResult {
+	t.Helper()
+	got := RestrictedGustavson(a, b, iR, kR, jR, spa)
+	want := RestrictedGustavson(a, b, iR, kR, jR, nil)
+	if got.MACCs != want.MACCs || got.ScannedA != want.ScannedA || got.OutputNNZ != want.OutputNNZ ||
+		!slices.Equal(got.Rows, want.Rows) {
+		t.Fatalf("i%v k%v j%v: reused scratch gives %+v, fresh scratch %+v", iR, kR, jR, got, want)
+	}
+	return got
+}
+
+// TestRestrictedMemoKey pins the key of the row-range memo that survives
+// across calls: a call that switches B under equal windows, or that widens
+// kR, must not read the ranges an earlier call left in the scratch.
+func TestRestrictedMemoKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 20; trial++ {
+		m, k, n := rng.Intn(30)+8, rng.Intn(30)+8, rng.Intn(30)+8
+		a := gen.Uniform(m, k, m*k/3+1, rng.Int63())
+		b1 := gen.Uniform(k, n, k*n/3+1, rng.Int63())
+		b2 := gen.Uniform(k, n, k*n/3+1, rng.Int63())
+		spa := NewSPA(n)
+		iR := Range{0, m / 2}
+		kR := Range{k / 4, k / 2}
+		jR := Range{n / 4, 3 * n / 4}
+		// B switches between calls; the windows stay equal.
+		for _, b := range []*tensor.CSR{b1, b2, b2, b1} {
+			checkRestricted(t, a, b, iR, kR, jR, spa)
+		}
+		// kR widens on both sides partway through an I sweep.
+		for _, kw := range []Range{kR, {0, k / 2}, {0, k}, {0, k}} {
+			checkRestricted(t, a, b1, iR, kw, jR, spa)
+			checkRestricted(t, a, b1, Range{m / 2, m}, kw, jR, spa)
 		}
 	}
 }

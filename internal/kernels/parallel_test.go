@@ -6,49 +6,7 @@ import (
 	"testing"
 
 	"drt/internal/gen"
-	"drt/internal/tensor"
 )
-
-// TestGustavsonParallelBitIdentical pins the parallel reference kernel to
-// the sequential one exactly — same structure, bit-identical values, same
-// counters — at several worker counts and shapes. Determinism holds because
-// each output row is still accumulated in the same order; blocks only
-// partition the row space.
-func TestGustavsonParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 8; trial++ {
-		m := rng.Intn(120) + 1
-		k := rng.Intn(90) + 1
-		n := rng.Intn(100) + 1
-		a := gen.Uniform(m, k, rng.Intn(800)+1, rng.Int63())
-		b := gen.Uniform(k, n, rng.Intn(800)+1, rng.Int63())
-		want, wantSt := Gustavson(a, b)
-		for _, workers := range []int{2, 3, 8} {
-			got, gotSt := GustavsonParallel(a, b, workers)
-			if !got.Equal(want) {
-				t.Fatalf("trial %d: %d workers: result diverges from sequential", trial, workers)
-			}
-			if gotSt != wantSt {
-				t.Fatalf("trial %d: %d workers: stats %+v, sequential %+v", trial, workers, gotSt, wantSt)
-			}
-		}
-	}
-	// Degenerate shapes: empty product and a single row.
-	a := gen.Uniform(1, 5, 3, 1)
-	b := gen.Uniform(5, 4, 6, 2)
-	if got, _ := GustavsonParallel(a, b, 4); !got.Equal(mustGustavson(a, b)) {
-		t.Fatal("single-row matrix diverges")
-	}
-	e := gen.Uniform(30, 30, 0, 3)
-	if got, _ := GustavsonParallel(e, e, 4); !got.Equal(mustGustavson(e, e)) {
-		t.Fatal("empty matrix diverges")
-	}
-}
-
-func mustGustavson(a, b *tensor.CSR) *tensor.CSR {
-	z, _ := Gustavson(a, b)
-	return z
-}
 
 // TestGramParallelBitIdentical pins GramParallel to Gram exactly, including
 // the symmetric-MACC counting convention.

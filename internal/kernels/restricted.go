@@ -36,68 +36,58 @@ type TaskResult struct {
 	Rows      []RowWork
 }
 
-// RestrictedGustavson computes the partial product of A·B limited to the
+// RestrictedGustavson counts the partial product of A·B limited to the
 // task ranges i∈iR, k∈kR, j∈jR (Equation 2 of the paper), returning exact
 // per-task MACC and partial-output counts. The union over a task partition
 // of the iteration space equals the full kernel, which the simulators rely
-// on for exact traffic accounting.
+// on for exact traffic accounting. Every number it reports is a count, so
+// it multiplies nothing: per output row, a generation stamp per column and
+// a counter give the distinct output points.
 //
 // The spa scratch must have width ≥ b.Cols and is reused across calls;
 // pass nil to allocate a fresh one. The returned Rows slice aliases the
 // scratch and is valid only until the next call with the same spa — the
 // simulator task loops consume it before issuing the next task, which
 // keeps the whole stream allocation-free (pinned by TestRestrictedAllocs).
+// The scratch remembers b's row ranges across calls (see SPA), so b must
+// not be modified while a scratch that has seen it is reused.
 func RestrictedGustavson[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, spa *SPA) TaskResult {
 	if spa == nil {
 		spa = NewSPA(b.Cols)
 	}
 	var res TaskResult
 	rows := spa.rows[:0]
-	// Memoize b.RowRange per contracted coordinate for the duration of this
-	// task: every row of the i-range probes its k columns against the same
-	// j-window, and within a tile the rows hit largely the same columns, so
-	// the second and later probes of a k become one scratch load instead of
-	// two binary searches. The generation stamp makes entries from earlier
-	// tasks (any operands, any windows) unreadable without re-zeroing.
-	kw := kR.Hi - kR.Lo
-	if kw < 0 {
-		kw = 0
-	}
-	spa.kCur++
-	if cap(spa.kGen) < kw {
-		spa.kGen = make([]int, kw)
-		spa.kLo = make([]int, kw)
-		spa.kHi = make([]int, kw)
-		spa.kCur = 1
-	}
-	kGen, kLo, kHi := spa.kGen[:kw], spa.kLo[:kw], spa.kHi[:kw]
-	for i := iR.Lo; i < iR.Hi && i < a.Rows; i++ {
-		if i < 0 {
-			continue
-		}
+	kGen, kLo, kHi := spa.rangeMemo(b, kR, jR)
+	kCur, stamp := spa.kCur, spa.gen
+	for i := max(iR.Lo, 0); i < iR.Hi && i < a.Rows; i++ {
 		lo, hi := a.RowRange(i, kR.Lo, kR.Hi)
 		if lo == hi {
 			continue
 		}
-		spa.Reset()
+		spa.cur++
+		cur := spa.cur
 		var rowMACCs int64
-		for p := lo; p < hi; p++ {
-			k := int(a.Idx[p])
+		n := 0
+		for _, k := range a.Idx[lo:hi] {
+			off := int(k) - kR.Lo
 			var blo, bhi int
-			if off := k - kR.Lo; kGen[off] == spa.kCur {
+			if kGen[off] == kCur {
 				blo, bhi = kLo[off], kHi[off]
 			} else {
-				blo, bhi = b.RowRange(k, jR.Lo, jR.Hi)
-				kGen[off], kLo[off], kHi[off] = spa.kCur, blo, bhi
+				blo, bhi = b.RowRange(int(k), jR.Lo, jR.Hi)
+				kGen[off], kLo[off], kHi[off] = kCur, blo, bhi
 			}
 			rowMACCs += int64(bhi - blo)
-			for q := blo; q < bhi; q++ {
-				spa.Add(int(b.Idx[q]), a.Val[p]*b.Val[q])
+			for _, j := range b.Idx[blo:bhi] {
+				if stamp[j] != cur {
+					stamp[j] = cur
+					n++
+				}
 			}
 		}
 		res.MACCs += rowMACCs
 		res.ScannedA += int64(hi - lo)
-		if n := spa.Touched(); n > 0 || rowMACCs > 0 {
+		if n > 0 || rowMACCs > 0 {
 			res.OutputNNZ += int64(n)
 			rows = append(rows, RowWork{Row: i, MACCs: rowMACCs, AElems: hi - lo, OutNNZ: n})
 		}
@@ -105,6 +95,30 @@ func RestrictedGustavson[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, spa
 	spa.rows = rows
 	res.Rows = rows
 	return res
+}
+
+// rangeMemo returns the per-k memo of b's row ranges inside jR for the
+// contracted window kR: entry k-kR.Lo is valid when its stamp equals
+// s.kCur. Every row of a task probes its k columns against the same
+// j-window, and within a tile the rows hit largely the same columns, so
+// the second and later probes of a k become one scratch load instead of
+// two binary searches. The entries survive into the next call when it
+// names the same b and both windows — consecutive tasks of an I sweep
+// under J→K→I — and otherwise a new stamp makes them unreadable without
+// re-zeroing.
+func (s *SPA) rangeMemo(b any, kR, jR Range) (gen, lo, hi []int) {
+	kw := max(kR.Hi-kR.Lo, 0)
+	if s.kB != b || s.kR != kR || s.kJ != jR {
+		s.kB, s.kR, s.kJ = b, kR, jR
+		s.kCur++
+		if cap(s.kGen) < kw {
+			s.kGen = make([]int, kw)
+			s.kLo = make([]int, kw)
+			s.kHi = make([]int, kw)
+			s.kCur = 1
+		}
+	}
+	return s.kGen[:kw], s.kLo[:kw], s.kHi[:kw]
 }
 
 // SlabCounts prices the J sweep of one resident A slab. Fig. 5's K→I→J
@@ -206,10 +220,12 @@ func (r *TaskResult) Record(rec obs.Recorder) {
 }
 
 // SPA is a dense sparse accumulator with generation-counter clearing,
-// reused across tasks to avoid re-zeroing. Columns are accumulated fiber
-// by fiber, each fiber sorted, so the touched-column list is a sequence of
-// sorted runs; emission merges the runs instead of comparison-sorting,
-// keeping the hot loops free of per-row allocations.
+// reused across rows and tasks to avoid re-zeroing. The value-returning
+// kernels (Gustavson, the public API) accumulate columns fiber by fiber,
+// each fiber sorted, so the touched-column list is a sequence of sorted
+// runs; emission merges the runs instead of comparison-sorting, keeping
+// the hot loops free of per-row allocations. RestrictedGustavson uses only
+// the generation stamps, plus its own row-work and row-range scratch.
 type SPA struct {
 	acc  []float64
 	gen  []int
@@ -226,11 +242,14 @@ type SPA struct {
 	// rows is the RestrictedGustavson per-task RowWork scratch, pooled
 	// here so both engine call sites share one reusable buffer.
 	rows []RowWork
-	// kLo/kHi memoize b.RowRange per contracted coordinate within one
-	// RestrictedGustavson call; kGen generation-stamps entries (kCur is
-	// bumped per call) so stale ranges are never read across tasks.
+	// kLo/kHi memoize b.RowRange per contracted coordinate for
+	// RestrictedGustavson; kGen stamps entries with kCur, which is bumped
+	// whenever the key (kB, kR, kJ) — the operand B and both windows —
+	// changes, so stale ranges are never read (see rangeMemo).
 	kLo, kHi, kGen []int
 	kCur           int
+	kB             any
+	kR, kJ         Range
 }
 
 // NewSPA returns an accumulator covering column coordinates [0, width).

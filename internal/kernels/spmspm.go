@@ -1,16 +1,16 @@
 // Package kernels implements exact reference implementations of the
 // paper's tensor kernels: SpMSpM under all three dataflows (row-wise
-// Gustavson, inner product, outer product), range-restricted task-local
-// SpMSpM used by the accelerator simulators, and the higher-order Gram
-// kernel. Each returns both the result and the effectual-work statistics
+// Gustavson, inner product, outer product) and the higher-order Gram
+// kernel, each returning both the result and the effectual-work statistics
 // (MACC counts) that the paper's arithmetic-intensity metric is built on.
+// The accelerator simulators read only counts, so their kernels — the
+// range-restricted task kernel, the PE slab pricing and the structural
+// product count of workload preparation — compute no values.
 package kernels
 
 import (
 	"fmt"
-	"sync"
 
-	"drt/internal/par"
 	"drt/internal/tensor"
 )
 
@@ -21,26 +21,20 @@ type Stats struct {
 }
 
 // Gustavson computes Z = A·B row-wise (the MatRaptor/GAMMA dataflow) using
-// a sparse accumulator per output row. It is the primary reference
-// implementation: the simulators validate their output sparsity against it,
-// mirroring the paper's validation against Intel MKL.
+// a sparse accumulator per output row. It is the value-returning reference:
+// the public Multiply returns it, and drtvalidate and the kernel tests
+// check other products against it, mirroring the paper's validation
+// against Intel MKL. Per-row emission uses
+// the SPA's sorted-run merge, so the inner loops are free of comparison
+// sorts and per-row allocations.
 func Gustavson[T tensor.Ix](a, b *tensor.Mat[T]) (*tensor.CSR, Stats) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("kernels: spmspm shape mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	z := &tensor.CSR{Rows: a.Rows, Cols: b.Cols, Ptr: make([]int, a.Rows+1)}
-	st := gustavsonRows(a, b, 0, a.Rows, NewSPA(b.Cols), z)
-	st.OutputNNZ = int64(z.NNZ())
-	return z, st
-}
-
-// gustavsonRows computes output rows [r0, r1) of A·B, appending into z,
-// whose Ptr slice must have length (r1-r0)+1; z.Ptr[i-r0+1] receives the
-// running nnz. Per-row emission uses the SPA's sorted-run merge, so the
-// inner loops are free of comparison sorts and per-row allocations.
-func gustavsonRows[T tensor.Ix](a, b *tensor.Mat[T], r0, r1 int, spa *SPA, z *tensor.CSR) Stats {
+	spa := NewSPA(b.Cols)
 	var st Stats
-	for i := r0; i < r1; i++ {
+	for i := 0; i < a.Rows; i++ {
 		spa.Reset()
 		fa := a.Row(i)
 		for p, k := range fa.Coords {
@@ -58,64 +52,7 @@ func gustavsonRows[T tensor.Ix](a, b *tensor.Mat[T], r0, r1 int, spa *SPA, z *te
 			z.Idx = append(z.Idx, j)
 			z.Val = append(z.Val, spa.acc[j])
 		}
-		z.Ptr[i-r0+1] = len(z.Idx)
-	}
-	return st
-}
-
-// GustavsonParallel is Gustavson over row blocks mapped across the worker
-// pool. Each worker keeps its own SPA scratch and emits a private partial
-// CSR; the blocks are stitched back in row order, so the result — values
-// included — is bit-identical to the sequential kernel (each row's
-// accumulation order is unchanged). workers < 1 selects one per CPU;
-// workers == 1 falls through to the sequential path.
-func GustavsonParallel[T tensor.Ix](a, b *tensor.Mat[T], workers int) (*tensor.CSR, Stats) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("kernels: spmspm shape mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	workers = par.Workers(workers)
-	if workers <= 1 || a.Rows < 2 {
-		return Gustavson(a, b)
-	}
-	// Over-decompose so an unlucky dense block doesn't serialize the tail.
-	nb := workers * 4
-	if nb > a.Rows {
-		nb = a.Rows
-	}
-	type block struct {
-		z     *tensor.CSR
-		maccs int64
-	}
-	var pool sync.Pool // per-worker *SPA, reused across blocks
-	blocks, _ := par.Map(workers, nb, func(bi int) (block, error) {
-		r0, r1 := bi*a.Rows/nb, (bi+1)*a.Rows/nb
-		spa, _ := pool.Get().(*SPA)
-		if spa == nil {
-			spa = NewSPA(b.Cols)
-		}
-		bz := &tensor.CSR{Rows: r1 - r0, Cols: b.Cols, Ptr: make([]int, r1-r0+1)}
-		st := gustavsonRows(a, b, r0, r1, spa, bz)
-		pool.Put(spa)
-		return block{z: bz, maccs: st.MACCs}, nil
-	})
-	var st Stats
-	z := &tensor.CSR{Rows: a.Rows, Cols: b.Cols, Ptr: make([]int, a.Rows+1)}
-	total := 0
-	for _, blk := range blocks {
-		total += len(blk.z.Idx)
-	}
-	z.Idx = make([]int, 0, total)
-	z.Val = make([]float64, 0, total)
-	row := 0
-	for _, blk := range blocks {
-		off := len(z.Idx)
-		z.Idx = append(z.Idx, blk.z.Idx...)
-		z.Val = append(z.Val, blk.z.Val...)
-		for r := 1; r < len(blk.z.Ptr); r++ {
-			z.Ptr[row+r] = off + blk.z.Ptr[r]
-		}
-		row += blk.z.Rows
-		st.MACCs += blk.maccs
+		z.Ptr[i+1] = len(z.Idx)
 	}
 	st.OutputNNZ = int64(z.NNZ())
 	return z, st

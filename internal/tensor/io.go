@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -11,7 +12,9 @@ import (
 // ReadMatrixMarket parses a MatrixMarket coordinate-format matrix (the
 // format SuiteSparse distributes), supporting the general, symmetric and
 // skew-symmetric qualifiers and the pattern field type (values default to
-// 1). The returned matrix is CSR. Array (dense) format is rejected.
+// 1). The returned matrix is CSR. Array (dense) format is rejected, as are
+// dimensions that do not fit int32, an entry count outside [0, rows·cols]
+// and a non-square symmetric or skew-symmetric matrix.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -57,8 +60,16 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		}
 		break
 	}
-	if rows <= 0 || cols <= 0 {
+	// Coordinates must fit the compact (int32) index width, which also
+	// keeps rows·cols inside int.
+	if rows <= 0 || cols <= 0 || rows > math.MaxInt32 || cols > math.MaxInt32 {
 		return nil, fmt.Errorf("tensor: bad dimensions %dx%d", rows, cols)
+	}
+	if nnz < 0 || int64(nnz) > int64(rows)*int64(cols) {
+		return nil, fmt.Errorf("tensor: bad entry count %d for a %dx%d matrix", nnz, rows, cols)
+	}
+	if symmetric && rows != cols {
+		return nil, fmt.Errorf("tensor: symmetric matrix must be square, got %dx%d", rows, cols)
 	}
 
 	m := NewCOO(rows, cols)

@@ -2,7 +2,10 @@ package tensor
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,14 +26,37 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMatrixMarketSymmetric(t *testing.T) {
-	src := `%%MatrixMarket matrix coordinate real symmetric
+// The MatrixMarket inputs of the tests below; FuzzReadMatrixMarket seeds
+// its corpus with all of them.
+const (
+	mmSymmetric = `%%MatrixMarket matrix coordinate real symmetric
 % a comment
 3 3 2
 2 1 5.0
 3 3 7.0
 `
-	m, err := ReadMatrixMarket(strings.NewReader(src))
+	mmSkewSymmetric = "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 4.0\n"
+	mmPattern       = "%%MatrixMarket matrix coordinate pattern general\n2 3 2\n1 1\n2 3\n"
+)
+
+// mmErrorCases are inputs ReadMatrixMarket must reject with an error.
+var mmErrorCases = []string{
+	"",
+	"%%MatrixMarket matrix array real general\n2 2 0\n",
+	"%%MatrixMarket matrix coordinate complex general\n2 2 0\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\n", // truncated
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n",
+	"not a header\n",
+	// Rows past int32 (FromCOO used to panic sizing the row pointers).
+	"%%MatrixMarket matrix coordinate real general\n4000000000000000000 1 0\n",
+	// Non-square symmetric (the mirrored entry used to panic in Append).
+	"%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n",
+	// Negative entry count (used to yield an empty matrix).
+	"%%MatrixMarket matrix coordinate real general\n2 2 -5\n",
+}
+
+func TestMatrixMarketSymmetric(t *testing.T) {
+	m, err := ReadMatrixMarket(strings.NewReader(mmSymmetric))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +69,7 @@ func TestMatrixMarketSymmetric(t *testing.T) {
 }
 
 func TestMatrixMarketSkewSymmetric(t *testing.T) {
-	src := "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 4.0\n"
-	m, err := ReadMatrixMarket(strings.NewReader(src))
+	m, err := ReadMatrixMarket(strings.NewReader(mmSkewSymmetric))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +79,7 @@ func TestMatrixMarketSkewSymmetric(t *testing.T) {
 }
 
 func TestMatrixMarketPattern(t *testing.T) {
-	src := "%%MatrixMarket matrix coordinate pattern general\n2 3 2\n1 1\n2 3\n"
-	m, err := ReadMatrixMarket(strings.NewReader(src))
+	m, err := ReadMatrixMarket(strings.NewReader(mmPattern))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,15 +89,7 @@ func TestMatrixMarketPattern(t *testing.T) {
 }
 
 func TestMatrixMarketErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"%%MatrixMarket matrix array real general\n2 2 0\n",
-		"%%MatrixMarket matrix coordinate complex general\n2 2 0\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n", // truncated
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n",
-		"not a header\n",
-	}
-	for i, src := range cases {
+	for i, src := range mmErrorCases {
 		if _, err := ReadMatrixMarket(strings.NewReader(src)); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
@@ -112,4 +128,70 @@ func TestReadFROSTTErrors(t *testing.T) {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
+}
+
+// FuzzReadMatrixMarket checks that ReadMatrixMarket never panics on any
+// input, and that whatever it accepts is a well-formed CSR that
+// WriteMatrixMarket writes out and ReadMatrixMarket reads back unchanged.
+// Inputs declaring more than 1<<16 rows or columns are skipped: the
+// reader accepts any int32 shape and allocates row pointers to match, and
+// allocation size is not the property under test.
+func FuzzReadMatrixMarket(f *testing.F) {
+	for _, src := range append([]string{mmSymmetric, mmSkewSymmetric, mmPattern}, mmErrorCases...) {
+		f.Add([]byte(src))
+	}
+	var buf bytes.Buffer
+	if err := WriteMatrixMarket(&buf, FromCOO(randomCOO(rand.New(rand.NewSource(1)), 30, 20, 80))); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if rows, cols, ok := declaredShape(src); ok && (rows > 1<<16 || cols > 1<<16) {
+			t.Skip("declared shape too large")
+		}
+		m, err := ReadMatrixMarket(bytes.NewReader(src))
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted a malformed CSR: %v", err)
+		}
+		var out bytes.Buffer
+		if err := WriteMatrixMarket(&out, m); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadMatrixMarket(&out)
+		if err != nil {
+			t.Fatalf("rereading the written matrix: %v", err)
+		}
+		if !sameStored(m, back) {
+			t.Fatal("WriteMatrixMarket/ReadMatrixMarket round trip changed the matrix")
+		}
+	})
+}
+
+// declaredShape returns the row and column counts a MatrixMarket input's
+// size line declares (the first non-comment line after the header).
+func declaredShape(src []byte) (rows, cols int, ok bool) {
+	lines := strings.Split(string(src), "\n")
+	for _, line := range lines[min(1, len(lines)):] {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "%") {
+			continue
+		}
+		_, err := fmt.Sscan(line, &rows, &cols)
+		return rows, cols, err == nil
+	}
+	return 0, 0, false
+}
+
+// sameStored is Equal with NaN values matching each other, since a
+// written NaN reads back as a NaN.
+func sameStored(a, b *CSR) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !slices.Equal(a.Ptr, b.Ptr) || !slices.Equal(a.Idx, b.Idx) {
+		return false
+	}
+	return slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool {
+		return x == y || (math.IsNaN(x) && math.IsNaN(y))
+	})
 }

@@ -3,7 +3,7 @@ package tiling
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"drt/internal/tensor"
 )
@@ -78,17 +78,70 @@ func NewAutoGrid[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int) Summary {
 // whose cell-index arrays are also 32-bit, so the full-scale memory saving
 // carries through the grid summaries automatically.
 func NewSummaryGrid[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int, f Format, mode Mode) Summary {
-	switch mode {
-	case Dense:
-		return NewGridWithFormat(m, tileH, tileW, f)
-	case Compressed:
-		return NewCompressedGridWithFormat(m, tileH, tileW, f)
-	}
-	gr, gc := ceilDiv(m.Rows, tileH), ceilDiv(m.Cols, tileW)
-	if int64(gr)*int64(gc) > DefaultCellBudget {
+	if compressedFor(ceilDiv(m.Rows, tileH), ceilDiv(m.Cols, tileW), mode) {
 		return NewCompressedGridWithFormat(m, tileH, tileW, f)
 	}
 	return NewGridWithFormat(m, tileH, tileW, f)
+}
+
+// SummaryBuilder builds a Summary from per-tile occupancies instead of a
+// matrix, one grid row at a time: workload preparation counts the product
+// Z = A·B per micro tile and never holds Z. Rows are folded exactly as
+// NewSummaryGrid folds a matrix's grid rows (the dense grid's prefix-sum
+// rows, the compressed grid's per-row cell lists), so the result answers
+// every query as NewSummaryGrid over the matrix would.
+type SummaryBuilder struct {
+	dense *Grid
+	row   []int64 // the dense grid's current row of cells, zero between rows
+	comp  *CompressedGrid
+	next  int // the grid row AddRow folds next
+	gr    int // the grid's row count
+}
+
+// NewSummaryBuilder starts the summary of a rows×cols matrix tiled into
+// tileH×tileW micro tiles of format f. mode picks the representation by
+// NewSummaryGrid's rule; the compressed grid uses wide indices.
+func NewSummaryBuilder(rows, cols, tileH, tileW int, f Format, mode Mode) *SummaryBuilder {
+	gr, gc := ceilDiv(rows, tileH), ceilDiv(cols, tileW)
+	if compressedFor(gr, gc, mode) {
+		return &SummaryBuilder{comp: newCompressedGridOf[int](rows, cols, tileH, tileW, f), gr: gr}
+	}
+	return &SummaryBuilder{dense: newGrid(rows, cols, tileH, tileW, f), row: make([]int64, gc), gr: gr}
+}
+
+// AddRow folds the next grid row: its occupied tile columns, ascending,
+// with nnz[p] non-zeros in tile cols[p]. The slices are not retained.
+func (b *SummaryBuilder) AddRow(cols []int, nnz []int64) {
+	if b.comp != nil {
+		b.comp.appendRow(b.next, cols, nnz)
+	} else {
+		for p, c := range cols {
+			b.row[c] = nnz[p]
+		}
+		b.dense.buildSumRow(b.next, b.row)
+		for _, c := range cols {
+			b.row[c] = 0
+		}
+	}
+	b.next++
+}
+
+// Summary returns the built summary. Every grid row must have been added.
+func (b *SummaryBuilder) Summary() Summary {
+	if b.next != b.gr {
+		panic(fmt.Sprintf("tiling: summary built from %d of %d grid rows", b.next, b.gr))
+	}
+	if b.comp != nil {
+		return b.comp
+	}
+	return b.dense
+}
+
+// compressedFor reports whether mode selects the compressed representation
+// for a gr×gc grid: always under Compressed, past DefaultCellBudget cells
+// under Auto.
+func compressedFor(gr, gc int, mode Mode) bool {
+	return mode == Compressed || (mode == Auto && int64(gr)*int64(gc) > DefaultCellBudget)
 }
 
 // CompressedGridOf is the sparse counterpart of Grid, generic over the
@@ -135,21 +188,12 @@ func NewCompressedGrid[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int) *Compres
 // counts never exceed the operand's dims and nnz, so whatever fits the
 // operand fits the grid).
 func NewCompressedGridWithFormat[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int, f Format) *CompressedGridOf[T] {
-	if tileH < 1 || tileW < 1 {
-		panic(fmt.Sprintf("tiling: invalid micro tile shape %dx%d", tileH, tileW))
-	}
-	g := &CompressedGridOf[T]{
-		Rows: m.Rows, Cols: m.Cols,
-		TileH: tileH, TileW: tileW,
-		GR: ceilDiv(m.Rows, tileH), GC: ceilDiv(m.Cols, tileW),
-		Format: f,
-	}
-	g.nnzCum = append(g.nnzCum, 0)
-	g.fpCum = append(g.fpCum, 0)
+	g := newCompressedGridOf[T](m.Rows, m.Cols, tileH, tileW, f)
 	cnt := make([]int64, g.GC)
 	mark := make([]int, g.GC)
 	epoch := 0
 	var touched []int
+	var ns []int64
 	// Same power-of-two fast path as the dense grid: micro-tile edges are
 	// powers of two in every sweep, turning the per-element division into a
 	// shift.
@@ -157,22 +201,6 @@ func NewCompressedGridWithFormat[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int
 	if tileW&(tileW-1) == 0 {
 		shift = bits.TrailingZeros(uint(tileW))
 	}
-	flush := func(gr int) {
-		if len(touched) == 0 {
-			return
-		}
-		sort.Ints(touched)
-		g.occRows = append(g.occRows, T(gr))
-		for _, c := range touched {
-			n := cnt[c]
-			g.cols = append(g.cols, T(c))
-			g.nnzCum = append(g.nnzCum, g.nnzCum[len(g.nnzCum)-1]+n)
-			g.fpCum = append(g.fpCum, g.fpCum[len(g.fpCum)-1]+MicroFootprintFormat(f, tileH, int(n)))
-		}
-		g.rowPtr = append(g.rowPtr, T(len(g.cols)))
-		touched = touched[:0]
-	}
-	g.rowPtr = append(g.rowPtr, 0)
 	for gr := 0; gr < g.GR; gr++ {
 		epoch++
 		hi := (gr + 1) * tileH
@@ -191,9 +219,49 @@ func NewCompressedGridWithFormat[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int
 			}
 			cnt[c]++
 		}
-		flush(gr)
+		slices.Sort(touched)
+		ns = ns[:0]
+		for _, c := range touched {
+			ns = append(ns, cnt[c])
+		}
+		g.appendRow(gr, touched, ns)
+		touched = touched[:0]
 	}
 	return g
+}
+
+// newCompressedGridOf returns an empty compressed grid over a rows×cols
+// matrix, ready for appendRow.
+func newCompressedGridOf[T tensor.Ix](rows, cols, tileH, tileW int, f Format) *CompressedGridOf[T] {
+	if tileH < 1 || tileW < 1 {
+		panic(fmt.Sprintf("tiling: invalid micro tile shape %dx%d", tileH, tileW))
+	}
+	return &CompressedGridOf[T]{
+		Rows: rows, Cols: cols,
+		TileH: tileH, TileW: tileW,
+		GR: ceilDiv(rows, tileH), GC: ceilDiv(cols, tileW),
+		Format: f,
+		rowPtr: []T{0},
+		nnzCum: []int64{0},
+		fpCum:  []int64{0},
+	}
+}
+
+// appendRow stores grid row gr's occupied cells: cols ascending, with
+// nnz[p] non-zeros in cell cols[p]. Rows must be appended in ascending
+// order; an empty row stores nothing.
+func (g *CompressedGridOf[T]) appendRow(gr int, cols []int, nnz []int64) {
+	if len(cols) == 0 {
+		return
+	}
+	g.occRows = append(g.occRows, T(gr))
+	for p, c := range cols {
+		n := nnz[p]
+		g.cols = append(g.cols, T(c))
+		g.nnzCum = append(g.nnzCum, g.nnzCum[len(g.nnzCum)-1]+n)
+		g.fpCum = append(g.fpCum, g.fpCum[len(g.fpCum)-1]+MicroFootprintFormat(g.Format, g.TileH, int(n)))
+	}
+	g.rowPtr = append(g.rowPtr, T(len(g.cols)))
 }
 
 // clampRect clips a grid-coordinate rectangle to the grid extents.

@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"drt/internal/gen"
@@ -168,4 +169,61 @@ func BenchmarkGridConstruction(b *testing.B) {
 			NewCompressedGrid(m, 8, 8)
 		}
 	})
+}
+
+// buildFromCounts builds m's summary with a SummaryBuilder fed m's
+// per-tile occupancy: for each grid row, the occupied tile columns
+// ascending and their non-zero counts.
+func buildFromCounts(m *tensor.CSR, tileH, tileW int, f Format, mode Mode) Summary {
+	sb := NewSummaryBuilder(m.Rows, m.Cols, tileH, tileW, f, mode)
+	cnt := make([]int64, ceilDiv(m.Cols, tileW))
+	for gr := range ceilDiv(m.Rows, tileH) {
+		for i := gr * tileH; i < min((gr+1)*tileH, m.Rows); i++ {
+			for _, j := range m.Idx[m.Ptr[i]:m.Ptr[i+1]] {
+				cnt[j/tileW]++
+			}
+		}
+		var cols []int
+		var nnz []int64
+		for c, n := range cnt {
+			if n > 0 {
+				cols, nnz = append(cols, c), append(nnz, n)
+			}
+		}
+		sb.AddRow(cols, nnz)
+		clear(cnt)
+	}
+	return sb.Summary()
+}
+
+// TestSummaryBuilder pins the row fold: per-tile counts folded by a
+// SummaryBuilder must build exactly the summary NewSummaryGrid builds from
+// the matrix, in every mode and format, and Auto must switch to the
+// compressed representation past the cell budget.
+func TestSummaryBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 30; trial++ {
+		var m *tensor.CSR
+		switch trial {
+		case 0:
+			m = tensor.FromCOO(tensor.NewCOO(rng.Intn(40)+1, rng.Intn(40)+1))
+		case 1:
+			m = gen.HyperSparse(200, 7, rng.Int63())
+		default:
+			m = gen.Uniform(rng.Intn(80)+5, rng.Intn(80)+5, rng.Intn(400)+1, rng.Int63())
+		}
+		th, tw := rng.Intn(7)+1, rng.Intn(7)+1
+		for _, f := range []Format{TUC, TCC} {
+			for _, mode := range []Mode{Auto, Dense, Compressed} {
+				want := NewSummaryGrid(m, th, tw, f, mode)
+				if got := buildFromCounts(m, th, tw, f, mode); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d (%v, mode %d): summary from counts %+v, from the matrix %+v", trial, f, mode, got, want)
+				}
+			}
+		}
+	}
+	// 2^26 cells: building the dense grid here would allocate ~1.6 GB.
+	if NewSummaryBuilder(1<<13, 1<<13, 1, 1, TUC, Auto).comp == nil {
+		t.Fatal("Auto kept the dense representation past the cell budget")
+	}
 }

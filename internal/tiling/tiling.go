@@ -101,16 +101,7 @@ func NewGrid[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int) *Grid {
 
 // NewGridWithFormat is NewGrid with an explicit micro-tile representation.
 func NewGridWithFormat[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int, f Format) *Grid {
-	if tileH < 1 || tileW < 1 {
-		panic(fmt.Sprintf("tiling: invalid micro tile shape %dx%d", tileH, tileW))
-	}
-	g := &Grid{
-		Rows: m.Rows, Cols: m.Cols,
-		TileH: tileH, TileW: tileW,
-		GR: ceilDiv(m.Rows, tileH), GC: ceilDiv(m.Cols, tileW),
-		Format: f,
-	}
-	g.allocSums()
+	g := newGrid(m.Rows, m.Cols, tileH, tileW, f)
 	// Count non-zeros one grid row at a time (the tileH parent rows of grid
 	// row gr map to it contiguously) and fold the row straight into the
 	// prefix sums: the working set is one GC-wide row instead of a full
@@ -143,6 +134,22 @@ func NewGridWithFormat[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int, f Format
 		g.buildSumRow(gr, row)
 		clear(row)
 	}
+	return g
+}
+
+// newGrid returns a grid over a rows×cols matrix with zeroed prefix sums,
+// ready for buildSumRow.
+func newGrid(rows, cols, tileH, tileW int, f Format) *Grid {
+	if tileH < 1 || tileW < 1 {
+		panic(fmt.Sprintf("tiling: invalid micro tile shape %dx%d", tileH, tileW))
+	}
+	g := &Grid{
+		Rows: rows, Cols: cols,
+		TileH: tileH, TileW: tileW,
+		GR: ceilDiv(rows, tileH), GC: ceilDiv(cols, tileW),
+		Format: f,
+	}
+	g.allocSums()
 	return g
 }
 

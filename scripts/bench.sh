@@ -12,7 +12,8 @@
 #   scripts/bench.sh guard Sec65Extraction 2.0
 #                                       # exit 1 if any matching benchmark's
 #                                       # allocs/op exceeds 2.0x its committed
-#                                       # baseline (the ci tripwire)
+#                                       # baseline, or has no baseline row
+#                                       # (the ci tripwire)
 #   NS_TOL=0.5 scripts/bench.sh guard Fig12Replay
 #                                       # guard also fails when ns/op grows
 #                                       # more than NS_TOL (fraction, default
@@ -280,23 +281,12 @@ go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem ./... | te
 } > "$fresh"
 
 # parse_snapshot emits "name ns bytes allocs" per benchmark from a JSON
-# snapshot this script wrote (one benchmark object per line).
+# snapshot, whatever its layout (this script writes one benchmark object
+# per line; hand-curated snapshots are pretty-printed). Missing fields
+# print as "-".
 parse_snapshot() {
-  awk '
-    function num(s, k,    r) {
-      if (match(s, "\"" k "\":[0-9.eE+-]+")) {
-        r = substr(s, RSTART, RLENGTH); sub(/.*:/, "", r); return r
-      }
-      return "-"
-    }
-    /"name":/ {
-      if (match($0, /"name":"[^"]*"/)) {
-        n = substr($0, RSTART + 8, RLENGTH - 9)
-        sub(/-[0-9]+$/, "", n)
-        print n, num($0, "ns_per_op"), num($0, "bytes_per_op"), num($0, "allocs_per_op")
-      }
-    }
-  ' "$1"
+  jq -r '.benchmarks[] | [(.name | sub("-[0-9]+$"; "")), (.ns_per_op // "-"),
+    (.bytes_per_op // "-"), (.allocs_per_op // "-")] | map(tostring) | join(" ")' "$1"
 }
 
 case "$mode" in
@@ -336,7 +326,17 @@ compare | guard)
     }
     {
       name = $1
-      if (!(name in ns)) { printf fmt, name, $2, "(new)", $3, "", $4, ""; next }
+      ran++
+      if (!(name in ns)) {
+        printf fmt, name, $2, "(new)", $3, "", $4, ""
+        # A guarded benchmark with no baseline row is checked against
+        # nothing, so the guard cannot pass it.
+        if (mode == "guard") {
+          printf "bench.sh: %s has no row in the committed baseline\n", name > "/dev/stderr"
+          bad = 1
+        }
+        next
+      }
       printf fmt, name, $2, pct(ns[name], $2), $3, pct(bytes[name], $3), $4, pct(allocs[name], $4)
       if (mode == "guard" && allocs[name] != "-" && $4 != "-" && allocs[name] + 0 > 0 &&
           $4 + 0 > allocs[name] * thr) {
@@ -353,6 +353,10 @@ compare | guard)
       seen[name] = 1
     }
     END {
+      if (mode == "guard" && ran == 0) {
+        print "bench.sh: no benchmark matched the guard pattern" > "/dev/stderr"
+        bad = 1
+      }
       # With a filter pattern most baseline entries were intentionally not
       # run; only flag gaps on a full compare.
       if (mode == "compare" && pat == ".")
