@@ -213,6 +213,9 @@ func main() {
 		logger.Info("cache summary",
 			"workload_hits", rec.Counter("exp.workload.hits"),
 			"workload_misses", rec.Counter("exp.workload.misses"),
+			"workload_builds", rec.Counter("exp.workload.builds"),
+			"summary_hits", rec.Counter("summary_store.hits"),
+			"summary_misses", rec.Counter("summary_store.misses"),
 			"trace_hits", rec.Counter("exp.tracecache.hits"),
 			"trace_misses", rec.Counter("exp.tracecache.misses"),
 			"trace_direct", rec.Counter("exp.tracecache.direct"),

@@ -165,7 +165,8 @@ func main() {
 	// The workload comes from the exp context, which records its generator
 	// spec, so -trace-store keys its entries by the inputs and not by the
 	// matrix name alone. drtsim generates its operand fresh and leaves the
-	// on-disk operand cache alone.
+	// on-disk operand cache alone. The shape report reads the operands, so
+	// a workload the store deferred is built here, inside the generate span.
 	c := exp.NewContext(exp.Options{
 		Scale:          *scale,
 		MicroTile:      *microTile,
@@ -175,6 +176,9 @@ func main() {
 	})
 	genSpan := rec.Begin(obs.CatPhase, "generate")
 	w, err := c.Square(e)
+	if err == nil {
+		w, err = w.Built()
+	}
 	rec.End(genSpan)
 	if err != nil {
 		cli.Fatalf("drtsim: %v", err)

@@ -193,8 +193,12 @@ func RunTasks(w *Workload, opt EngineOptions) (sim.Result, error) {
 // lands in trc, and the run's ledgers land in trc when the walk ends.
 // With a non-nil price, each task is priced as soon as it is captured and
 // trc's per-task arrays are then emptied, so a direct run never holds
-// more than one task of its schedule.
+// more than one task of its schedule. A deferred workload is built first.
 func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) error {
+	w, err := w.Built()
+	if err != nil {
+		return err
+	}
 	rec := obs.OrNop(opt.Rec)
 	// prog is the process-wide live-telemetry sink; nil (the default, and
 	// the only state benchmarks ever see) makes every tick a no-op, so the

@@ -302,8 +302,13 @@ func runSweep(w *accel.Workload, base accel.EngineOptions, capA, capB int64, poo
 // (lowest-cycle) result and its shape, mirroring the paper's per-workload
 // shape sweep. Candidates are simulated across the worker pool but
 // compared in proposal order with a strict less-than, so ties and the
-// reported first error resolve exactly as the sequential sweep did.
+// reported first error resolve exactly as the sequential sweep did. A
+// deferred workload is built first: the task weights read its grids.
 func sweepStatic(w *accel.Workload, base accel.EngineOptions, capA, capB int64, pool par.Options) (sim.Result, []int, error) {
+	w, err := w.Built()
+	if err != nil {
+		return sim.Result{}, nil, err
+	}
 	shapes := staticShapes(w, capA, capB)
 	// A candidate's cost grows with its task count — the tile volume is
 	// fixed, so smaller shapes mean more tasks and more per-task overhead;

@@ -92,39 +92,20 @@ func Run(v Variant, w *accel.Workload, opt Options) (sim.Result, error) {
 	return sim.Result{}, fmt.Errorf("matraptor: unknown variant %d", v)
 }
 
-// untiled charges the original design's traffic in closed form.
+// untiled charges the original design's traffic in closed form, from
+// the workload summary alone: every A element (i,k) streams row k of B
+// (the summary's streamed-B volume), and output rows complete on chip and
+// are written exactly once.
 func untiled(w *accel.Workload, opt Options) sim.Result {
-	fa, _ := w.InputFootprint()
-	res := sim.Result{Name: w.Name, MACCs: w.MACCs}
-	res.Traffic.A = fa
-	// Every A element (i,k) streams row k of B: Σ_k nnzA(·,k)·rowBytes(B_k).
-	if w.A32 != nil {
-		res.Traffic.B = untiledBBytes(w.A32, w.B32)
-	} else {
-		res.Traffic.B = untiledBBytes(w.A, w.B)
-	}
-	// Output rows complete on chip and are written exactly once.
-	res.Traffic.Z = w.OutputFootprint()
+	s := w.Summary()
+	res := sim.Result{Name: w.Name, MACCs: s.MACCs}
+	res.Traffic.A = s.AFootprint
+	res.Traffic.B = s.StreamedB
+	res.Traffic.Z = s.ZFootprint
 	res.DRAMCycles = opt.Machine.DRAMCycles(res.Traffic.Total())
-	res.ComputeCycles = float64(w.MACCs) / float64(opt.Machine.PEs)
+	res.ComputeCycles = float64(s.MACCs) / float64(opt.Machine.PEs)
 	res.RecordTo(opt.Rec)
 	return res
-}
-
-// untiledBBytes charges every A element (i,k) one stream of row k of B.
-func untiledBBytes[T tensor.Ix](a, b *tensor.Mat[T]) int64 {
-	aT := a.Transpose()
-	var bBytes int64
-	for k := 0; k < aT.Rows; k++ {
-		refs := int64(aT.Ptr[k+1] - aT.Ptr[k])
-		if refs == 0 {
-			continue
-		}
-		rowNNZ := int64(b.Ptr[k+1] - b.Ptr[k])
-		rowBytes := rowNNZ*(tensor.MetaBytes+tensor.ValueBytes) + 2*tensor.MetaBytes
-		bBytes += refs * rowBytes
-	}
-	return bBytes
 }
 
 // staticShape picks a dense-safe S-U-C shape (grid units).

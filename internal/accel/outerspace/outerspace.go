@@ -95,15 +95,16 @@ func Run(v Variant, w *accel.Workload, opt Options) (sim.Result, error) {
 // untiled charges the original design's traffic in closed form: each
 // input read once; the multiply phase writes every partial product to DRAM
 // and the merge phase reads them all back before writing the final output.
+// It reads only the workload summary.
 func untiled(w *accel.Workload, opt Options) sim.Result {
-	fa, fb := w.InputFootprint()
-	partials := w.MACCs * accel.PartialBytes
-	res := sim.Result{Name: w.Name, MACCs: w.MACCs}
-	res.Traffic.A = fa
-	res.Traffic.B = fb
-	res.Traffic.Z = 2*partials + w.OutputFootprint()
+	s := w.Summary()
+	partials := s.MACCs * accel.PartialBytes
+	res := sim.Result{Name: w.Name, MACCs: s.MACCs}
+	res.Traffic.A = s.AFootprint
+	res.Traffic.B = s.BFootprint
+	res.Traffic.Z = 2*partials + s.ZFootprint
 	res.DRAMCycles = opt.Machine.DRAMCycles(res.Traffic.Total())
-	res.ComputeCycles = float64(w.MACCs) / float64(opt.Machine.PEs)
+	res.ComputeCycles = float64(s.MACCs) / float64(opt.Machine.PEs)
 	res.RecordTo(opt.Rec)
 	return res
 }

@@ -89,10 +89,17 @@ func traceBinarySize(nameLen, nTasks, nRows, nSubs, nExts, nDists int) int64 {
 		int64(nDists)*traceItemSize
 }
 
+// traceIOBuffer sizes the bufio wrappers of WriteBinary and ReadTrace.
+// They only batch the small fixed fields: section bodies move in large
+// writes and chunk reads that bypass the buffer, so a small buffer keeps
+// each call from allocating and zeroing a megabyte.
+const traceIOBuffer = 64 << 10
+
 // traceScratch pools the decoder's chunk buffers: one 1 MiB buffer serves
 // a whole decode pass, so deserializing a trace costs a handful of
-// allocations — the trace's own arrays — regardless of size. (Encoding
-// buffers through bufio.Writer and needs no scratch.)
+// allocations — the trace's own arrays, which grow by appending past one
+// chunk's worth of records. (Encoding buffers through bufio.Writer and
+// needs no scratch.)
 var traceScratch = sync.Pool{New: func() any {
 	b := make([]byte, 1<<20)
 	return &b
@@ -130,7 +137,7 @@ func (e *traceEncoder) pad(n int) {
 
 // WriteBinary writes the trace in .drtt form.
 func (t *Trace) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, traceIOBuffer)
 	e := &traceEncoder{w: bw}
 
 	if len(t.Name) > traceMaxName {
@@ -314,6 +321,16 @@ func (d *traceDecoder) section(n, rec int64, fn func(chunk []byte) error) error 
 	return nil
 }
 
+// capHint bounds the preallocation of a section of n rec-byte records by
+// what one chunk holds. Sections then grow as their chunks arrive, so a
+// header's counts can never allocate more than the data actually read.
+func (d *traceDecoder) capHint(n int, rec int64) int {
+	if most := int(int64(len(d.buf)) / rec); n > most {
+		return most
+	}
+	return n
+}
+
 // fixed reads exactly len(b) bytes into b.
 func (d *traceDecoder) fixed(b []byte) error {
 	_, err := io.ReadFull(d.r, b)
@@ -326,7 +343,7 @@ func (d *traceDecoder) fixed(b []byte) error {
 func ReadTrace(r io.Reader) (*Trace, error) {
 	bufp := traceScratch.Get().(*[]byte)
 	defer traceScratch.Put(bufp)
-	d := &traceDecoder{r: bufio.NewReaderSize(r, 1<<20), buf: *bufp}
+	d := &traceDecoder{r: bufio.NewReaderSize(r, traceIOBuffer), buf: *bufp}
 
 	var hdr [traceHeaderSize]byte
 	if err := d.fixed(hdr[:]); err != nil {
@@ -370,19 +387,17 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	tr.inputTraffic = li(8)
 
 	if h.nTasks > 0 {
-		tr.taskRecs = make([]traceTask, h.nTasks)
-		i := 0
+		tr.taskRecs = make([]traceTask, 0, d.capHint(h.nTasks, traceTaskSize))
 		err := d.section(int64(h.nTasks)*traceTaskSize, traceTaskSize, func(chunk []byte) error {
 			for len(chunk) > 0 {
 				f := func(j int) int64 { return int64(binary.LittleEndian.Uint64(chunk[8*j:])) }
-				tr.taskRecs[i] = traceTask{
+				tr.taskRecs = append(tr.taskRecs, traceTask{
 					bytes: f(0), scanTiles: f(1), probes: int(f(2)), rebuiltTiles: f(3),
 					rowsLo: int(f(4)), rowsHi: int(f(5)),
 					subsLo: int(f(6)), subsHi: int(f(7)),
 					extsLo: int(f(8)), extsHi: int(f(9)),
 					distsLo: int(f(10)), distsHi: int(f(11)),
-				}
-				i++
+				})
 				chunk = chunk[traceTaskSize:]
 			}
 			return nil
@@ -392,38 +407,35 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 	}
 
-	readItems := func(n int, set func(i int, a, b int64)) error {
-		i := 0
-		return d.section(int64(n)*traceItemSize, traceItemSize, func(chunk []byte) error {
+	readCosts := func(n int) ([]rowCost, error) {
+		out := make([]rowCost, 0, d.capHint(n, traceItemSize))
+		err := d.section(int64(n)*traceItemSize, traceItemSize, func(chunk []byte) error {
 			for len(chunk) > 0 {
-				set(i,
-					int64(binary.LittleEndian.Uint64(chunk[0:8])),
-					int64(binary.LittleEndian.Uint64(chunk[8:16])))
-				i++
+				out = append(out, rowCost{
+					scanned: int64(binary.LittleEndian.Uint64(chunk[0:8])),
+					maccs:   int64(binary.LittleEndian.Uint64(chunk[8:16])),
+				})
 				chunk = chunk[traceItemSize:]
 			}
 			return nil
 		})
+		return out, err
 	}
 	if h.nRows > 0 {
-		tr.rows = make([]rowCost, h.nRows)
-		if err := readItems(h.nRows, func(i int, a, b int64) { tr.rows[i] = rowCost{scanned: a, maccs: b} }); err != nil {
+		if tr.rows, err = readCosts(h.nRows); err != nil {
 			return nil, fmt.Errorf("accel: truncated .drtt row section: %w", err)
 		}
 	}
 	if h.nSubs > 0 {
-		tr.subs = make([]rowCost, h.nSubs)
-		if err := readItems(h.nSubs, func(i int, a, b int64) { tr.subs[i] = rowCost{scanned: a, maccs: b} }); err != nil {
+		if tr.subs, err = readCosts(h.nSubs); err != nil {
 			return nil, fmt.Errorf("accel: truncated .drtt sub-task section: %w", err)
 		}
 	}
 	if h.nExts > 0 {
-		tr.exts = make([]int64, h.nExts)
-		i := 0
+		tr.exts = make([]int64, 0, d.capHint(h.nExts, 8))
 		err := d.section(int64(h.nExts)*8, 8, func(chunk []byte) error {
 			for len(chunk) > 0 {
-				tr.exts[i] = int64(binary.LittleEndian.Uint64(chunk[0:8]))
-				i++
+				tr.exts = append(tr.exts, int64(binary.LittleEndian.Uint64(chunk[0:8])))
 				chunk = chunk[8:]
 			}
 			return nil
@@ -433,19 +445,17 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 	}
 	if h.nDists > 0 {
-		tr.dists = make([]distEvent, h.nDists)
-		i := 0
+		tr.dists = make([]distEvent, 0, d.capHint(h.nDists, traceItemSize))
 		err := d.section(int64(h.nDists)*traceItemSize, traceItemSize, func(chunk []byte) error {
 			for len(chunk) > 0 {
 				flags := binary.LittleEndian.Uint64(chunk[8:16])
 				if flags&^uint64(1) != 0 {
 					return fmt.Errorf("unknown distribution flags %#x", flags)
 				}
-				tr.dists[i] = distEvent{
+				tr.dists = append(tr.dists, distEvent{
 					footprint: int64(binary.LittleEndian.Uint64(chunk[0:8])),
 					multicast: flags&1 != 0,
-				}
-				i++
+				})
 				chunk = chunk[traceItemSize:]
 			}
 			return nil

@@ -2,7 +2,9 @@ package accel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -50,11 +52,17 @@ func traceRoundTrip(t *testing.T, tr *Trace) {
 
 // recordedFixtures records real schedules on both engine levels, so the
 // round-trip tests cover exactly what RecordTasks produces.
-func recordedFixtures(t *testing.T) map[string]*Trace {
+func recordedFixtures(t testing.TB) map[string]*Trace {
+	return recordedFixturesOf(t, 128, 1500)
+}
+
+// recordedFixturesOf is recordedFixtures over n×n R-MAT operands with
+// nnz non-zeros each.
+func recordedFixturesOf(t testing.TB, n, nnz int) map[string]*Trace {
 	t.Helper()
-	a := gen.RMAT(128, 1500, 0.57, 0.19, 0.19, 3)
-	b := gen.RMAT(128, 1500, 0.45, 0.25, 0.20, 4)
-	w, err := NewWorkload("rmat128", a, b, 8)
+	a := gen.RMAT(n, nnz, 0.57, 0.19, 0.19, 3)
+	b := gen.RMAT(n, nnz, 0.45, 0.25, 0.20, 4)
+	w, err := NewWorkload(fmt.Sprintf("rmat%d", n), a, b, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +293,30 @@ func TestTraceBinaryRejectsGarbage(t *testing.T) {
 	bad[4] = 99
 	if _, err := ReadTrace(bytes.NewReader(bad)); err == nil {
 		t.Fatal("ReadTrace accepted a future format version")
+	}
+}
+
+// TestTraceBinaryHugeCountIsError pins that a stream's header cannot make
+// ReadTrace allocate for data that never arrives: a 208-byte stream whose
+// header and section table agree on 2^36 tasks is a truncation error, not
+// a multi-terabyte allocation.
+func TestTraceBinaryHugeCountIsError(t *testing.T) {
+	const nTasks = 1 << 36
+	var buf bytes.Buffer
+	var hdr [traceHeaderSize]byte
+	copy(hdr[0:4], traceMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], TraceFormatVersion)
+	binary.LittleEndian.PutUint64(hdr[16:24], nTasks)
+	buf.Write(hdr[:])
+	for _, s := range traceSectionTable(0, nTasks, 0, 0, 0, 0) {
+		var b [16]byte
+		binary.LittleEndian.PutUint64(b[0:], uint64(s[0]))
+		binary.LittleEndian.PutUint64(b[8:], uint64(s[1]))
+		buf.Write(b[:])
+	}
+	buf.Write(make([]byte, traceLedgerSize))
+	if _, err := ReadTrace(&buf); err == nil {
+		t.Fatal("a stream without its task section decoded")
 	}
 }
 

@@ -7,6 +7,8 @@ package accel
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"drt/internal/core"
 	"drt/internal/kernels"
@@ -66,6 +68,14 @@ const DefaultCompactNNZ = 1 << 22
 // (the paper validates simulator output sparsity against MKL; the engines
 // check their MACC totals against this reference). Z itself is never
 // built: every consumer reads counts.
+//
+// A workload is either built — operands, grids and MACCs in place — or
+// deferred (see Deferred): it then carries only Name, MicroTile and
+// MACCs, answers the summary accessors (Summary, InputFootprint,
+// OutputFootprint, StreamedBBytes) from a stored summary, and builds the
+// rest on first demand. The engine entry points (RunTasks, RecordTasks,
+// Retile, the accelerator packages' runs and sweeps) build it themselves;
+// any other reader of operands or grids calls Built first.
 type Workload struct {
 	Name string
 	// Exactly one operand pair is non-nil: A/B in wide (int) index form,
@@ -81,6 +91,63 @@ type Workload struct {
 	GZ tiling.Summary // structural Z = A·B as I×J
 
 	MACCs int64
+
+	// pending is a deferred workload's build; nil on a built workload.
+	pending *pendingBuild
+}
+
+// pendingBuild is a deferred workload's stored summary and its one build.
+type pendingBuild struct {
+	sum   WorkloadSummary
+	once  sync.Once
+	build func() (*Workload, error)
+	built atomic.Pointer[Workload]
+	err   error
+}
+
+// Deferred returns a workload that answers MACCs and the summary accessors
+// from sum at once and builds everything else — operands, grids and the
+// reference pass — by calling build the first time Built (or an engine
+// entry point) asks. The build runs once however many goroutines race on
+// it. Once built, the summary accessors answer from the built workload,
+// so a stored summary that disagrees with its build stops being read. The
+// MACCs field keeps sum's value: callers read it without synchronization,
+// so nothing writes it after construction.
+func Deferred(name string, microTile int, sum WorkloadSummary, build func() (*Workload, error)) *Workload {
+	return &Workload{Name: name, MicroTile: microTile, MACCs: sum.MACCs,
+		pending: &pendingBuild{sum: sum, build: build}}
+}
+
+// Built returns the workload with its operands, grids and reference counts
+// in place: w itself when w was built eagerly, otherwise the one build of
+// the deferred workload, run now if nothing ran it yet.
+func (w *Workload) Built() (*Workload, error) {
+	p := w.pending
+	if p == nil {
+		return w, nil
+	}
+	p.once.Do(func() {
+		b, err := p.build()
+		if err != nil {
+			p.err = err
+			return
+		}
+		p.build = nil
+		p.built.Store(b)
+	})
+	if b := p.built.Load(); b != nil {
+		return b, nil
+	}
+	return nil, p.err
+}
+
+// current returns the built form of w when there is one — w itself, or a
+// deferred workload's finished build — and nil while w is still deferred.
+func (w *Workload) current() *Workload {
+	if w.pending == nil {
+		return w
+	}
+	return w.pending.built.Load()
 }
 
 // NewWorkload pre-processes one SpMSpM instance with the given micro tile
@@ -207,11 +274,15 @@ func (w *Workload) operandGrids(mt int, cfg WorkloadConfig) (ga, gb tiling.Summa
 // product is counted again at the new micro tile, so the result is
 // identical to NewWorkloadWith on the same operands. Like NewWorkloadWith,
 // a square self-product (B and A the same tensor) shares one grid for
-// both operands.
+// both operands. A deferred workload is built first.
 func (w *Workload) Retile(cfg WorkloadConfig) (*Workload, error) {
 	mt := cfg.MicroTile
 	if mt < 1 {
 		return nil, fmt.Errorf("accel: %s: micro tile %d", w.Name, mt)
+	}
+	w, err := w.Built()
+	if err != nil {
+		return nil, err
 	}
 	nw := &Workload{
 		Name: w.Name,
@@ -342,8 +413,42 @@ const (
 // their micro-tiled representations — the traffic lower bound components of
 // Fig. 1 (read each input once).
 func (w *Workload) InputFootprint() (a, b int64) {
-	return w.GA.TotalFootprint(), w.GB.TotalFootprint()
+	if c := w.current(); c != nil {
+		return c.GA.TotalFootprint(), c.GB.TotalFootprint()
+	}
+	return w.pending.sum.AFootprint, w.pending.sum.BFootprint
 }
 
 // OutputFootprint returns the one-pass write footprint of the result.
-func (w *Workload) OutputFootprint() int64 { return w.GZ.TotalFootprint() }
+func (w *Workload) OutputFootprint() int64 {
+	if c := w.current(); c != nil {
+		return c.GZ.TotalFootprint()
+	}
+	return w.pending.sum.ZFootprint
+}
+
+// StreamedBBytes returns the workload's no-reuse B row-fetch volume (see
+// the generic StreamedBBytes).
+func (w *Workload) StreamedBBytes() int64 {
+	c := w.current()
+	if c == nil {
+		return w.pending.sum.StreamedB
+	}
+	if c.A32 != nil {
+		return StreamedBBytes(c.A32, c.B32)
+	}
+	return StreamedBBytes(c.A, c.B)
+}
+
+// Summary returns every summary accessor's answer at once: the record the
+// trace store keeps for a workload, and all a deferred workload knows
+// before it is built.
+func (w *Workload) Summary() WorkloadSummary {
+	c := w.current()
+	if c == nil {
+		return w.pending.sum
+	}
+	fa, fb := c.InputFootprint()
+	return WorkloadSummary{MACCs: c.MACCs, AFootprint: fa, BFootprint: fb,
+		ZFootprint: c.OutputFootprint(), StreamedB: c.StreamedBBytes()}
+}

@@ -63,45 +63,17 @@ func hitFraction(llc, workingSet int64) float64 {
 
 // SpMSpM estimates an MKL-style row-wise (Gustavson) multiplication. A is
 // streamed once; B rows are fetched per referencing A element with LLC
-// reuse; Z is written once.
+// reuse; Z is written once. It reads only the workload summary, so a
+// deferred workload answers it without being built.
 func SpMSpM(w *accel.Workload, cpu CPU) Result {
-	fa, fb := w.InputFootprint()
-	streamB := StreamedBBytesW(w)
-	hit := hitFraction(cpu.LLCBytes, fb)
-	trafficB := fb
-	if extra := streamB - fb; extra > 0 {
+	s := w.Summary()
+	hit := hitFraction(cpu.LLCBytes, s.BFootprint)
+	trafficB := s.BFootprint
+	if extra := s.StreamedB - s.BFootprint; extra > 0 {
 		trafficB += int64(float64(extra) * (1 - hit))
 	}
-	traffic := fa + trafficB + w.OutputFootprint()
-	return rooflineResult(traffic, w.MACCs, cpu)
-}
-
-// StreamedBBytesW returns StreamedBBytes over a workload's operands at
-// their active index width.
-func StreamedBBytesW(w *accel.Workload) int64 {
-	if w.A32 != nil {
-		return StreamedBBytes(w.A32, w.B32)
-	}
-	return StreamedBBytes(w.A, w.B)
-}
-
-// StreamedBBytes returns the no-reuse volume of B row fetches in row-wise
-// SpMSpM: Σ_k nnz(A·,k)·rowBytes(B_k). It is the untiled software
-// baseline's B traffic (Study 3) and MatRaptor's untiled B model.
-func StreamedBBytes[T tensor.Ix](a, b *tensor.Mat[T]) int64 {
-	colRefs := make([]int64, a.Cols)
-	for _, k := range a.Idx {
-		colRefs[int(k)]++
-	}
-	var total int64
-	for k := 0; k < b.Rows; k++ {
-		if colRefs[k] == 0 {
-			continue
-		}
-		rowNNZ := int64(b.Ptr[k+1] - b.Ptr[k])
-		total += colRefs[k] * (rowNNZ*(tensor.MetaBytes+tensor.ValueBytes) + 2*tensor.MetaBytes)
-	}
-	return total
+	traffic := s.AFootprint + trafficB + s.ZFootprint
+	return rooflineResult(traffic, s.MACCs, cpu)
 }
 
 // rooflineResult converts traffic and work into time under the roofline.

@@ -46,21 +46,6 @@ func TestSmallWorkloadIsOnePass(t *testing.T) {
 	}
 }
 
-func TestStreamedBBytes(t *testing.T) {
-	// Each A element (i,k) streams B row k once, so a dense-banded A
-	// with ~r entries per column streams roughly r passes over B's rows.
-	m := gen.Banded(128, 6, 2, 0.9, 3)
-	stream := StreamedBBytes(m, m)
-	if stream < m.Footprint() {
-		t.Fatalf("stream %d below one pass %d despite multiple references per row", stream, m.Footprint())
-	}
-	// An empty A streams nothing.
-	empty := gen.Uniform(128, 128, 0, 1)
-	if s := StreamedBBytes(empty, m); s != 0 {
-		t.Fatalf("empty A streamed %d bytes", s)
-	}
-}
-
 func TestHitFraction(t *testing.T) {
 	if h := hitFraction(100, 50); h != 1 {
 		t.Fatalf("resident hit = %g", h)

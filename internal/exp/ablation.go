@@ -98,6 +98,9 @@ func (c *Context) AblAutoTile() (*metrics.Table, error) {
 	}
 	cells, err := forEntries(c, entries, func(e workloads.Entry) (cell, error) {
 		base, err := c.Square(e)
+		if err == nil {
+			base, err = base.Built() // the edge choice reads the operands
+		}
 		if err != nil {
 			return cell{}, err
 		}

@@ -21,9 +21,10 @@ func (c *Context) Fig12() (*metrics.Table, error) {
 	kinds := []sim.IntersectKind{sim.SkipBased, sim.Parallel, sim.SerialOptimal}
 	mults := []float64{1, 2, 4, 8}
 	entries := c.fig6Entries()
-	// The CPU reference is machine-sweep-invariant (and O(nnz)): one run
-	// per entry, not one per (bandwidth, unit, workload) cell. Running it
-	// first also builds every memoized S² workload the sweep prices.
+	// The CPU reference is machine-sweep-invariant and reads only the
+	// workload summary: one run per entry, not one per (bandwidth, unit,
+	// workload) cell. Against a store holding every workload's summary
+	// record and schedule, neither it nor the sweep builds a workload.
 	cpuSecs, err := forEntries(c, entries, func(e workloads.Entry) (float64, error) {
 		w, err := c.Square(e)
 		if err != nil {

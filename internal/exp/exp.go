@@ -116,6 +116,9 @@ type Context struct {
 	// store is the disk tier behind the trace cache (nil-safe; disabled
 	// when Opt.TraceStore is empty). See store.go.
 	store *diskcache.Cache
+	// summaries holds the S² workload summary records on the same root,
+	// next to the schedules that need them (see store.go).
+	summaries *diskcache.Cache
 
 	mu     sync.Mutex
 	spmspm map[string]*workloadCell
@@ -169,6 +172,7 @@ func NewContext(opt Options) *Context {
 			budget = defaultTraceStoreBudget
 		}
 		c.store = diskcache.New(opt.TraceStore, ".drtt", budget)
+		c.summaries = diskcache.New(opt.TraceStore, ".drtw", budget)
 	}
 	return c
 }
@@ -278,10 +282,18 @@ func (c *Context) CPU() cpuref.CPU {
 
 // Square returns the memoized S² workload (B = A) for a catalog entry.
 // Concurrent callers racing on the same entry block until the single
-// generation completes; a generation error is memoized alongside the
+// preparation completes; a preparation error is memoized alongside the
 // workload (the run is aborting on it anyway).
+//
+// With the trace store on and a summary record stored for the entry, the
+// workload is deferred (accel.Deferred): MACCs and the summary accessors
+// answer from the record at once, and operands, grids and the reference
+// pass are built only when something first needs them, so a figure served
+// entirely from the store builds none of them. Otherwise — store off, or
+// no usable record — the workload is built here, and with the store on
+// its record is written for the next process.
 func (c *Context) Square(e workloads.Entry) (*accel.Workload, error) {
-	return c.workload(e.Name, func() (*accel.Workload, error) { return c.buildSquare(e) })
+	return c.workload(e.Name, func() (*accel.Workload, error) { return c.square(e) })
 }
 
 // workload returns the memoized workload for key, building it at most
@@ -332,27 +344,58 @@ func (c *Context) countLookup(built bool) {
 	}
 }
 
-// buildSquare generates one S² workload; called exactly once per entry.
-func (c *Context) buildSquare(e workloads.Entry) (*accel.Workload, error) {
+// square prepares one S² workload, deferred behind its stored summary
+// record when the store holds one; called exactly once per entry.
+func (c *Context) square(e workloads.Entry) (*accel.Workload, error) {
+	spec := e.Spec(c.Opt.Scale)
+	c.noteSpec(e.Name, spec)
+	build := func() (*accel.Workload, error) { return c.buildSquare(e.Name, spec) }
+	key := c.summaryKey(e.Name, spec)
+	if sum, ok := c.loadSummary(key); ok {
+		return accel.Deferred(e.Name, c.Opt.MicroTile, sum, func() (*accel.Workload, error) {
+			w, err := build()
+			if err == nil && w.Summary() != sum {
+				c.replaceSummary(key, w)
+			}
+			return w, err
+		}), nil
+	}
+	w, err := build()
+	if err == nil {
+		c.storeSummary(key, w)
+	}
+	return w, err
+}
+
+// buildSquare generates one S² workload's operand and builds its grids
+// and reference counts.
+func (c *Context) buildSquare(name string, spec gen.Spec) (*accel.Workload, error) {
 	rec := obs.OrNop(c.Opt.Rec)
 	span := rec.Begin(obs.CatPhase, "prepare")
 	defer rec.End(span)
-	spec := e.Spec(c.Opt.Scale)
-	c.noteSpec(e.Name, spec)
+	c.countBuild()
 	op, err := c.operand(spec, rec)
 	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", e.Name, err)
+		return nil, fmt.Errorf("exp: %s: %w", name, err)
 	}
 	var w *accel.Workload
 	if op.Compact != nil {
-		w, err = accel.NewWorkloadOf32(e.Name, op.Compact, op.Compact, c.workloadConfig())
+		w, err = accel.NewWorkloadOf32(name, op.Compact, op.Compact, c.workloadConfig())
 	} else {
-		w, err = accel.NewWorkloadWith(e.Name, op.Wide, op.Wide, c.workloadConfig())
+		w, err = accel.NewWorkloadWith(name, op.Wide, op.Wide, c.workloadConfig())
 	}
 	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", e.Name, err)
+		return nil, fmt.Errorf("exp: %s: %w", name, err)
 	}
 	return w, nil
+}
+
+// countBuild counts one memoized workload actually built — operands,
+// grids and reference pass — as exp.workload.builds. Memo lookups stay
+// exp.workload.hits and misses; a deferred workload is a miss that builds
+// only on first use, and never if nothing needs it.
+func (c *Context) countBuild() {
+	obs.OrNop(c.Opt.Rec).Count("exp.workload.builds", 1)
 }
 
 // noteSpec records the generator spec behind the workload named key: it

@@ -29,6 +29,13 @@ import (
 // eligible cell records on first use and one-shot grids (Fig. 14's
 // partition sweep, Fig. 17's micro-tile ablation) become replay-bound on
 // warm restarts too.
+//
+// Next to the schedules the store keeps one summary record (.drtw, see
+// accel.WorkloadSummary) per S² workload: its MACCs, input and output
+// footprints and streamed-B bytes — everything a figure served from the
+// store reads of the workload. A process that finds the record defers the
+// workload (see Context.Square), so a warm rerun of a replayed figure
+// builds no operands, grids or reference pass at all.
 
 // defaultTraceStoreBudget bounds the store directory when the caller does
 // not: 4 GiB holds tens of thousands of bench-scale schedules and a few
@@ -201,4 +208,90 @@ func (c *Context) storeTrace(key traceKey, tr *accel.Trace) {
 	if evicted > 0 {
 		obs.OrNop(c.Opt.Rec).Count("trace_store.evictions", int64(evicted))
 	}
+}
+
+// summaryStoreKey is the canonical JSON form a summary record's disk key
+// hashes: the record-format and keying version salts, the Context-wide
+// workload shaping knobs, and the workload's name and generator spec —
+// the trace keys' workload half.
+type summaryStoreKey struct {
+	Format    int // accel.SummaryFormatVersion
+	KeyVer    int // storeKeyVersion
+	Scale     int
+	MicroTile int
+	Workload  string
+	Spec      gen.Spec
+}
+
+// summaryKey content-addresses the summary record of the workload named
+// name built from spec. It returns "" (never stored, never looked up) with
+// the store off, or if marshaling fails, which it cannot for these types.
+func (c *Context) summaryKey(name string, spec gen.Spec) string {
+	if !c.summaries.Enabled() {
+		return ""
+	}
+	blob, err := json.Marshal(summaryStoreKey{
+		Format:    accel.SummaryFormatVersion,
+		KeyVer:    storeKeyVersion,
+		Scale:     c.Opt.Scale,
+		MicroTile: c.Opt.MicroTile,
+		Workload:  name,
+		Spec:      spec,
+	})
+	if err != nil {
+		return ""
+	}
+	return diskcache.Key(blob)
+}
+
+// loadSummary reads one summary record. A decodable record is a hit
+// (counted as summary_store.hits and mtime-touched for the LRU); a
+// missing, truncated or corrupt one is a miss (summary_store.misses), and
+// an undecodable file is purged so the rebuilt workload's record gets a
+// clean slot.
+func (c *Context) loadSummary(key string) (accel.WorkloadSummary, bool) {
+	var s accel.WorkloadSummary
+	if key == "" {
+		return s, false
+	}
+	rec := obs.OrNop(c.Opt.Rec)
+	b, err := os.ReadFile(c.summaries.Path(key))
+	if err == nil {
+		err = s.UnmarshalBinary(b)
+		if err != nil {
+			c.summaries.Remove(key)
+		}
+	}
+	if err != nil {
+		rec.Count("summary_store.misses", 1)
+		return s, false
+	}
+	rec.Count("summary_store.hits", 1)
+	c.summaries.Touch(key)
+	return s, true
+}
+
+// storeSummary writes w's summary record, best-effort: a failed write is
+// just a future miss.
+func (c *Context) storeSummary(key string, w *accel.Workload) {
+	if key == "" {
+		return
+	}
+	blob, err := w.Summary().MarshalBinary()
+	if err != nil {
+		return
+	}
+	c.summaries.Put(key, func(f *os.File) error {
+		_, err := f.Write(blob)
+		return err
+	})
+}
+
+// replaceSummary handles a record that disagrees with the workload a
+// deferred Square later built: the record was a miss after all, so it is
+// counted as one, purged, and rewritten from the build.
+func (c *Context) replaceSummary(key string, w *accel.Workload) {
+	obs.OrNop(c.Opt.Rec).Count("summary_store.misses", 1)
+	c.summaries.Remove(key)
+	c.storeSummary(key, w)
 }

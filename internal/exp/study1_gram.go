@@ -54,6 +54,7 @@ func (c *Context) Fig09() (*metrics.Table, error) {
 		// (building one runs the exact reference kernel); repeated
 		// invocations reuse them.
 		gw, err := c.gramWorkload(e.Name, func() (*accel.GramWorkload, error) {
+			c.countBuild()
 			cfg := c.workloadConfig()
 			cfg.MicroTile = c.Opt.MicroTile/2 + 1
 			return accel.NewGramWorkloadWith(e.Name, e.Generate(ts), cfg)

@@ -12,7 +12,6 @@ import (
 
 	"drt/internal/accel"
 	"drt/internal/core"
-	"drt/internal/cpuref"
 	"drt/internal/extractor"
 	"drt/internal/sim"
 	"drt/internal/tensor"
@@ -56,8 +55,8 @@ func Run(w *accel.Workload, opt Options) (Study, error) {
 	var s Study
 	// Untiled row-wise SpMSpM: A streamed once, B rows fetched per
 	// referencing A element with no reuse, Z written once.
-	fa, _ := w.InputFootprint()
-	s.UntiledBytes = fa + cpuref.StreamedBBytesW(w) + w.OutputFootprint()
+	sum := w.Summary()
+	s.UntiledBytes = sum.AFootprint + sum.StreamedB + sum.ZFootprint
 
 	capA, capB, capO := opt.Partition.Split(opt.LLCBytes)
 	base := accel.EngineOptions{
