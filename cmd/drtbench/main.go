@@ -61,6 +61,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"runtime"
 	"strings"
@@ -208,26 +209,11 @@ func main() {
 	}
 	stopProf()
 	if rec != nil {
-		// The cache-effectiveness summary that used to require scraping the
-		// metrics JSON: one structured line per run.
-		logger.Info("cache summary",
-			"workload_hits", rec.Counter("exp.workload.hits"),
-			"workload_misses", rec.Counter("exp.workload.misses"),
-			"workload_builds", rec.Counter("exp.workload.builds"),
-			"summary_hits", rec.Counter("summary_store.hits"),
-			"summary_misses", rec.Counter("summary_store.misses"),
-			"trace_hits", rec.Counter("exp.tracecache.hits"),
-			"trace_misses", rec.Counter("exp.tracecache.misses"),
-			"trace_direct", rec.Counter("exp.tracecache.direct"),
-			"trace_evictions", rec.Counter("exp.tracecache.evictions"),
-			"store_hits", rec.Counter("trace_store.hits"),
-			"store_misses", rec.Counter("trace_store.misses"),
-			"boxcache_hits", rec.Counter("extract.boxcache.hits"),
-			"boxcache_misses", rec.Counter("extract.boxcache.misses"))
+		logCacheSummary(logger, rec)
 	}
 	logger.Info("run end", "cmd", "drtbench", "seconds", time.Since(runStart).Seconds())
 	if *metricsOut != "" {
-		dump.Meta = rec.Snapshot().Meta
+		dump = withRun(dump, rec)
 		f, err := os.Create(*metricsOut)
 		if err != nil {
 			cli.Fatalf("drtbench: -metrics-out: %v", err)
@@ -240,4 +226,39 @@ func main() {
 			cli.Fatalf("drtbench: -metrics-out: %v", err)
 		}
 	}
+}
+
+// cacheSummary names the counters of the -log info "cache summary" line:
+// the cache-effectiveness totals, one structured line per run.
+var cacheSummary = []struct{ key, counter string }{
+	{"workload_hits", "exp.workload.hits"},
+	{"workload_misses", "exp.workload.misses"},
+	{"workload_builds", "exp.workload.builds"},
+	{"summary_hits", "summary_store.hits"},
+	{"summary_misses", "summary_store.misses"},
+	{"trace_hits", "exp.tracecache.hits"},
+	{"trace_misses", "exp.tracecache.misses"},
+	{"trace_direct", "exp.tracecache.direct"},
+	{"trace_evictions", "exp.tracecache.evictions"},
+	{"store_hits", "trace_store.hits"},
+	{"store_misses", "trace_store.misses"},
+	{"boxcache_hits", "extract.boxcache.hits"},
+	{"boxcache_misses", "extract.boxcache.misses"},
+}
+
+// logCacheSummary logs the run's "cache summary" line.
+func logCacheSummary(logger *slog.Logger, rec *obs.Collector) {
+	args := make([]any, 0, 2*len(cacheSummary))
+	for _, c := range cacheSummary {
+		args = append(args, c.key, rec.Counter(c.counter))
+	}
+	logger.Info("cache summary", args...)
+}
+
+// withRun stamps the run's metadata and counters into the -metrics-out
+// dump, so the file carries every count the cache summary line prints.
+func withRun(d metrics.Dump, rec *obs.Collector) metrics.Dump {
+	snap := rec.Snapshot()
+	d.Meta, d.Counters = snap.Meta, snap.Counters
+	return d
 }

@@ -19,15 +19,13 @@
 // structured slog records. Exit codes: 2 for usage errors, 1 for runtime
 // errors.
 //
-// Performance knobs (-parallel, -sched, -trace-store) change only how fast
-// the simulation runs, never its result: -parallel bounds worker
-// goroutines (static-shape sweep, reference pass), -sched picks their
-// dispatch order (lpt longest-first with work stealing, or fifo index
-// order — see DESIGN.md "Scheduling"), and -trace-store (off by default;
+// Performance knobs (-parallel, -trace-store) change only how fast the
+// simulation runs, never its result: -parallel bounds worker goroutines
+// (static-shape sweep, reference pass), and -trace-store (off by default;
 // "auto" resolves DRT_TRACE_CACHE or the user cache dir) serves the
 // extensor-op-drt schedule from the persistent trace store when an
 // earlier run recorded it (see DESIGN.md "Persistent trace store"). The
-// report is byte-identical at any setting of all three.
+// report is byte-identical at any setting of both.
 // Every run is priced by the same per-task replay that retimes a recorded
 // schedule (DESIGN.md "Trace record/replay").
 package main
@@ -56,7 +54,6 @@ import (
 	"drt/internal/metrics"
 	"drt/internal/obs"
 	"drt/internal/obs/httpserve"
-	"drt/internal/par"
 	"drt/internal/sim"
 	"drt/internal/workloads"
 )
@@ -76,7 +73,6 @@ func main() {
 		scale      = flag.Int("scale", 16, "workload scale-down factor")
 		microTile  = flag.Int("microtile", 16, "micro tile edge")
 		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the static-shape sweep and the reference pass (1 = sequential)")
-		schedFlag  = flag.String("sched", "lpt", "cell dispatch order: lpt (longest first, work stealing) | fifo (index order)")
 		traceStore = flag.String("trace-store", "off", "persistent trace store for extensor-op-drt: off, auto (DRT_TRACE_CACHE or the user cache dir), or a directory; replays schedules recorded by earlier runs (byte-identical report)")
 		trace      = flag.Bool("trace", false, "render the DRT task tiling of the K×J plane as ASCII")
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON on stdout instead of text")
@@ -87,7 +83,7 @@ func main() {
 	listen := cli.AddListenFlag()
 	logLevel := cli.AddLogFlag()
 	prof := cli.AddProfileFlags()
-	cli.GroupUsage("drtsim", "Performance knobs", "parallel", "sched", "trace-store")
+	cli.GroupUsage("drtsim", "Performance knobs", "parallel", "trace-store")
 	flag.Parse()
 	defer cli.Cleanup()
 	stopProf := prof.Start("drtsim")
@@ -111,10 +107,6 @@ func main() {
 	if *microTile < 1 {
 		cli.Usagef("drtsim: -microtile %d: must be at least 1", *microTile)
 	}
-	sched, err := par.ParseSched(*schedFlag)
-	if err != nil {
-		cli.Usagef("drtsim: %v", err)
-	}
 
 	// The collector is attached only when an observability output was
 	// requested, keeping the default run on the allocation-free path.
@@ -126,7 +118,6 @@ func main() {
 		rec.SetMeta("accel", *accelName)
 		rec.SetMeta("scale", fmt.Sprint(*scale))
 		rec.SetMeta("microtile", fmt.Sprint(*microTile))
-		rec.SetMeta("sched", *schedFlag)
 		rec.SetMeta("trace-store", exp.TraceStoreDir(*traceStore))
 		rec.SetMeta("seed", fmt.Sprint(e.Seed))
 		if spec, err := json.Marshal(e.Spec(*scale)); err == nil {
@@ -142,7 +133,6 @@ func main() {
 	if *progress || *listen != "" {
 		prog = obs.NewProgress()
 		prog.SetPhase("generate")
-		prog.SetSched(sched.String())
 		obs.SetActive(prog)
 	}
 	if *listen != "" {
@@ -192,7 +182,7 @@ func main() {
 	}
 
 	prog.SetPhase("simulate")
-	r, err := run(c, e.Name, *accelName, w, m, *parallel, sched, rec)
+	r, err := run(c, e.Name, *accelName, w, m, *parallel, rec)
 	if err != nil {
 		cli.Fatalf("drtsim: %v", err)
 	}
@@ -289,7 +279,7 @@ func printTrace(a *accel.Workload, microTile int) error {
 	return nil
 }
 
-func run(c *exp.Context, wkey, name string, w *accel.Workload, m sim.Machine, parallel int, sched par.Sched, rec *obs.Collector) (sim.Result, error) {
+func run(c *exp.Context, wkey, name string, w *accel.Workload, m sim.Machine, parallel int, rec *obs.Collector) (sim.Result, error) {
 	var r obs.Recorder
 	if rec != nil {
 		r = rec
@@ -297,7 +287,6 @@ func run(c *exp.Context, wkey, name string, w *accel.Workload, m sim.Machine, pa
 	exOpt := extensor.DefaultOptions()
 	exOpt.Machine = m
 	exOpt.Parallel = parallel
-	exOpt.Sched = sched
 	exOpt.Rec = r
 	osOpt := outerspace.Options{Machine: m, Partition: exOpt.Partition, Rec: r}
 	mrOpt := matraptor.Options{Machine: m, Partition: exOpt.Partition, Rec: r}

@@ -11,7 +11,6 @@ import (
 	"drt/internal/accel"
 	"drt/internal/exp"
 	"drt/internal/obs"
-	"drt/internal/par"
 	"drt/internal/tiling"
 	"drt/internal/workloads"
 )
@@ -40,13 +39,11 @@ func TestReportGolden(t *testing.T) {
 	a := e.Generate(scale)
 	golden := filepath.Join("testdata", "report_bcsstk17.golden")
 	for _, cfg := range []struct {
-		name  string
-		grid  tiling.Mode
-		sched par.Sched
+		name string
+		grid tiling.Mode
 	}{
-		{"dense/fifo", tiling.Dense, par.FIFO},
-		{"dense/lpt", tiling.Dense, par.LPT},
-		{"compressed/fifo", tiling.Compressed, par.FIFO},
+		{"dense", tiling.Dense},
+		{"compressed", tiling.Compressed},
 	} {
 		grid := cfg.grid
 		w, err := accel.NewWorkloadWith(e.Name, a, a,
@@ -57,16 +54,16 @@ func TestReportGolden(t *testing.T) {
 		c := exp.NewContext(exp.Options{Scale: scale, MicroTile: microTile})
 		m := c.Machine()
 		// The golden file was produced by a sequential run; simulating
-		// with four workers under both dispatch orders and still matching
-		// it byte-for-byte pins the parallel paths' determinism guarantee.
-		r, err := run(c, e.Name, accelName, w, m, 4, cfg.sched, nil)
+		// with four workers and still matching it byte-for-byte pins the
+		// parallel paths' determinism guarantee.
+		r, err := run(c, e.Name, accelName, w, m, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		report(&buf, w, r, m)
 
-		if *update && grid == tiling.Dense && cfg.sched == par.FIFO {
+		if *update && grid == tiling.Dense {
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +105,7 @@ func TestReportGoldenTraceStore(t *testing.T) {
 	for pass, name := range []string{"cold", "warm"} {
 		rec := obs.NewCollector()
 		c := exp.NewContext(exp.Options{Scale: 64, MicroTile: 8, TraceStore: dir, Rec: rec})
-		r, err := run(c, e.Name, "extensor-op-drt", w, c.Machine(), 4, par.LPT, nil)
+		r, err := run(c, e.Name, "extensor-op-drt", w, c.Machine(), 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +152,7 @@ func TestJSONMatchesText(t *testing.T) {
 	c := exp.NewContext(exp.Options{Scale: 64, MicroTile: 8})
 	m := c.Machine()
 	rec := obs.NewCollector()
-	r, err := run(c, e.Name, "extensor-op-drt", w, m, 1, par.FIFO, rec)
+	r, err := run(c, e.Name, "extensor-op-drt", w, m, 1, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 package accel
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"drt/internal/core"
 	"drt/internal/extractor"
@@ -171,21 +174,70 @@ func maxI64(a, b int64) int64 {
 // array and the extraction pipeline as soon as it is captured. It
 // verifies the task partition covers the kernel exactly.
 func RunTasks(w *Workload, opt EngineOptions) (sim.Result, error) {
+	res, _, err := RunTasksBelow(w, opt, nil)
+	return res, err
+}
+
+// Ceiling is a cycle bound shared by concurrent engine runs (see
+// RunTasksBelow). The zero value is not usable; call NewCeiling.
+type Ceiling struct{ bits atomic.Uint64 }
+
+// NewCeiling returns an unbounded ceiling.
+func NewCeiling() *Ceiling {
+	c := &Ceiling{}
+	c.bits.Store(math.Float64bits(math.Inf(1)))
+	return c
+}
+
+// Load returns the current bound.
+func (c *Ceiling) Load() float64 { return math.Float64frombits(c.bits.Load()) }
+
+// Lower lowers the bound to v when v is below it.
+func (c *Ceiling) Lower(v float64) {
+	for {
+		old := c.bits.Load()
+		if v >= math.Float64frombits(old) || c.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
+// errAboveCeiling stops a run whose cycles already exceed its ceiling.
+var errAboveCeiling = errors.New("accel: run exceeds its cycle ceiling")
+
+// RunTasksBelow is RunTasks under a ceiling that other goroutines may
+// lower while it runs (nil: no ceiling). Every term of Result.Cycles()
+// only grows as tasks are priced — DRAM cycles over the A+B+Z bytes
+// charged so far, the busiest PE and the extraction total — so their
+// running maximum bounds the finished run's Cycles() from below. The run
+// stops, returning ok=false and no Result, as soon as that bound is
+// strictly above the ceiling, or when the finished run is. A run that
+// returns ok is exactly RunTasks' run: the checks read the pricing state
+// and never change it.
+func RunTasksBelow(w *Workload, opt EngineOptions, c *Ceiling) (res sim.Result, ok bool, err error) {
 	rec := obs.OrNop(opt.Rec)
 	runSpan := rec.Begin(obs.CatPhase, "simulate")
 	defer rec.End(runSpan)
 	sc := retimePool.Get().(*retimeScratch)
 	defer retimePool.Put(sc)
 	sc.plan([]RetimeConfig{{Machine: opt.Machine, Intersect: opt.Intersect, Extractor: opt.Extractor}}, opt.Rec)
+	sc.ceiling = c
 	trc := &sc.capture
 	*trc = Trace{Name: w.Name, hierarchical: opt.PELevel != nil,
 		taskRecs: trc.taskRecs[:0], rows: trc.rows[:0], subs: trc.subs[:0], exts: trc.exts[:0], dists: trc.dists[:0]}
-	if err := runTasks(w, opt, trc, sc); err != nil {
-		return sim.Result{}, err
+	err = runTasks(w, opt, trc, sc)
+	if errors.Is(err, errAboveCeiling) {
+		return sim.Result{}, false, nil
 	}
-	res := sc.result(trc, 0)
+	if err != nil {
+		return sim.Result{}, false, err
+	}
+	res = sc.result(trc, 0)
+	if c != nil && res.Cycles() > c.Load() {
+		return sim.Result{}, false, nil
+	}
 	res.RecordTo(opt.Rec)
-	return res, nil
+	return res, true, nil
 }
 
 // runTasks is the engine loop behind RunTasks and RecordTasks. It only
@@ -193,7 +245,9 @@ func RunTasks(w *Workload, opt EngineOptions) (sim.Result, error) {
 // lands in trc, and the run's ledgers land in trc when the walk ends.
 // With a non-nil price, each task is priced as soon as it is captured and
 // trc's per-task arrays are then emptied, so a direct run never holds
-// more than one task of its schedule. A deferred workload is built first.
+// more than one task of its schedule; a run whose priced cycles pass
+// price's ceiling stops with errAboveCeiling. A deferred workload is
+// built first.
 func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) error {
 	w, err := w.Built()
 	if err != nil {
@@ -319,6 +373,9 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) 
 		if price != nil {
 			price.price(trc, tc)
 			trc.dropTasks()
+			if price.above(trc, out.zTotal) {
+				return errAboveCeiling
+			}
 		}
 	}
 	out.flush()

@@ -13,6 +13,7 @@ package extensor
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"drt/internal/accel"
 	"drt/internal/core"
@@ -75,14 +76,8 @@ type Options struct {
 	// Parallel is the worker count the static-shape sweep evaluates its
 	// candidates across (0 or negative = one per CPU, 1 = sequential).
 	// The winning shape — and therefore the returned Result — is
-	// identical at any setting: candidates are compared in proposal
-	// order.
+	// identical at any setting (see sweepShapes).
 	Parallel int
-	// Sched is the sweep pool's dispatch order (par.LPT starts the
-	// smallest-tile candidates — the ones with the most tasks — first).
-	// The winner is compared in proposal order, so the result is
-	// identical at any setting.
-	Sched par.Sched
 	// Rec, when non-nil, receives the run's instrumentation (see
 	// accel.EngineOptions.Rec). The static-shape sweep records only the
 	// winning shape's run, so an attached recorder's totals match the
@@ -165,7 +160,7 @@ func Run(v Variant, w *accel.Workload, opt Options) (sim.Result, error) {
 		// The sweep instruments only the winning shape's run; runSweep
 		// re-simulates it with the recorder when one is attached.
 		base.Rec = nil
-		return runSweep(w, base, base.CapA, base.CapB, sweepPool(opt), opt.Rec)
+		return runSweep(w, base, base.CapA, base.CapB, opt.Parallel, opt.Rec)
 	}
 	return accel.RunTasks(w, base)
 }
@@ -241,10 +236,14 @@ func RetimeBatch(v Variant, tr *accel.Trace, opts []Options) []sim.Result {
 	return tr.RetimeBatch(cfgs)
 }
 
-// staticShapes proposes S-U-C tile shapes (in micro-tile grid units) whose
-// worst-case dense footprint fits the partitions — the constraint the
-// paper identifies for explicitly managed buffers (Sec. 4.1) — and a few
-// aspect-ratio variants for the sweep.
+// staticShapes proposes S-U-C tile shapes (in micro-tile grid units) sized
+// so a dense tile fits the partitions — the constraint the paper
+// identifies for explicitly managed buffers (Sec. 4.1) — and a few
+// aspect-ratio variants for the sweep. B's K×J tile always fits capB.
+// A's I extent is capA's share over the K extent, rounded down but at
+// least 1, so an elongated shape's dense A tile can exceed capA; the
+// engine then shrinks K under I→J→K and overflows under J→K→I, and the
+// two loop orders visit different boxes.
 func staticShapes(w *accel.Workload, capA, capB int64) [][3]int {
 	mt := w.MicroTile
 	denseTileBytes := float64(mt*mt) * (tensor.MetaBytes + tensor.ValueBytes)
@@ -276,18 +275,12 @@ func staticShapes(w *accel.Workload, capA, capB int64) [][3]int {
 	}
 }
 
-// sweepPool extracts the sweep's worker-pool configuration from the study
-// options.
-func sweepPool(opt Options) par.Options {
-	return par.Options{Workers: opt.Parallel, Sched: opt.Sched}
-}
-
 // runSweep performs the static-shape sweep and, when a recorder is
 // attached, re-simulates the winning shape with instrumentation so the
 // recorder reflects exactly one run — the one whose Result is returned —
 // rather than the sum of all candidates.
-func runSweep(w *accel.Workload, base accel.EngineOptions, capA, capB int64, pool par.Options, rec obs.Recorder) (sim.Result, error) {
-	r, shape, err := sweepStatic(w, base, capA, capB, pool)
+func runSweep(w *accel.Workload, base accel.EngineOptions, capA, capB int64, workers int, rec obs.Recorder) (sim.Result, error) {
+	r, shape, err := sweepStatic(w, base, capA, capB, workers)
 	if err != nil || rec == nil {
 		return r, err
 	}
@@ -298,37 +291,65 @@ func runSweep(w *accel.Workload, base accel.EngineOptions, capA, capB int64, poo
 	return accel.RunTasks(w, base)
 }
 
-// sweepStatic runs every candidate static shape and returns the best
-// (lowest-cycle) result and its shape, mirroring the paper's per-workload
-// shape sweep. Candidates are simulated across the worker pool but
-// compared in proposal order with a strict less-than, so ties and the
-// reported first error resolve exactly as the sequential sweep did. A
-// deferred workload is built first: the task weights read its grids.
-func sweepStatic(w *accel.Workload, base accel.EngineOptions, capA, capB int64, pool par.Options) (sim.Result, []int, error) {
+// sweepStatic returns the best (lowest-cycle) staticShapes candidate and
+// its result, mirroring the paper's per-workload shape sweep. A deferred
+// workload is built first: the shapes and their task counts read its
+// grids.
+func sweepStatic(w *accel.Workload, base accel.EngineOptions, capA, capB int64, workers int) (sim.Result, []int, error) {
 	w, err := w.Built()
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
-	shapes := staticShapes(w, capA, capB)
-	// A candidate's cost grows with its task count — the tile volume is
-	// fixed, so smaller shapes mean more tasks and more per-task overhead;
-	// weight each shape by the grid's task count so LPT starts the
-	// slowest candidate first.
+	return sweepShapes(w, base, staticShapes(w, capA, capB), workers)
+}
+
+// sweepShapes is the sweep over the given candidate shapes, a
+// branch-and-bound search. Candidates start cheapest first, by their
+// grid's task count, and share one ceiling: each completed run lowers it
+// to its cycles, and every running candidate stops as soon as its cycles
+// provably exceed it (accel.RunTasksBelow). The result is the lowest
+// (cycles, proposal index) among completed runs, which is exactly what
+// running every candidate to the end and keeping the first strict
+// minimum in proposal order returns, at any worker count: the ceiling is
+// always some completed run's cycles, so a stopped candidate is strictly
+// slower than that run, while the winner's running cycles never pass the
+// minimum and it always completes, unchanged by the checks. A candidate
+// is only stopped after another has succeeded, so when none succeeds
+// every candidate ran to its end and the first error in proposal order is
+// reported. Which losers stop, and how far they get, depends on timing
+// when workers > 1. w must be built.
+func sweepShapes(w *accel.Workload, base accel.EngineOptions, shapes [][3]int, workers int) (sim.Result, []int, error) {
+	// The tile volume is fixed, so a shape's cost grows with its task
+	// count. The cheapest candidates finish first and set the ceiling the
+	// costlier ones are cut against.
 	gaR, gaC := w.GA.Extents()
 	_, gbC := w.GB.Extents()
-	pool.Weights = make([]int64, len(shapes))
+	tasks := make([]int64, len(shapes))
+	order := make([]int, len(shapes))
 	for i, s := range shapes {
-		pool.Weights[i] = int64(ceilDiv(gaR, s[0])) * int64(ceilDiv(gbC, s[1])) * int64(ceilDiv(gaC, s[2]))
+		tasks[i] = int64(ceilDiv(gaR, s[0])) * int64(ceilDiv(gbC, s[1])) * int64(ceilDiv(gaC, s[2]))
+		order[i] = i
 	}
+	sort.SliceStable(order, func(a, b int) bool { return tasks[order[a]] < tasks[order[b]] })
 	type candidate struct {
 		r   sim.Result
+		ok  bool
 		err error
 	}
-	cands, _ := par.MapWith(pool, len(shapes), func(i int) (candidate, error) {
+	ceiling := accel.NewCeiling()
+	cands := make([]candidate, len(shapes))
+	// The mapped function never fails: each candidate's error is kept in
+	// cands and resolved in proposal order below.
+	_, _ = par.Map(workers, len(shapes), func(n int) (struct{}, error) {
+		i := order[n]
 		opt := base
 		opt.InitialSize = []int{shapes[i][0], shapes[i][1], shapes[i][2]}
-		r, err := accel.RunTasks(w, opt)
-		return candidate{r: r, err: err}, nil
+		r, ok, err := accel.RunTasksBelow(w, opt, ceiling)
+		if ok {
+			ceiling.Lower(r.Cycles())
+		}
+		cands[i] = candidate{r: r, ok: ok, err: err}
+		return struct{}{}, nil
 	})
 	var best sim.Result
 	var bestShape []int
@@ -340,7 +361,7 @@ func sweepStatic(w *accel.Workload, base accel.EngineOptions, capA, capB int64, 
 			}
 			continue
 		}
-		if bestShape == nil || cand.r.Cycles() < best.Cycles() {
+		if cand.ok && (bestShape == nil || cand.r.Cycles() < best.Cycles()) {
 			best = cand.r
 			bestShape = []int{shapes[i][0], shapes[i][1], shapes[i][2]}
 		}
@@ -373,7 +394,7 @@ func BestStaticShape(v Variant, w *accel.Workload, opt Options) ([]int, error) {
 	default:
 		return nil, fmt.Errorf("extensor: %v is not a static variant", v)
 	}
-	_, shape, err := sweepStatic(w, base, capA, capB, sweepPool(opt))
+	_, shape, err := sweepStatic(w, base, capA, capB, opt.Parallel)
 	return shape, err
 }
 

@@ -79,6 +79,9 @@ type retimeScratch struct {
 	// capture holds the task RunTasks is pricing; its per-task arrays are
 	// truncated after every task.
 	capture Trace
+	// ceiling, when non-nil, bounds a one-configuration direct run (see
+	// RunTasksBelow).
+	ceiling *Ceiling
 }
 
 var retimePool = sync.Pool{New: func() any { return &retimeScratch{} }}
@@ -89,6 +92,7 @@ var retimePool = sync.Pool{New: func() any { return &retimeScratch{} }}
 // one.
 func (sc *retimeScratch) plan(configs []RetimeConfig, rec obs.Recorder) {
 	sc.rec = rec
+	sc.ceiling = nil
 	sc.comp = sc.comp[:0]
 	sc.ext = sc.ext[:0]
 	if cap(sc.lanes) < len(configs) {
@@ -201,6 +205,24 @@ func (sc *retimeScratch) price(t *Trace, task *traceTask) {
 		}
 		ln.pipe.Push(sc.ext[ln.ext].task, fetch, sc.comp[ln.comp].task)
 	}
+}
+
+// above reports whether configuration 0's cycles, as priced so far with
+// z output bytes charged, are already strictly above the ceiling. Each
+// term is the running value of the matching Result.Cycles() term.
+func (sc *retimeScratch) above(t *Trace, z int64) bool {
+	if sc.ceiling == nil {
+		return false
+	}
+	ln := &sc.lanes[0]
+	c := ln.m.DRAMCycles(t.traffic.A + t.traffic.B + z)
+	if v := sc.comp[ln.comp].pe.MaxBusy(); v > c {
+		c = v
+	}
+	if v := sc.ext[ln.ext].total; v > c {
+		c = v
+	}
+	return c > sc.ceiling.Load()
 }
 
 // replay prices every recorded task of t.

@@ -20,7 +20,6 @@ func (c *Context) extensorOptions() extensor.Options {
 	opt := extensor.DefaultOptions()
 	opt.Machine = c.Machine()
 	opt.Parallel = c.Opt.Parallel
-	opt.Sched = c.Opt.Sched
 	return opt
 }
 

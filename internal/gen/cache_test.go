@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,5 +119,60 @@ func TestCacheDirDefault(t *testing.T) {
 	}
 	if got, want := CacheDir(), filepath.Join(base, "drt-operands"); got != want {
 		t.Fatalf("CacheDir() = %q, want %q", got, want)
+	}
+}
+
+// TestCachedBuildRejectsCorruptEntry pins the cache's promise that it can
+// never fail a run: a correctly sized entry whose last column index is
+// out of range is a miss, and the fresh build replaces it.
+func TestCachedBuildRejectsCorruptEntry(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("DRT_OPERAND_CACHE", dir)
+	if _, err := CachedBuild(cacheSpec, nil); err != nil {
+		t.Fatal(err)
+	}
+	files := cacheFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("cold call left %d cache files, want 1", len(files))
+	}
+	fresh, err := cacheSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fresh.CompactFits() {
+		t.Fatal("cache spec no longer stores 32-bit indices")
+	}
+	// The compact layout puts Idx right after the 40-byte header and the
+	// rows+1 segment bounds; Idx's last entry ends its row, so setting it
+	// to Cols breaks only the range check.
+	blob, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := 40 + 4*(fresh.Rows+1) + 4*(fresh.NNZ()-1)
+	binary.LittleEndian.PutUint32(blob[last:], uint32(fresh.Cols))
+	if err := os.WriteFile(files[0], blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := obs.NewCollector()
+	op, err := CachedBuild(cacheSpec, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	if rec.Counter("operand_cache.hits") != 0 || rec.Counter("operand_cache.misses") != 1 {
+		t.Errorf("corrupt entry: %d hits, %d misses; want a miss", rec.Counter("operand_cache.hits"), rec.Counter("operand_cache.misses"))
+	}
+	if !op.Widened().Equal(fresh) {
+		t.Fatal("CachedBuild served the corrupt entry")
+	}
+	again, err := CachedBuild(cacheSpec, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if rec.Counter("operand_cache.hits") != 1 || !again.Widened().Equal(fresh) {
+		t.Error("the rebuilt entry did not replace the corrupt one")
 	}
 }

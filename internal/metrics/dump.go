@@ -47,10 +47,12 @@ func (r ExpResult) Table() *Table {
 	return t
 }
 
-// Dump is the full -metrics-out document: run metadata plus one ExpResult
-// per experiment.
+// Dump is the full -metrics-out document: run metadata, the run's
+// counters (workload builds, summary and trace store hits, ...) and one
+// ExpResult per experiment.
 type Dump struct {
 	Meta        map[string]string `json:"meta,omitempty"`
+	Counters    map[string]int64  `json:"counters,omitempty"`
 	Experiments []ExpResult       `json:"experiments"`
 }
 
@@ -81,7 +83,7 @@ func LoadDump(path string) (Dump, error) {
 // recompute over the union. Experiments missing from a shard (the
 // non-shardable ones run on shard 0 only) pass through from the shards
 // that ran them. Headers and titles must agree across shards; Seconds
-// sums (total compute, not wall clock).
+// and the run counters sum (total work, not wall clock).
 func MergeDumps(dumps []Dump) (Dump, error) {
 	if len(dumps) == 0 {
 		return Dump{}, fmt.Errorf("metrics: no dumps to merge")
@@ -94,7 +96,14 @@ func MergeDumps(dumps []Dump) (Dump, error) {
 	}
 	var order []string
 	slots := map[string]*slot{}
+	var counters map[string]int64
 	for di, d := range dumps {
+		for k, v := range d.Counters {
+			if counters == nil {
+				counters = map[string]int64{}
+			}
+			counters[k] += v
+		}
 		for _, r := range d.Experiments {
 			s, ok := slots[r.ID]
 			if !ok {
@@ -119,7 +128,7 @@ func MergeDumps(dumps []Dump) (Dump, error) {
 			s.seconds += r.Seconds
 		}
 	}
-	out := Dump{Meta: dumps[0].Meta}
+	out := Dump{Meta: dumps[0].Meta, Counters: counters}
 	for _, id := range order {
 		s := slots[id]
 		for _, d := range s.derived {

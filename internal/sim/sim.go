@@ -169,10 +169,12 @@ func ComputeCycles(kind IntersectKind, scanned, maccs int64) float64 {
 // PEArray models round-robin task distribution across PEs (Sec. 6.2 "we
 // use a round-robin distributor... can lead to poor load balancing"): work
 // items are dealt to PEs in arrival order and the array's finish time is
-// the maximum per-PE sum.
+// the maximum per-PE sum. Work items cost non-negative cycles, so the
+// busiest PE only grows and is tracked as items arrive.
 type PEArray struct {
 	busy []float64
 	next int
+	max  float64
 }
 
 // NewPEArray returns an array of n idle PEs.
@@ -199,24 +201,25 @@ func (p *PEArray) Reset(n int) {
 		}
 	}
 	p.next = 0
+	p.max = 0
 }
 
-// Assign deals one work item of the given cycle cost to the next PE.
+// Assign deals one work item of the given (non-negative) cycle cost to the
+// next PE.
 func (p *PEArray) Assign(cycles float64) {
-	p.busy[p.next] += cycles
-	p.next = (p.next + 1) % len(p.busy)
+	b := p.busy[p.next] + cycles
+	p.busy[p.next] = b
+	if b > p.max {
+		p.max = b
+	}
+	if p.next++; p.next == len(p.busy) {
+		p.next = 0
+	}
 }
 
-// MaxBusy returns the busiest PE's total cycles — the array's finish time.
-func (p *PEArray) MaxBusy() float64 {
-	var m float64
-	for _, b := range p.busy {
-		if b > m {
-			m = b
-		}
-	}
-	return m
-}
+// MaxBusy returns the busiest PE's total cycles so far — the array's
+// finish time once every item is assigned.
+func (p *PEArray) MaxBusy() float64 { return p.max }
 
 // Result is the outcome of simulating one workload on one accelerator
 // configuration.

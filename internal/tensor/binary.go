@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"unsafe"
 )
@@ -14,8 +15,11 @@ import (
 // Binary operand format (.drtb): a versioned little-endian dump of one
 // compressed sparse matrix, designed so a memory-mapped file IS the
 // in-memory representation — OpenBinary on a little-endian host builds a
-// matrix whose Ptr/Idx/Val slices alias the mapping directly, loading in
-// O(1) regardless of size with pages streamed on demand.
+// matrix whose Ptr/Idx/Val slices alias the mapping directly, with no
+// copy and the value pages streamed on demand. Every decoder checks the
+// matrix structure (Mat.Validate) before returning it, one sequential
+// pass over Ptr and Idx, so a damaged file is an error, never a matrix
+// whose indices run out of range.
 //
 // Layout (all little-endian):
 //
@@ -247,7 +251,9 @@ func decodeBinaryHeader(hdr []byte) (binaryHeader, error) {
 
 // ReadBinary reads a .drtb stream fully into memory. A truncated stream
 // is reported as an error ("truncated"), never as a silently short
-// matrix.
+// matrix, and a structurally invalid one as "corrupt". The arrays grow as
+// their bytes arrive, so a header's lengths cannot allocate more than
+// the stream holds.
 func ReadBinary(r io.Reader) (*Operand, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var hdr [binaryHeaderSize]byte
@@ -270,7 +276,7 @@ func ReadBinary(r io.Reader) (*Operand, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tensor: truncated .drtb body: %w", err)
 		}
-		return &Operand{Compact: m}, nil
+		return validated(&Operand{Compact: m})
 	}
 	m := &CSR{Rows: h.rows, Cols: h.cols}
 	if m.Ptr, err = readIx[int](br, h.rows+1); err == nil {
@@ -281,7 +287,21 @@ func ReadBinary(r io.Reader) (*Operand, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tensor: truncated .drtb body: %w", err)
 	}
-	return &Operand{Wide: m}, nil
+	return validated(&Operand{Wide: m})
+}
+
+// validated returns op when its matrix is structurally valid.
+func validated(op *Operand) (*Operand, error) {
+	var err error
+	if op.Wide != nil {
+		err = op.Wide.Validate()
+	} else {
+		err = op.Compact.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("tensor: corrupt .drtb: %w", err)
+	}
+	return op, nil
 }
 
 // ReadBinaryFile reads a .drtb file fully into memory, verifying the file
@@ -325,26 +345,46 @@ func checkBinarySize(f *os.File) error {
 	return nil
 }
 
-// readIx reads n little-endian index elements of type T. On a
-// little-endian host with native-width elements the destination's backing
-// bytes are filled in one ReadFull.
-func readIx[T Ix](r io.Reader, n int) ([]T, error) {
-	s := make([]T, n)
-	if n == 0 {
-		return s, nil
-	}
-	width := int(unsafe.Sizeof(s[0]))
-	if hostLittleEndian && (width == 4 || strconv.IntSize == 64) {
-		b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), n*width)
-		if _, err := io.ReadFull(r, b); err != nil {
+// readChunk bounds, in bytes, how far a stream decode allocates ahead of
+// the data: arrays grow one chunk at a time as their bytes arrive.
+const readChunk = 1 << 20
+
+// readElems reads n elements, filling the slice one chunk at a time with
+// fill as it grows.
+func readElems[E any](r io.Reader, n int, fill func(io.Reader, []E) error) ([]E, error) {
+	var zero E
+	step := readChunk / int(unsafe.Sizeof(zero))
+	s := make([]E, 0, min(n, step))
+	for len(s) < n {
+		lo := len(s)
+		c := min(n-lo, step)
+		s = slices.Grow(s, c)[:lo+c]
+		if err := fill(r, s[lo:]); err != nil {
 			return nil, err
 		}
-		return s, nil
+	}
+	return s, nil
+}
+
+// readIx reads n little-endian index elements of type T.
+func readIx[T Ix](r io.Reader, n int) ([]T, error) { return readElems(r, n, fillIx[T]) }
+
+// readF64 reads n little-endian float64 values.
+func readF64(r io.Reader, n int) ([]float64, error) { return readElems(r, n, fillF64) }
+
+// fillIx fills s with little-endian index elements. On a little-endian
+// host with native-width elements its backing bytes are filled in one
+// ReadFull.
+func fillIx[T Ix](r io.Reader, s []T) error {
+	width := int(unsafe.Sizeof(s[0]))
+	if hostLittleEndian && (width == 4 || strconv.IntSize == 64) {
+		_, err := io.ReadFull(r, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*width))
+		return err
 	}
 	var buf [8]byte
 	for i := range s {
 		if _, err := io.ReadFull(r, buf[:width]); err != nil {
-			return nil, err
+			return err
 		}
 		if width == 4 {
 			s[i] = T(int32(binary.LittleEndian.Uint32(buf[:4])))
@@ -352,30 +392,23 @@ func readIx[T Ix](r io.Reader, n int) ([]T, error) {
 			s[i] = T(int64(binary.LittleEndian.Uint64(buf[:8])))
 		}
 	}
-	return s, nil
+	return nil
 }
 
-// readF64 reads n little-endian float64 values.
-func readF64(r io.Reader, n int) ([]float64, error) {
-	s := make([]float64, n)
-	if n == 0 {
-		return s, nil
-	}
+// fillF64 fills s with little-endian float64 values.
+func fillF64(r io.Reader, s []float64) error {
 	if hostLittleEndian {
-		b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), n*8)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		return s, nil
+		_, err := io.ReadFull(r, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8))
+		return err
 	}
 	var buf [8]byte
 	for i := range s {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, err
+			return err
 		}
 		s[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
 	}
-	return s, nil
+	return nil
 }
 
 // skipPad consumes the zero padding between the index and value arrays.
@@ -437,7 +470,7 @@ func mapBinary(data []byte, munmap func() error) (*Operand, error) {
 			idx = unsafe.Slice((*int32)(unsafe.Pointer(&data[binaryHeaderSize+int64(h.rows+1)*4])), h.nnz)
 		}
 		op.Compact = &CSR32{Rows: h.rows, Cols: h.cols, Ptr: ptr, Idx: idx, Val: val}
-		return op, nil
+		return validated(op)
 	}
 	var ptr, idx []int
 	ptr = unsafe.Slice((*int)(unsafe.Pointer(&data[binaryHeaderSize])), h.rows+1)
@@ -445,5 +478,5 @@ func mapBinary(data []byte, munmap func() error) (*Operand, error) {
 		idx = unsafe.Slice((*int)(unsafe.Pointer(&data[binaryHeaderSize+int64(h.rows+1)*8])), h.nnz)
 	}
 	op.Wide = &CSR{Rows: h.rows, Cols: h.cols, Ptr: ptr, Idx: idx, Val: val}
-	return op, nil
+	return validated(op)
 }

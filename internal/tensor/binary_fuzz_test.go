@@ -1,0 +1,167 @@
+package tensor
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// drtbHeader encodes a .drtb header declaring the given shape.
+func drtbHeader(rows, cols, nnz int64, ix32 bool) []byte {
+	hdr := make([]byte, binaryHeaderSize)
+	copy(hdr, binaryMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], binaryVersion)
+	if ix32 {
+		binary.LittleEndian.PutUint32(hdr[8:], binaryFlagIx32)
+	}
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(rows))
+	binary.LittleEndian.PutUint64(hdr[24:], uint64(cols))
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(nnz))
+	return hdr
+}
+
+// TestBinaryHugeShapeIsError pins that header lengths allocate nothing
+// the stream does not back: a 40-byte stream declaring 2^36 rows (which
+// the header check allows) once asked for a 512 GiB Ptr slice, and an nnz
+// near MaxInt64/16 after a valid Ptr panicked in makeslice. Both must be
+// plain truncation errors.
+func TestBinaryHugeShapeIsError(t *testing.T) {
+	hugeNNZ := append(drtbHeader(1, 1, math.MaxInt64/16, false), make([]byte, 16)...)
+	for name, stream := range map[string][]byte{
+		"rows":     drtbHeader(1<<36, 1, 0, false),
+		"nnz":      hugeNNZ,
+		"nnz-tail": append(hugeNNZ, make([]byte, 3<<20)...),
+	} {
+		_, err := ReadBinary(bytes.NewReader(stream))
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("%s: ReadBinary = %v, want a truncation error", name, err)
+		}
+	}
+}
+
+// TestBinaryCorruptStructureIsError pins that every decoder validates the
+// matrix it returns: correctly sized files whose column index is out of
+// range or whose segment array decreases used to load, so the operand
+// cache served them to the engine.
+func TestBinaryCorruptStructureIsError(t *testing.T) {
+	m := &CSR{Rows: 2, Cols: 4, Ptr: []int{0, 1, 2}, Idx: []int{1, 3}, Val: []float64{1, 2}}
+	cases := map[string]*CSR{
+		"column out of range": {Rows: 2, Cols: 4, Ptr: []int{0, 1, 2}, Idx: []int{1, 4}, Val: []float64{1, 2}},
+		"ptr decreases":       {Rows: 3, Cols: 4, Ptr: []int{0, 2, 1, 2}, Idx: []int{1, 3}, Val: []float64{1, 2}},
+		// Overshooting NNZ in the middle once made Validate itself index
+		// past Idx before it saw the decrease.
+		"ptr overshoots": {Rows: 2, Cols: 4, Ptr: []int{0, 5, 2}, Idx: []int{1, 3}, Val: []float64{1, 2}},
+		"unsorted row":   {Rows: 1, Cols: 4, Ptr: []int{0, 2}, Idx: []int{3, 1}, Val: []float64{1, 2}},
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, bad := range cases {
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("%s: Validate accepted the matrix", name)
+		}
+		for width, write := range map[string]func(*bytes.Buffer) error{
+			"wide":    func(b *bytes.Buffer) error { return bad.WriteBinary(b) },
+			"compact": func(b *bytes.Buffer) error { return bad.Compact().WriteBinary(b) },
+		} {
+			var buf bytes.Buffer
+			if err := write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "corrupt") {
+				t.Errorf("%s/%s: ReadBinary = %v, want a corrupt-matrix error", name, width, err)
+			}
+			path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+"-"+width+".drtb")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadBinaryFile(path); err == nil {
+				t.Errorf("%s/%s: ReadBinaryFile accepted the file", name, width)
+			}
+			if op, err := OpenBinary(path); err == nil {
+				op.Close()
+				t.Errorf("%s/%s: OpenBinary accepted the file", name, width)
+			}
+		}
+	}
+}
+
+// FuzzReadBinary feeds arbitrary bytes to the .drtb stream reader and,
+// through a file, to OpenBinary (the mmap path where the host allows it).
+// Neither may panic, and every accepted operand must be a valid matrix
+// that re-encodes byte-identically through WriteBinary.
+func FuzzReadBinary(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []*CSR{NewCSR(0, 3), NewCSR(4, 2), randCSR(f, rng, 9, 7, 20)} {
+		for _, write := range []func(*bytes.Buffer) error{
+			func(b *bytes.Buffer) error { return m.WriteBinary(b) },
+			func(b *bytes.Buffer) error { return m.Compact().WriteBinary(b) },
+		} {
+			var buf bytes.Buffer
+			if err := write(&buf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	f.Add(drtbHeader(1<<36, 1, 0, false))
+	f.Add(append(drtbHeader(1, 1, math.MaxInt64/16, false), make([]byte, 16)...))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if op, err := ReadBinary(bytes.NewReader(src)); err == nil {
+			checkAccepted(t, "ReadBinary", op)
+		}
+		path := filepath.Join(dir, "in.drtb")
+		if err := os.WriteFile(path, src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if op, err := OpenBinary(path); err == nil {
+			checkAccepted(t, "OpenBinary", op)
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// checkAccepted checks one decoded operand: valid, and its encoding reads
+// back to an operand that encodes to the same bytes.
+func checkAccepted(t *testing.T, via string, op *Operand) {
+	t.Helper()
+	encode := func(op *Operand) []byte {
+		var buf bytes.Buffer
+		var err error
+		if op.Compact != nil {
+			err = op.Compact.WriteBinary(&buf)
+		} else {
+			err = op.Wide.WriteBinary(&buf)
+		}
+		if err != nil {
+			t.Fatalf("%s: WriteBinary: %v", via, err)
+		}
+		return buf.Bytes()
+	}
+	var err error
+	if op.Compact != nil {
+		err = op.Compact.Validate()
+	} else {
+		err = op.Wide.Validate()
+	}
+	if err != nil {
+		t.Fatalf("%s accepted a malformed matrix: %v", via, err)
+	}
+	enc := encode(op)
+	back, err := ReadBinary(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatalf("%s: rereading the written operand: %v", via, err)
+	}
+	if !bytes.Equal(encode(back), enc) {
+		t.Fatalf("%s: WriteBinary/ReadBinary round trip changed the operand", via)
+	}
+}

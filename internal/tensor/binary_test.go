@@ -12,7 +12,7 @@ import (
 
 // randCSR builds a random matrix with the requested shape and target
 // occupancy, duplicate points collapsing as usual.
-func randCSR(t *testing.T, rng *rand.Rand, rows, cols, nnz int) *CSR {
+func randCSR(t testing.TB, rng *rand.Rand, rows, cols, nnz int) *CSR {
 	t.Helper()
 	m := NewCOO(rows, cols)
 	for k := 0; k < nnz; k++ {

@@ -371,10 +371,14 @@ func (c *Mat[T]) Validate() error {
 	if len(c.Idx) != len(c.Val) {
 		return fmt.Errorf("tensor: %d coordinates but %d values", len(c.Idx), len(c.Val))
 	}
+	// Every segment bound lies in [0, NNZ] once the array is known not
+	// to decrease, so the coordinate scan below stays in range.
 	for i := 0; i < c.Rows; i++ {
 		if c.Ptr[i] > c.Ptr[i+1] {
 			return fmt.Errorf("tensor: segment array decreases at row %d", i)
 		}
+	}
+	for i := 0; i < c.Rows; i++ {
 		for p := c.Ptr[i]; p < c.Ptr[i+1]; p++ {
 			if int(c.Idx[p]) < 0 || int(c.Idx[p]) >= c.Cols {
 				return fmt.Errorf("tensor: row %d coordinate %d outside [0,%d)", i, c.Idx[p], c.Cols)

@@ -164,7 +164,7 @@ if [ "$mode" = scale1 ]; then
   # stats, the operand-cache hot path) at -scale 1, run cold as two shards,
   # merged with drtmetrics -merge, then warm unsharded. Three checks:
   #   1. merged shard dump == warm unsharded dump (tables byte-identical;
-  #      only per-run meta/timing fields may differ),
+  #      only per-run meta/counter/timing fields may differ),
   #   2. warm (cache-served) run is at least MIN_SPEEDUP x faster than the
   #      cold (generating) run,
   #   3. at scale 1 a BENCH_scale1_<date>.json snapshot is written — its
@@ -193,11 +193,13 @@ if [ "$mode" = scale1 ]; then
   "$work/drtbench" -exp tab3 -scale "$scale" -metrics-out "$work/warm.json" > /dev/null
   warm=$(( $(now_ns) - t0 ))
 
-  # Strip the per-run fields (flat meta map, seconds) and require the
-  # remaining table content to match exactly.
+  # Strip the per-run fields (the flat meta and counters maps, seconds)
+  # and require the remaining table content to match exactly. The
+  # counters differ by design: the cold shards count operand-cache
+  # misses where the warm run counts hits.
   norm() {
     awk 'BEGIN{inmeta=0}
-         /"meta": \{/{inmeta=1; next}
+         /"(meta|counters)": \{/{inmeta=1; next}
          inmeta && /^  \},?$/{inmeta=0; next}
          inmeta{next}
          /"seconds":/{next}
