@@ -46,8 +46,6 @@ import (
 
 	"drt/internal/accel"
 	"drt/internal/accel/extensor"
-	"drt/internal/accel/matraptor"
-	"drt/internal/accel/outerspace"
 	"drt/internal/cli"
 	"drt/internal/energy"
 	"drt/internal/exp"
@@ -58,12 +56,41 @@ import (
 	"drt/internal/workloads"
 )
 
-// accelNames lists every accepted -accel value; an unknown name is a
-// usage error, caught before any work starts.
-var accelNames = []string{
-	"extensor", "extensor-op", "extensor-op-drt",
-	"outerspace", "outerspace-suc", "outerspace-drt",
-	"matraptor", "matraptor-suc", "matraptor-drt",
+// accelRun runs one -accel configuration.
+type accelRun func(c *exp.Context, wkey string, w *accel.Workload, opt extensor.Options) (sim.Result, error)
+
+// accelNames lists every accepted -accel value in -h order, and accelRuns
+// runs each: the lower-cased names of the ExTensor variants
+// (extensor.Variant.String) and of the OuterSPACE and MatRaptor designs'
+// variants (accel.Design.Variant). An unknown name is a usage error,
+// caught before any work starts.
+var accelNames, accelRuns = accelTable()
+
+func accelTable() ([]string, map[string]accelRun) {
+	var names []string
+	runs := map[string]accelRun{}
+	add := func(name string, run accelRun) {
+		name = strings.ToLower(name)
+		names = append(names, name)
+		runs[name] = run
+	}
+	for _, v := range []extensor.Variant{extensor.Original, extensor.OP, extensor.OPDRT} {
+		// The exp context routes an eligible run (extensor-op-drt without
+		// a collector) through the two-tier trace cache when -trace-store
+		// attached one: a warm store replays the schedule instead of
+		// re-running the engine. Every other run is exactly extensor.Run.
+		add(v.String(), func(c *exp.Context, wkey string, w *accel.Workload, opt extensor.Options) (sim.Result, error) {
+			return c.RunExtensor(v, wkey, w, opt)
+		})
+	}
+	for _, d := range []accel.Design{accel.OuterSPACE, accel.MatRaptor} {
+		for _, t := range []accel.Tiling{accel.Untiled, accel.SUC, accel.DRT} {
+			add(d.Variant(t), func(_ *exp.Context, _ string, w *accel.Workload, opt extensor.Options) (sim.Result, error) {
+				return d.Run(t, w, opt.Machine, opt.Partition, opt.Rec)
+			})
+		}
+	}
+	return names, runs
 }
 
 func main() {
@@ -93,11 +120,7 @@ func main() {
 		cli.Usagef("drtsim: %v", err)
 	}
 
-	known := false
-	for _, a := range accelNames {
-		known = known || a == *accelName
-	}
-	if !known {
+	if accelRuns[*accelName] == nil {
 		cli.Usagef("drtsim: unknown accelerator %q (choose from %s)", *accelName, strings.Join(accelNames, ", "))
 	}
 	e, err := workloads.Lookup(*name)
@@ -280,42 +303,17 @@ func printTrace(a *accel.Workload, microTile int) error {
 }
 
 func run(c *exp.Context, wkey, name string, w *accel.Workload, m sim.Machine, parallel int, rec *obs.Collector) (sim.Result, error) {
-	var r obs.Recorder
-	if rec != nil {
-		r = rec
+	runAccel := accelRuns[name]
+	if runAccel == nil {
+		return sim.Result{}, fmt.Errorf("unknown accelerator %q", name)
 	}
 	exOpt := extensor.DefaultOptions()
 	exOpt.Machine = m
 	exOpt.Parallel = parallel
-	exOpt.Rec = r
-	osOpt := outerspace.Options{Machine: m, Partition: exOpt.Partition, Rec: r}
-	mrOpt := matraptor.Options{Machine: m, Partition: exOpt.Partition, Rec: r}
-	switch name {
-	case "extensor":
-		return extensor.Run(extensor.Original, w, exOpt)
-	case "extensor-op":
-		return extensor.Run(extensor.OP, w, exOpt)
-	case "extensor-op-drt":
-		// The exp context routes the run through the two-tier trace cache
-		// when -trace-store attached one (a warm store replays the schedule
-		// instead of re-running the engine); without a store — or with a
-		// collector attached, which wants the full engine's histograms —
-		// this is exactly extensor.Run.
-		return c.RunExtensor(extensor.OPDRT, wkey, w, exOpt)
-	case "outerspace":
-		return outerspace.Run(outerspace.Untiled, w, osOpt)
-	case "outerspace-suc":
-		return outerspace.Run(outerspace.SUC, w, osOpt)
-	case "outerspace-drt":
-		return outerspace.Run(outerspace.DRT, w, osOpt)
-	case "matraptor":
-		return matraptor.Run(matraptor.Untiled, w, mrOpt)
-	case "matraptor-suc":
-		return matraptor.Run(matraptor.SUC, w, mrOpt)
-	case "matraptor-drt":
-		return matraptor.Run(matraptor.DRT, w, mrOpt)
+	if rec != nil {
+		exOpt.Rec = rec
 	}
-	return sim.Result{}, fmt.Errorf("unknown accelerator %q", name)
+	return runAccel(c, wkey, w, exOpt)
 }
 
 // report renders the plain-text result breakdown.

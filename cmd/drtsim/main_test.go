@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -78,6 +79,53 @@ func TestReportGolden(t *testing.T) {
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Errorf("%s report diverged from golden file.\n--- got ---\n%s--- want ---\n%s", cfg.name, buf.Bytes(), want)
+		}
+	}
+}
+
+// TestAllAccelReportsGolden pins the text report of every -accel value on
+// two matrices (bcsstk17, and cant, whose tiled designs run 72 to 446
+// tasks) under both grid representations, all against one golden file:
+// any diff is a behavior change in some design's model. Regenerate with
+// `go test ./cmd/drtsim -run AllAccel -update`.
+func TestAllAccelReportsGolden(t *testing.T) {
+	const scale, microTile = 64, 8
+	golden := filepath.Join("testdata", "reports_all.golden")
+	for _, grid := range []tiling.Mode{tiling.Dense, tiling.Compressed} {
+		var buf bytes.Buffer
+		for _, matrix := range []string{"bcsstk17", "cant"} {
+			e, err := workloads.Lookup(matrix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := e.Generate(scale)
+			w, err := accel.NewWorkloadWith(e.Name, a, a,
+				accel.WorkloadConfig{MicroTile: microTile, Grid: grid})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := exp.NewContext(exp.Options{Scale: scale, MicroTile: microTile})
+			for _, name := range accelNames {
+				r, err := run(c, e.Name, name, w, c.Machine(), 2, nil)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", name, matrix, err)
+				}
+				fmt.Fprintf(&buf, "== %s %s ==\n", matrix, name)
+				report(&buf, w, r, c.Machine())
+			}
+		}
+		if *update && grid == tiling.Dense {
+			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update to create): %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("grid mode %v: reports diverged from golden file.\n--- got ---\n%s--- want ---\n%s", grid, buf.Bytes(), want)
 		}
 	}
 }

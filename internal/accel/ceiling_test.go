@@ -37,7 +37,14 @@ func TestRunTasksBelowCeiling(t *testing.T) {
 	drt.InitialSize = nil
 	drt.Extractor = extractor.ParallelExtractor
 	drt.PELevel = &PELevelOptions{CapA: 100, CapB: 100, CapO: 100, Strategy: core.GreedyContractedFirst}
-	for name, opt := range map[string]EngineOptions{"static-jki": jki, "static-ijk": ijk, "drt": drt} {
+	// DRAM-bound with an output partition of a few regions: regions are
+	// evicted mid-run and some are still resident at the flush, so the
+	// bound must count a resident region's owed write-back as what its
+	// partials fill, min(estF, partial·PartialBytes), and no more.
+	evicting := jki
+	evicting.CapO = 1000
+	evicting.Machine.DRAMBandwidth = 1e8
+	for name, opt := range map[string]EngineOptions{"static-jki": jki, "static-ijk": ijk, "drt": drt, "dram-evicting": evicting} {
 		want, err := RunTasks(w, opt)
 		if err != nil {
 			t.Fatal(err)

@@ -79,7 +79,16 @@ type outputModel struct {
 	fifo    []*regionState // resident regions in load order
 	bytes   int64          // resident footprint total
 	zTotal  int64          // accumulated Z traffic (reads + writes)
+	// owed is the write-back the resident regions still owe: each is
+	// written back at eviction or flush with at least its writeBack()
+	// bytes, and its partial only grows while it stays resident, so
+	// zTotal+owed never decreases and bounds the final zTotal from below.
+	owed int64
 }
+
+// writeBack is the bytes writing the region's partials back takes: one
+// spilled element per partial point, capped by the final footprint.
+func (r *regionState) writeBack() int64 { return min(r.estF, r.partial*PartialBytes) }
 
 func newOutputModel(w *Workload, capO int64) *outputModel {
 	return &outputModel{w: w, capO: capO, regions: map[[4]int]*regionState{}}
@@ -105,7 +114,7 @@ func (o *outputModel) touch(k [4]int, newPartial int64) {
 		// through DRAM, re-reading the accumulated result to merge.
 		o.zTotal += r.spilled // merge re-read
 		r.partial += newPartial
-		w := minI64(r.estF, r.partial*PartialBytes)
+		w := r.writeBack()
 		o.zTotal += w // spill write
 		r.spilled = w
 		return
@@ -124,13 +133,16 @@ func (o *outputModel) touch(k [4]int, newPartial int64) {
 			r.spilled = 0
 		}
 	}
+	o.owed -= r.writeBack()
 	r.partial += newPartial
+	o.owed += r.writeBack()
 }
 
 func (o *outputModel) evict(r *regionState) {
-	w := minI64(r.estF, r.partial*PartialBytes)
+	w := r.writeBack()
+	o.owed -= w
 	if r.spilled > 0 {
-		w = maxI64(w, r.spilled)
+		w = max(w, r.spilled)
 	}
 	o.zTotal += w
 	r.spilled = w
@@ -151,20 +163,6 @@ func (o *outputModel) flush() {
 	for len(o.fifo) > 0 {
 		o.evict(o.fifo[0])
 	}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RunTasks drives the task-stream engine: enumerate DRT (or static) tasks,
@@ -207,11 +205,12 @@ var errAboveCeiling = errors.New("accel: run exceeds its cycle ceiling")
 
 // RunTasksBelow is RunTasks under a ceiling that other goroutines may
 // lower while it runs (nil: no ceiling). Every term of Result.Cycles()
-// only grows as tasks are priced — DRAM cycles over the A+B+Z bytes
-// charged so far, the busiest PE and the extraction total — so their
-// running maximum bounds the finished run's Cycles() from below. The run
-// stops, returning ok=false and no Result, as soon as that bound is
-// strictly above the ceiling, or when the finished run is. A run that
+// has a lower bound that only grows as tasks are priced — DRAM cycles
+// over the A+B+Z bytes charged so far plus the write-back the resident
+// output regions still owe, the busiest PE and the extraction total — so
+// their running maximum bounds the finished run's Cycles() from below.
+// The run stops, returning ok=false and no Result, as soon as that bound
+// is strictly above the ceiling, or when the finished run is. A run that
 // returns ok is exactly RunTasks' run: the checks read the pricing state
 // and never change it.
 func RunTasksBelow(w *Workload, opt EngineOptions, c *Ceiling) (res sim.Result, ok bool, err error) {
@@ -373,7 +372,7 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) 
 		if price != nil {
 			price.price(trc, tc)
 			trc.dropTasks()
-			if price.above(trc, out.zTotal) {
+			if price.above(trc, out.zTotal+out.owed) {
 				return errAboveCeiling
 			}
 		}

@@ -12,7 +12,6 @@ package extensor
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"drt/internal/accel"
@@ -21,7 +20,6 @@ import (
 	"drt/internal/obs"
 	"drt/internal/par"
 	"drt/internal/sim"
-	"drt/internal/tensor"
 )
 
 // Variant selects the modeled design.
@@ -41,15 +39,31 @@ const (
 
 // String returns the variant name used in the figures.
 func (v Variant) String() string {
-	switch v {
-	case Original:
-		return "ExTensor"
-	case OP:
-		return "ExTensor-OP"
-	case OPDRT:
-		return "ExTensor-OP-DRT"
+	if s, ok := variants[v]; ok {
+		return s.name
 	}
 	return fmt.Sprintf("Variant(%d)", int(v))
+}
+
+// variantSpec is one variant's fixed hardware, read by engineOptions,
+// retimeConfig and BestStaticShape alike.
+type variantSpec struct {
+	name      string
+	loopOrder []int
+	// static variants tile with S-U-C shapes and have no DRT extractor.
+	static bool
+	// skipBased pins the published design's serial skip-based
+	// intersection unit; the others use the parallelized one (Sec.
+	// 5.2.1).
+	skipBased bool
+}
+
+var variants = map[Variant]variantSpec{
+	// Output-stationary inner product: I → J → K.
+	Original: {name: "ExTensor", loopOrder: []int{accel.DimI, accel.DimJ, accel.DimK}, static: true, skipBased: true},
+	// B-stationary outer-product-style dataflow: J → K → I.
+	OP:    {name: "ExTensor-OP", loopOrder: []int{accel.DimJ, accel.DimK, accel.DimI}, static: true},
+	OPDRT: {name: "ExTensor-OP-DRT", loopOrder: []int{accel.DimJ, accel.DimK, accel.DimI}},
 }
 
 // Options carries the machine and study knobs.
@@ -98,48 +112,36 @@ func DefaultOptions() Options {
 }
 
 // engineOptions maps (variant, options) onto the task-stream engine's
-// configuration. For the S-U-C variants InitialSize carries StaticShape
-// and is left unset when no shape is pinned (the sweep fills it per
-// candidate).
+// configuration, with the variant's hardware applied as retimeConfig
+// applies it. For the S-U-C variants InitialSize carries StaticShape and
+// is left unset when no shape is pinned (the sweep fills it per
+// candidate). v must be a known variant.
 func engineOptions(v Variant, opt Options) accel.EngineOptions {
+	spec := variants[v]
+	cfg := retimeConfig(v, opt)
 	capA, capB, capO := opt.Partition.Split(opt.Machine.GlobalBuffer)
 	base := accel.EngineOptions{
-		Machine:   opt.Machine,
-		CapA:      capA,
-		CapB:      capB,
-		CapO:      capO,
-		Intersect: opt.Intersect,
-		Extractor: opt.Extractor,
+		Machine: opt.Machine,
+		CapA:    capA, CapB: capB, CapO: capO,
+		LoopOrder: spec.loopOrder,
+		Intersect: cfg.Intersect,
+		Extractor: cfg.Extractor,
 		Rec:       opt.Rec,
 	}
-	switch v {
-	case Original:
-		// Output-stationary inner product: I → J → K, with the published
-		// design's serial skip-based intersection unit (ExTensor-OP and
-		// OP-DRT use the parallelized variant, Sec. 5.2.1).
-		base.LoopOrder = []int{accel.DimI, accel.DimJ, accel.DimK}
+	if spec.static {
 		base.Strategy = core.Static
-		base.Intersect = sim.SkipBased
-		base.Extractor = extractor.IdealExtractor // no DRT hardware
 		base.InitialSize = opt.StaticShape
-	case OP:
-		// B-stationary outer-product-style dataflow: J → K → I.
-		base.LoopOrder = []int{accel.DimJ, accel.DimK, accel.DimI}
-		base.Strategy = core.Static
-		base.Extractor = extractor.IdealExtractor
-		base.InitialSize = opt.StaticShape
-	case OPDRT:
-		base.LoopOrder = []int{accel.DimJ, accel.DimK, accel.DimI}
-		base.Strategy = opt.Strategy
-		base.InitialSize = opt.InitialSize
-		if !opt.SingleLevel {
-			// Second tiling level: each LLB tile is re-tiled into PE
-			// sub-tiles with the K → I → J dataflow of Fig. 5.
-			pa, pb, po := opt.Partition.Split(opt.Machine.PEBuffer)
-			base.PELevel = &accel.PELevelOptions{
-				CapA: pa, CapB: pb, CapO: po,
-				Strategy: opt.Strategy,
-			}
+		return base
+	}
+	base.Strategy = opt.Strategy
+	base.InitialSize = opt.InitialSize
+	if !opt.SingleLevel {
+		// Second tiling level: each LLB tile is re-tiled into PE
+		// sub-tiles with the K → I → J dataflow of Fig. 5.
+		pa, pb, po := opt.Partition.Split(opt.Machine.PEBuffer)
+		base.PELevel = &accel.PELevelOptions{
+			CapA: pa, CapB: pb, CapO: po,
+			Strategy: opt.Strategy,
 		}
 	}
 	return base
@@ -150,17 +152,17 @@ func Run(v Variant, w *accel.Workload, opt Options) (sim.Result, error) {
 	if err := opt.Partition.Validate(); err != nil {
 		return sim.Result{}, err
 	}
-	switch v {
-	case Original, OP, OPDRT:
-	default:
+	spec, ok := variants[v]
+	if !ok {
 		return sim.Result{}, fmt.Errorf("extensor: unknown variant %d", int(v))
 	}
 	base := engineOptions(v, opt)
-	if v != OPDRT && opt.StaticShape == nil {
+	if spec.static && opt.StaticShape == nil {
 		// The sweep instruments only the winning shape's run; runSweep
 		// re-simulates it with the recorder when one is attached.
 		base.Rec = nil
-		return runSweep(w, base, base.CapA, base.CapB, opt.Parallel, opt.Rec)
+		r, _, err := runSweep(w, base, opt.Parallel, opt.Rec)
+		return r, err
 	}
 	return accel.RunTasks(w, base)
 }
@@ -177,14 +179,12 @@ func Record(v Variant, w *accel.Workload, opt Options) (*accel.Trace, error) {
 	if err := opt.Partition.Validate(); err != nil {
 		return nil, err
 	}
-	switch v {
-	case Original, OP:
-		if opt.StaticShape == nil {
-			return nil, fmt.Errorf("extensor: recording %v requires StaticShape — the static-shape sweep's winner is machine-dependent", v)
-		}
-	case OPDRT:
-	default:
+	spec, ok := variants[v]
+	if !ok {
 		return nil, fmt.Errorf("extensor: unknown variant %d", int(v))
+	}
+	if spec.static && opt.StaticShape == nil {
+		return nil, fmt.Errorf("extensor: recording %v requires StaticShape — the static-shape sweep's winner is machine-dependent", v)
 	}
 	return accel.RecordTasks(w, engineOptions(v, opt))
 }
@@ -208,17 +208,17 @@ func Retime(v Variant, tr *accel.Trace, opt Options) sim.Result {
 // retimeConfig maps one study configuration onto the engine's pricing
 // knobs, applying the variant's hardware overrides exactly as Run does.
 func retimeConfig(v Variant, opt Options) accel.RetimeConfig {
+	spec := variants[v]
 	cfg := accel.RetimeConfig{
 		Machine:   opt.Machine,
 		Intersect: opt.Intersect,
 		Extractor: opt.Extractor,
 	}
-	switch v {
-	case Original:
+	if spec.skipBased {
 		cfg.Intersect = sim.SkipBased
-		cfg.Extractor = extractor.IdealExtractor
-	case OP:
-		cfg.Extractor = extractor.IdealExtractor
+	}
+	if spec.static {
+		cfg.Extractor = extractor.IdealExtractor // no DRT hardware
 	}
 	return cfg
 }
@@ -236,71 +236,28 @@ func RetimeBatch(v Variant, tr *accel.Trace, opts []Options) []sim.Result {
 	return tr.RetimeBatch(cfgs)
 }
 
-// staticShapes proposes S-U-C tile shapes (in micro-tile grid units) sized
-// so a dense tile fits the partitions — the constraint the paper
-// identifies for explicitly managed buffers (Sec. 4.1) — and a few
-// aspect-ratio variants for the sweep. B's K×J tile always fits capB.
-// A's I extent is capA's share over the K extent, rounded down but at
-// least 1, so an elongated shape's dense A tile can exceed capA; the
-// engine then shrinks K under I→J→K and overflows under J→K→I, and the
-// two loop orders visit different boxes.
-func staticShapes(w *accel.Workload, capA, capB int64) [][3]int {
-	mt := w.MicroTile
-	denseTileBytes := float64(mt*mt) * (tensor.MetaBytes + tensor.ValueBytes)
-	// Balanced square B tile: sk·sj grid cells with dense bytes ≤ capB.
-	cells := float64(capB) / denseTileBytes
-	side := int(math.Sqrt(cells))
-	if side < 1 {
-		side = 1
+// runSweep performs the paper's per-workload static-shape sweep over the
+// accel.StaticShapes candidates for base's partitions and returns the
+// best (lowest-cycle) result and its shape. When a recorder is attached it
+// re-simulates the winning shape with instrumentation, so the recorder
+// reflects exactly one run — the one whose Result is returned — rather
+// than the sum of all candidates. A deferred workload is built first: the
+// shapes' task counts read its grids.
+func runSweep(w *accel.Workload, base accel.EngineOptions, workers int, rec obs.Recorder) (sim.Result, []int, error) {
+	w, err := w.Built()
+	if err != nil {
+		return sim.Result{}, nil, err
 	}
-	shape := func(sk, sj int) [3]int {
-		if sk < 1 {
-			sk = 1
-		}
-		if sj < 1 {
-			sj = 1
-		}
-		// A (I×K) shares sk; its I extent comes from capA.
-		si := int(float64(capA) / denseTileBytes / float64(sk))
-		if si < 1 {
-			si = 1
-		}
-		return [3]int{si, sj, sk}
-	}
-	return [][3]int{
-		shape(side, side),
-		shape(side*2, side/2),
-		shape(side/2, side*2),
-		shape(side*4, side/4),
-	}
-}
-
-// runSweep performs the static-shape sweep and, when a recorder is
-// attached, re-simulates the winning shape with instrumentation so the
-// recorder reflects exactly one run — the one whose Result is returned —
-// rather than the sum of all candidates.
-func runSweep(w *accel.Workload, base accel.EngineOptions, capA, capB int64, workers int, rec obs.Recorder) (sim.Result, error) {
-	r, shape, err := sweepStatic(w, base, capA, capB, workers)
+	r, shape, err := sweepShapes(w, base, accel.StaticShapes(w, base.CapA, base.CapB), workers)
 	if err != nil || rec == nil {
-		return r, err
+		return r, shape, err
 	}
 	sweepSpan := rec.Begin(obs.CatPhase, "sweep-replay")
 	defer rec.End(sweepSpan)
 	base.InitialSize = shape
 	base.Rec = rec
-	return accel.RunTasks(w, base)
-}
-
-// sweepStatic returns the best (lowest-cycle) staticShapes candidate and
-// its result, mirroring the paper's per-workload shape sweep. A deferred
-// workload is built first: the shapes and their task counts read its
-// grids.
-func sweepStatic(w *accel.Workload, base accel.EngineOptions, capA, capB int64, workers int) (sim.Result, []int, error) {
-	w, err := w.Built()
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	return sweepShapes(w, base, staticShapes(w, capA, capB), workers)
+	r, err = accel.RunTasks(w, base)
+	return r, shape, err
 }
 
 // sweepShapes is the sweep over the given candidate shapes, a
@@ -377,24 +334,12 @@ func sweepShapes(w *accel.Workload, base accel.EngineOptions, shapes [][3]int, w
 // units). Multi-kernel workloads pin this shape across their kernels via
 // Options.StaticShape.
 func BestStaticShape(v Variant, w *accel.Workload, opt Options) ([]int, error) {
-	capA, capB, capO := opt.Partition.Split(opt.Machine.GlobalBuffer)
-	base := accel.EngineOptions{
-		Machine: opt.Machine,
-		CapA:    capA, CapB: capB, CapO: capO,
-		Strategy:  core.Static,
-		Extractor: extractor.IdealExtractor,
-		Intersect: opt.Intersect,
-	}
-	switch v {
-	case Original:
-		base.LoopOrder = []int{accel.DimI, accel.DimJ, accel.DimK}
-		base.Intersect = sim.SkipBased
-	case OP:
-		base.LoopOrder = []int{accel.DimJ, accel.DimK, accel.DimI}
-	default:
+	if spec, ok := variants[v]; !ok || !spec.static {
 		return nil, fmt.Errorf("extensor: %v is not a static variant", v)
 	}
-	_, shape, err := sweepStatic(w, base, capA, capB, opt.Parallel)
+	base := engineOptions(v, opt)
+	base.Rec = nil
+	_, shape, err := runSweep(w, base, opt.Parallel, nil)
 	return shape, err
 }
 

@@ -1,6 +1,7 @@
 package extensor
 
 import (
+	"fmt"
 	"testing"
 
 	"drt/internal/accel"
@@ -176,5 +177,27 @@ func TestPartitionSweepChangesTraffic(t *testing.T) {
 	}
 	if r1.Traffic.Total() == r2.Traffic.Total() {
 		t.Log("note: partition change left traffic identical (acceptable but unusual)")
+	}
+}
+
+// TestUnknownVariantIsError pins that every entry point refuses a variant
+// outside the table with an error rather than a panic.
+func TestUnknownVariantIsError(t *testing.T) {
+	w := testWorkload(t, 9)
+	opt := DefaultOptions()
+	opt.Machine = smallMachine()
+	for _, v := range []Variant{-1, OPDRT + 1} {
+		if _, err := Run(v, w, opt); err == nil {
+			t.Errorf("Run(%v) succeeded", v)
+		}
+		if _, err := Record(v, w, opt); err == nil {
+			t.Errorf("Record(%v) succeeded", v)
+		}
+		if _, err := BestStaticShape(v, w, opt); err == nil {
+			t.Errorf("BestStaticShape(%v) succeeded", v)
+		}
+		if got, want := v.String(), fmt.Sprintf("Variant(%d)", int(v)); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"drt/internal/tensor"
 )
 
-// exhaustiveSweep runs every staticShapes candidate to the end, each
+// exhaustiveSweep runs every accel.StaticShapes candidate to the end, each
 // pinned through StaticShape, and returns the lowest (cycles, proposal
 // index) result and shape together with the largest overflow count any
 // candidate saw.
@@ -20,7 +20,7 @@ func exhaustiveSweep(t *testing.T, v Variant, w *accel.Workload, opt Options) (s
 	var best sim.Result
 	var bestShape []int
 	overflows := 0
-	for _, s := range staticShapes(w, capA, capB) {
+	for _, s := range accel.StaticShapes(w, capA, capB) {
 		pinned := opt
 		pinned.StaticShape = []int{s[0], s[1], s[2]}
 		r := runVariant(t, v, w, pinned)

@@ -107,6 +107,11 @@ func (w *GramWorkload) kernel(capA, capB, capO int64, constrainOutput bool) *cor
 // RunGram simulates the Gram kernel: DRT (or static tiling) must now grow
 // across three dimensions per operand, two of them contracted
 // (Sec. 6.1.3).
+//
+// It is the one engine that keeps its own task loop instead of running
+// through runTasks and the per-task replay: its kernel is 4-D, it counts
+// intersect ops as scanned plus MACCs, and its S-U-C shape is the 3-D
+// cube of gramStaticShape, not StaticShapes. No timed figure runs it.
 func RunGram(w *GramWorkload, opt GramOptions) (sim.Result, error) {
 	if err := opt.Partition.Validate(); err != nil {
 		return sim.Result{}, err

@@ -208,8 +208,9 @@ func (sc *retimeScratch) price(t *Trace, task *traceTask) {
 }
 
 // above reports whether configuration 0's cycles, as priced so far with
-// z output bytes charged, are already strictly above the ceiling. Each
-// term is the running value of the matching Result.Cycles() term.
+// z output bytes charged or owed, are already strictly above the ceiling.
+// Each term is a non-decreasing lower bound of the matching
+// Result.Cycles() term.
 func (sc *retimeScratch) above(t *Trace, z int64) bool {
 	if sc.ceiling == nil {
 		return false

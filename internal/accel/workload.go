@@ -317,14 +317,6 @@ func (w *Workload) BCols() int {
 	return cols
 }
 
-// BRowNNZ returns the occupancy of row k of B.
-func (w *Workload) BRowNNZ(k int) int64 {
-	if w.B32 != nil {
-		return int64(w.B32.Ptr[k+1] - w.B32.Ptr[k])
-	}
-	return int64(w.B.Ptr[k+1] - w.B.Ptr[k])
-}
-
 // Restricted counts the range-restricted partial product over the active
 // operand width — the engines' compute kernel, byte-identical across
 // widths (the index type never enters the counts).

@@ -12,7 +12,6 @@ package cpuref
 
 import (
 	"drt/internal/accel"
-	"drt/internal/kernels"
 	"drt/internal/tensor"
 )
 
@@ -102,20 +101,6 @@ func TACOGram(x *tensor.CSF3, maccs int64, cpu CPU) Result {
 		traffic += int64(float64(extra) * (1 - hit))
 	}
 	// The I×I output is written once.
-	out := tensor.FootprintCSR(x.I, int(minI64(int64(x.I)*int64(x.I), maccs)))
+	out := tensor.FootprintCSR(x.I, int(min(int64(x.I)*int64(x.I), maccs)))
 	return rooflineResult(traffic+out, maccs, cpu)
-}
-
-// GramStats computes the exact Gram kernel statistics used by both the
-// TACO model and the accelerator Gram engine.
-func GramStats(x *tensor.CSF3) kernels.Stats {
-	_, st := kernels.Gram(x)
-	return st
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -5,6 +5,7 @@ import (
 
 	"drt/internal/accel"
 	"drt/internal/gen"
+	"drt/internal/kernels"
 )
 
 func TestSpMSpMRoofline(t *testing.T) {
@@ -60,14 +61,14 @@ func TestHitFraction(t *testing.T) {
 
 func TestTACOGram(t *testing.T) {
 	x := gen.Tensor3(64, 48, 48, 2000, 4)
-	st := GramStats(x)
+	_, st := kernels.Gram(x)
 	r := TACOGram(x, st.MACCs, DefaultCPU())
 	if r.Seconds <= 0 || r.AI() <= 0 {
 		t.Fatalf("degenerate taco result %+v", r)
 	}
 	// Denser tensor of the same shape → more work per byte (higher AI).
 	x2 := gen.Tensor3(64, 48, 48, 20000, 5)
-	st2 := GramStats(x2)
+	_, st2 := kernels.Gram(x2)
 	r2 := TACOGram(x2, st2.MACCs, DefaultCPU())
 	if r2.AI() <= r.AI() {
 		t.Fatalf("denser tensor should raise TACO AI: %g vs %g", r2.AI(), r.AI())

@@ -34,13 +34,14 @@ import (
 //     points per workload) pay one extra direct run and then replay as
 //     before.
 //   - Retention budget. Recorded traces are evicted least-recently-used
-//     once their estimated bytes exceed TraceBudget, so a long-lived
-//     Context (the shared benchmark context, a future drtserve process)
-//     cannot grow an unbounded live heap that taxes every later GC cycle.
+//     once their estimated bytes exceed the context's budget, so a
+//     long-lived Context (the shared benchmark context, a future drtserve
+//     process) cannot grow an unbounded live heap that taxes every later
+//     GC cycle.
 
-// defaultTraceBudget bounds retained trace bytes when Options.TraceBudget
-// is zero. 256 MiB holds hundreds of scaled-workload schedules while
-// keeping the benchmark suite's shared context GC-light.
+// defaultTraceBudget bounds a new context's retained trace bytes. 256 MiB
+// holds hundreds of scaled-workload schedules while keeping the benchmark
+// suite's shared context GC-light.
 const defaultTraceBudget = 256 << 20
 
 // traceKey identifies one recorded schedule: the workload (whose name is
@@ -255,18 +256,14 @@ func (c *Context) extensorTrace(v extensor.Variant, wkey string, w *accel.Worklo
 // fits. The cell just recorded is never evicted in its own accounting
 // pass (its requester holds the pointer anyway).
 func (c *Context) accountTrace(key traceKey, cell *traceCell) {
-	budget := c.Opt.TraceBudget
-	if budget == 0 {
-		budget = defaultTraceBudget
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cell.bytes = cell.tr.Bytes()
 	c.traceBytes += cell.bytes
-	if budget < 0 {
+	if c.traceBudget < 0 {
 		return
 	}
-	for c.traceBytes > budget {
+	for c.traceBytes > c.traceBudget {
 		var victimKey traceKey
 		var victim *traceCell
 		for k, tc := range c.traces {

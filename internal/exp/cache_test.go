@@ -217,7 +217,8 @@ func TestTraceCacheOneShotCellsStayDirect(t *testing.T) {
 // re-records it rather than failing.
 func TestTraceCacheEviction(t *testing.T) {
 	rec := obs.NewCollector()
-	c := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Rec: rec, TraceBudget: 1})
+	c := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Rec: rec})
+	c.traceBudget = 1
 	e := c.fig6Entries()[0]
 	w, err := c.Square(e)
 	if err != nil {
@@ -253,7 +254,8 @@ func TestTraceCacheEviction(t *testing.T) {
 		t.Errorf("misses = %d, want 3 (A, B, re-recorded A)", got)
 	}
 	// An unlimited budget never evicts.
-	c2 := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Rec: obs.NewCollector(), TraceBudget: -1})
+	c2 := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Rec: obs.NewCollector()})
+	c2.traceBudget = -1
 	if _, err := c2.extensorTrace(extensor.OPDRT, e.Name, w, optA); err != nil {
 		t.Fatal(err)
 	}

@@ -47,11 +47,6 @@ type Options struct {
 	// sequential ones, so every table is byte-identical to a Parallel == 1
 	// (sequential) run.
 	Parallel int
-	// TraceBudget bounds the bytes of recorded schedules the context
-	// retains (least-recently-used traces are evicted past it). 0 selects
-	// the 256 MiB default; negative disables eviction. Eviction only costs
-	// a re-recording on a later request, never changes a table.
-	TraceBudget int64
 	// TraceStore, when non-empty, is the directory of the persistent trace
 	// store: recorded schedules are written as content-addressed .drtt
 	// files and loaded back by any later process (see store.go). Replayed
@@ -59,10 +54,6 @@ type Options struct {
 	// depend on the store's state. The zero value keeps the store off —
 	// CLIs opt in via -trace-store / DRT_TRACE_CACHE (TraceStoreDir).
 	TraceStore string
-	// TraceStoreBudget bounds the store directory's bytes (older entries
-	// are LRU-evicted on store). 0 selects the 4 GiB default; negative
-	// disables eviction.
-	TraceStoreBudget int64
 	// Shard restricts the shardable experiments (fig6, fig7, tab3 — the
 	// full-scale sweeps) to one contiguous block of their per-matrix cells.
 	// Shard k of n runs rows [k·m/n, (k+1)·m/n) of the deterministic entry
@@ -93,13 +84,14 @@ type Options struct {
 	// -progress line expose. Nil keeps the dispatch path timing-free.
 	Progress *obs.Progress
 	// Log, when non-nil, receives structured run events: per-cell timings
-	// over SlowCell at Info (the long-tail tile watch), every cell at
-	// Debug. Nil disables logging with no overhead.
+	// of slowCell or more at Info (the long-tail tile watch), every cell
+	// at Debug. Nil disables logging with no overhead.
 	Log *slog.Logger
-	// SlowCell is the per-cell wall-time threshold above which a cell is
-	// logged at Info (default 5s; only consulted when Log is set).
-	SlowCell time.Duration
 }
+
+// slowCell is the per-cell wall time from which Options.Log records a
+// cell at Info.
+const slowCell = 5 * time.Second
 
 // DefaultOptions is the configuration drtbench uses.
 func DefaultOptions() Options {
@@ -128,8 +120,13 @@ type Context struct {
 	// traceSeen marks configurations requested at least once: the trace
 	// cache only records a schedule on its second request (see cache.go).
 	traceSeen  map[traceKey]bool
-	traceBytes int64 // retained recorded-trace bytes, vs Opt.TraceBudget
-	useTick    int64 // LRU clock for trace eviction
+	traceBytes int64 // retained recorded-trace bytes, vs traceBudget
+	// traceBudget bounds traceBytes: least-recently-used traces are
+	// evicted past it, and a negative budget disables eviction. Eviction
+	// only costs a re-recording on a later request, never changes a
+	// table.
+	traceBudget int64
+	useTick     int64 // LRU clock for trace eviction
 	// specs holds the generator spec behind each workload the context
 	// built, by workload key; the trace store's disk keys include it.
 	specs map[string]gen.Spec
@@ -160,20 +157,17 @@ func NewContext(opt Options) *Context {
 	}
 	opt.Parallel = par.Workers(opt.Parallel)
 	c := &Context{
-		Opt:       opt,
-		spmspm:    map[string]*workloadCell{},
-		grams:     map[string]*gramCell{},
-		traces:    map[traceKey]*traceCell{},
-		traceSeen: map[traceKey]bool{},
-		specs:     map[string]gen.Spec{},
+		Opt:         opt,
+		spmspm:      map[string]*workloadCell{},
+		grams:       map[string]*gramCell{},
+		traces:      map[traceKey]*traceCell{},
+		traceSeen:   map[traceKey]bool{},
+		specs:       map[string]gen.Spec{},
+		traceBudget: defaultTraceBudget,
 	}
 	if opt.TraceStore != "" {
-		budget := opt.TraceStoreBudget
-		if budget == 0 {
-			budget = defaultTraceStoreBudget
-		}
-		c.store = diskcache.New(opt.TraceStore, ".drtt", budget)
-		c.summaries = diskcache.New(opt.TraceStore, ".drtw", budget)
+		c.store = diskcache.New(opt.TraceStore, ".drtt", traceStoreBudget)
+		c.summaries = diskcache.New(opt.TraceStore, ".drtw", traceStoreBudget)
 	}
 	return c
 }
@@ -183,21 +177,17 @@ func NewContext(opt Options) *Context {
 // the cells are registered up front with their scaled-nnz weights (the
 // same non-zero totals the tiling summaries' prefix sums carry), so the
 // live ETA weighs a heavy long-tail matrix by its actual work, not as one
-// uniform cell; with a Log attached, cells slower than SlowCell surface
+// uniform cell; with a Log attached, cells of slowCell or more surface
 // at Info.
 func forEntries[T any](c *Context, entries []workloads.Entry, f func(e workloads.Entry) (T, error)) ([]T, error) {
 	run := func(i int) (T, error) { return f(entries[i]) }
 	if log := c.Opt.Log; log != nil {
-		slow := c.Opt.SlowCell
-		if slow <= 0 {
-			slow = 5 * time.Second
-		}
 		run = func(i int) (T, error) {
 			start := time.Now()
 			v, err := f(entries[i])
 			d := time.Since(start)
 			lvl := slog.LevelDebug
-			if d >= slow {
+			if d >= slowCell {
 				lvl = slog.LevelInfo
 			}
 			log.Log(context.Background(), lvl, "cell done", "entry", entries[i].Name, "seconds", d.Seconds(), "err", err)

@@ -3,9 +3,8 @@ package exp
 import (
 	"testing"
 
+	"drt/internal/accel"
 	"drt/internal/accel/extensor"
-	"drt/internal/accel/matraptor"
-	"drt/internal/accel/outerspace"
 	"drt/internal/metrics"
 	"drt/internal/workloads"
 )
@@ -32,12 +31,12 @@ func TestFig1Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := outerspace.Run(outerspace.Untiled, w, outerspace.Options{Machine: exOpt.Machine, Partition: exOpt.Partition})
+		r, err := accel.OuterSPACE.Run(accel.Untiled, w, exOpt.Machine, exOpt.Partition, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		osT.Add(r.Traffic)
-		r, err = matraptor.Run(matraptor.Untiled, w, matraptor.Options{Machine: exOpt.Machine, Partition: exOpt.Partition})
+		r, err = accel.MatRaptor.Run(accel.Untiled, w, exOpt.Machine, exOpt.Partition, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,31 +119,30 @@ func TestFig10Shape(t *testing.T) {
 	// and both tiled variants win overall.
 	c := fidelityContext()
 	m := c.Machine()
-	osOpt := outerspace.Options{Machine: m, Partition: c.extensorOptions().Partition}
-	mrOpt := matraptor.Options{Machine: m, Partition: osOpt.Partition}
+	p := c.extensorOptions().Partition
 	var osSUC, osDRT, mrSUC, mrDRT []float64
 	for _, e := range c.fig6Entries() {
 		w, err := c.Square(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, _ := outerspace.Run(outerspace.Untiled, w, osOpt)
-		suc, err := outerspace.Run(outerspace.SUC, w, osOpt)
+		base, _ := accel.OuterSPACE.Run(accel.Untiled, w, m, p, nil)
+		suc, err := accel.OuterSPACE.Run(accel.SUC, w, m, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		drt, err := outerspace.Run(outerspace.DRT, w, osOpt)
+		drt, err := accel.OuterSPACE.Run(accel.DRT, w, m, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		osSUC = append(osSUC, base.Cycles()/suc.Cycles())
 		osDRT = append(osDRT, base.Cycles()/drt.Cycles())
-		mbase, _ := matraptor.Run(matraptor.Untiled, w, mrOpt)
-		msuc, err := matraptor.Run(matraptor.SUC, w, mrOpt)
+		mbase, _ := accel.MatRaptor.Run(accel.Untiled, w, m, p, nil)
+		msuc, err := accel.MatRaptor.Run(accel.SUC, w, m, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mdrt, err := matraptor.Run(matraptor.DRT, w, mrOpt)
+		mdrt, err := accel.MatRaptor.Run(accel.DRT, w, m, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,10 +37,11 @@ import (
 // workload (see Context.Square), so a warm rerun of a replayed figure
 // builds no operands, grids or reference pass at all.
 
-// defaultTraceStoreBudget bounds the store directory when the caller does
-// not: 4 GiB holds tens of thousands of bench-scale schedules and a few
-// hundred full-scale ones before LRU eviction starts.
-const defaultTraceStoreBudget = 4 << 30
+// traceStoreBudget bounds the store directory's bytes (older entries are
+// LRU-evicted on store): 4 GiB holds tens of thousands of bench-scale
+// schedules and a few hundred full-scale ones before eviction starts.
+// Tests lower it to make stores evict.
+var traceStoreBudget int64 = 4 << 30
 
 // storeKeyVersion is the trace-store keying generation, folded into every
 // disk key next to accel.TraceFormatVersion. Bump it when storeKey gains

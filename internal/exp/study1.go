@@ -5,8 +5,6 @@ import (
 
 	"drt/internal/accel"
 	"drt/internal/accel/extensor"
-	"drt/internal/accel/matraptor"
-	"drt/internal/accel/outerspace"
 	"drt/internal/cpuref"
 	"drt/internal/gen"
 	"drt/internal/metrics"
@@ -37,12 +35,12 @@ func (c *Context) Fig01() (*metrics.Table, error) {
 		if err != nil {
 			return out, err
 		}
-		r, err := outerspace.Run(outerspace.Untiled, w, outerspace.Options{Machine: exOpt.Machine, Partition: exOpt.Partition})
+		r, err := accel.OuterSPACE.Run(accel.Untiled, w, exOpt.Machine, exOpt.Partition, nil)
 		if err != nil {
 			return out, err
 		}
 		out.os = r.Traffic
-		r, err = matraptor.Run(matraptor.Untiled, w, matraptor.Options{Machine: exOpt.Machine, Partition: exOpt.Partition})
+		r, err = accel.MatRaptor.Run(accel.Untiled, w, exOpt.Machine, exOpt.Partition, nil)
 		if err != nil {
 			return out, err
 		}
@@ -79,10 +77,10 @@ func (c *Context) Fig01() (*metrics.Table, error) {
 			metrics.MB(tr.Total()), metrics.MB(lower.Total()),
 			float64(tr.Total())/float64(lower.Total()))
 	}
-	row("OuterSPACE", osT)
-	row("MatRaptor", mrT)
-	row("ExTensor", exT)
-	row("ExTensor-OP-DRT", drtT)
+	row(accel.OuterSPACE.Name, osT)
+	row(accel.MatRaptor.Name, mrT)
+	row(extensor.Original.String(), exT)
+	row(extensor.OPDRT.String(), drtT)
 	return t, nil
 }
 

@@ -1,9 +1,9 @@
 package exp
 
 import (
-	"drt/internal/accel/matraptor"
-	"drt/internal/accel/outerspace"
+	"drt/internal/accel"
 	"drt/internal/metrics"
+	"drt/internal/sim"
 	"drt/internal/swdrt"
 	"drt/internal/workloads"
 )
@@ -15,65 +15,47 @@ func (c *Context) Fig10() (*metrics.Table, error) {
 	t := metrics.NewTable("Fig. 10: portability — speedup over untiled baseline (×)",
 		"matrix", "accel", "SUC", "SUC-bound", "DRT", "DRT-bound")
 	m := c.Machine()
-	osOpt := outerspace.Options{Machine: m, Partition: c.extensorOptions().Partition}
-	mrOpt := matraptor.Options{Machine: m, Partition: osOpt.Partition}
-	var osSUC, osDRT, mrSUC, mrDRT []float64
-	type cell struct {
-		osSUC, osSUCBound, osDRT, osDRTBound float64
-		mrSUC, mrSUCBound, mrDRT, mrDRTBound float64
-	}
-	cells, err := forEntries(c, c.fig6Entries(), func(e workloads.Entry) (cell, error) {
-		var out cell
+	p := c.extensorOptions().Partition
+	designs := []accel.Design{accel.OuterSPACE, accel.MatRaptor}
+	// speedups holds one design's row: the SUC and DRT speedups over the
+	// untiled baseline and their DRAM-bound ratios.
+	type speedups struct{ suc, sucBound, drt, drtBound float64 }
+	cells, err := forEntries(c, c.fig6Entries(), func(e workloads.Entry) ([]speedups, error) {
 		w, err := c.Square(e)
 		if err != nil {
-			return out, err
+			return nil, err
 		}
-		// OuterSPACE row.
-		ubase, err := outerspace.Run(outerspace.Untiled, w, osOpt)
-		if err != nil {
-			return out, err
+		out := make([]speedups, len(designs))
+		for di, d := range designs {
+			var r [3]sim.Result
+			for ti, tl := range []accel.Tiling{accel.Untiled, accel.SUC, accel.DRT} {
+				if r[ti], err = d.Run(tl, w, m, p, nil); err != nil {
+					return nil, err
+				}
+			}
+			out[di] = speedups{
+				suc: r[0].Cycles() / r[1].Cycles(), sucBound: r[1].AI() / r[0].AI(),
+				drt: r[0].Cycles() / r[2].Cycles(), drtBound: r[2].AI() / r[0].AI(),
+			}
 		}
-		suc, err := outerspace.Run(outerspace.SUC, w, osOpt)
-		if err != nil {
-			return out, err
-		}
-		drt, err := outerspace.Run(outerspace.DRT, w, osOpt)
-		if err != nil {
-			return out, err
-		}
-		out.osSUC, out.osDRT = ubase.Cycles()/suc.Cycles(), ubase.Cycles()/drt.Cycles()
-		out.osSUCBound, out.osDRTBound = suc.AI()/ubase.AI(), drt.AI()/ubase.AI()
-		// MatRaptor row.
-		mbase, err := matraptor.Run(matraptor.Untiled, w, mrOpt)
-		if err != nil {
-			return out, err
-		}
-		msuc, err := matraptor.Run(matraptor.SUC, w, mrOpt)
-		if err != nil {
-			return out, err
-		}
-		mdrt, err := matraptor.Run(matraptor.DRT, w, mrOpt)
-		if err != nil {
-			return out, err
-		}
-		out.mrSUC, out.mrDRT = mbase.Cycles()/msuc.Cycles(), mbase.Cycles()/mdrt.Cycles()
-		out.mrSUCBound, out.mrDRTBound = msuc.AI()/mbase.AI(), mdrt.AI()/mbase.AI()
 		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	suc := make([][]float64, len(designs))
+	drt := make([][]float64, len(designs))
 	for i, e := range c.fig6Entries() {
-		cl := cells[i]
-		osSUC = append(osSUC, cl.osSUC)
-		osDRT = append(osDRT, cl.osDRT)
-		t.AddRow(e.Name, "OuterSPACE", cl.osSUC, cl.osSUCBound, cl.osDRT, cl.osDRTBound)
-		mrSUC = append(mrSUC, cl.mrSUC)
-		mrDRT = append(mrDRT, cl.mrDRT)
-		t.AddRow(e.Name, "MatRaptor", cl.mrSUC, cl.mrSUCBound, cl.mrDRT, cl.mrDRTBound)
+		for di, d := range designs {
+			s := cells[i][di]
+			suc[di] = append(suc[di], s.suc)
+			drt[di] = append(drt[di], s.drt)
+			t.AddRow(e.Name, d.Name, s.suc, s.sucBound, s.drt, s.drtBound)
+		}
 	}
-	t.AddRow("geomean", "OuterSPACE", metrics.Geomean(osSUC), "", metrics.Geomean(osDRT), "")
-	t.AddRow("geomean", "MatRaptor", metrics.Geomean(mrSUC), "", metrics.Geomean(mrDRT), "")
+	for di, d := range designs {
+		t.AddRow("geomean", d.Name, metrics.Geomean(suc[di]), "", metrics.Geomean(drt[di]), "")
+	}
 	return t, nil
 }
 

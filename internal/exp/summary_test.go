@@ -263,11 +263,12 @@ func TestSummaryKeying(t *testing.T) {
 const storeChildEnv = "DRT_EXP_STORE_CHILD"
 
 // crossProcessOptions is the configuration both child processes and the
-// store-off reference render with: a store budget far below what the
-// figure records, so every store evicts.
+// store-off reference render with. The children also lower
+// traceStoreBudget far below what the figures record, so every store
+// evicts.
 func crossProcessOptions(dir string) Options {
 	return Options{Scale: 64, MicroTile: 8, MaxWorkloads: 3, Parallel: 2, NoOperandCache: true,
-		TraceStore: dir, TraceStoreBudget: 16 << 10}
+		TraceStore: dir}
 }
 
 // childReport is what one child process hands back.
@@ -285,6 +286,9 @@ type childReport struct {
 func TestTraceStoreCrossProcess(t *testing.T) {
 	if req := os.Getenv(storeChildEnv); req != "" {
 		dir, out, _ := strings.Cut(req, "|")
+		budget := traceStoreBudget
+		traceStoreBudget = 16 << 10
+		defer func() { traceStoreBudget = budget }()
 		// An entry that exists but does not decode is one a reader saw
 		// before it was complete.
 		var undecodable atomic.Int64

@@ -33,6 +33,18 @@ func Result(id string, t *Table, seconds float64) ExpResult {
 	}
 }
 
+// check rejects a result that no table could have written: a derived row
+// with more geomean flags than cells, whose recomputation would index
+// past its cells.
+func (r ExpResult) check() error {
+	for i, d := range r.Derived {
+		if len(d.Geo) > len(d.Cells) {
+			return fmt.Errorf("metrics: %s: derived row %d has %d geomean flags for %d cells", r.ID, i, len(d.Geo), len(d.Cells))
+		}
+	}
+	return nil
+}
+
 // Table rebuilds the table from the raw cells, recomputing derived rows.
 // The formatted Rows of the rebuilt table are identical to the original's
 // (cells round-trip exactly through their kind-tagged JSON).
@@ -63,7 +75,7 @@ func (d Dump) WriteJSON(w io.Writer) error {
 	return enc.Encode(d)
 }
 
-// LoadDump reads one metrics dump file.
+// LoadDump reads one metrics dump file and rejects malformed tables.
 func LoadDump(path string) (Dump, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -72,6 +84,11 @@ func LoadDump(path string) (Dump, error) {
 	var d Dump
 	if err := json.Unmarshal(data, &d); err != nil {
 		return Dump{}, fmt.Errorf("%s: %w", path, err)
+	}
+	for _, r := range d.Experiments {
+		if err := r.check(); err != nil {
+			return Dump{}, fmt.Errorf("%s: %w", path, err)
+		}
 	}
 	return d, nil
 }
@@ -105,6 +122,9 @@ func MergeDumps(dumps []Dump) (Dump, error) {
 			counters[k] += v
 		}
 		for _, r := range d.Experiments {
+			if err := r.check(); err != nil {
+				return Dump{}, err
+			}
 			s, ok := slots[r.ID]
 			if !ok {
 				if len(r.Cells) == 0 && len(r.Rows) > 0 {

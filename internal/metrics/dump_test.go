@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,4 +56,89 @@ func TestLoadDumpWithoutCounters(t *testing.T) {
 	if d.Counters != nil || d.Meta["cmd"] != "drtbench" || len(d.Experiments) != 1 {
 		t.Errorf("loaded %+v", d)
 	}
+}
+
+// TestDumpRejectsExtraGeomeanFlags pins that a derived row flagging more
+// geomean columns than it has cells is an error when loading and when
+// merging, not an index panic in the recomputation.
+func TestDumpRejectsExtraGeomeanFlags(t *testing.T) {
+	const bad = `{"experiments": [{"id": "t", "title": "T", "headers": ["name"], "cells": [], "derived": [{"cells": [], "geo": [true]}]}]}`
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadDump(path); err == nil {
+		t.Error("LoadDump accepted a derived row with more geomean flags than cells")
+	}
+	var d Dump
+	if err := json.Unmarshal([]byte(bad), &d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeDumps([]Dump{shardDump("a", nil), d}); err == nil {
+		t.Error("MergeDumps accepted a derived row with more geomean flags than cells")
+	}
+}
+
+// FuzzLoadDump feeds arbitrary bytes through a file to LoadDump. Nothing
+// may panic: not loading, not merging one or two copies of what loaded,
+// and not rebuilding any of their tables. A loaded dump re-encodes, and
+// the re-encoding reloads to the same dump.
+func FuzzLoadDump(f *testing.F) {
+	tb := NewTable("T", "name", "x", "n")
+	tb.AddRow("a", 1.5, 3)
+	tb.AddRow("b", 2.0, int64(4))
+	tb.AddGeomeanRow("geomean", GeomeanCol, "")
+	var seed bytes.Buffer
+	dump := Dump{
+		Meta:        map[string]string{"cmd": "drtbench"},
+		Counters:    map[string]int64{"exp.workload.builds": 2},
+		Experiments: []ExpResult{Result("t", tb, 1.25)},
+	}
+	if err := dump.WriteJSON(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte(`{"experiments": [{"id": "t", "cells": [], "derived": [{"cells": [], "geo": [true]}]}]}`))
+	f.Add([]byte(`{"meta": {"cmd": "drtbench"}, "experiments": [{"id": "t", "title": "T", "headers": ["name"], "rows": [["a"]], "seconds": 1}]}`))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "dump.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := LoadDump(path)
+		if err != nil {
+			return
+		}
+		for _, r := range d.Experiments {
+			r.Table()
+		}
+		for _, dumps := range [][]Dump{{d}, {d, d}} {
+			merged, err := MergeDumps(dumps)
+			if err != nil {
+				continue
+			}
+			for _, r := range merged.Experiments {
+				r.Table()
+			}
+		}
+		var first bytes.Buffer
+		if err := d.WriteJSON(&first); err != nil {
+			t.Fatalf("loaded dump does not re-encode: %v", err)
+		}
+		if err := os.WriteFile(path, first.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadDump(path)
+		if err != nil {
+			t.Fatalf("re-encoded dump does not load: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := again.WriteJSON(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("reloaded dump differs:\n%s\nwant\n%s", second.Bytes(), first.Bytes())
+		}
+	})
 }

@@ -5,16 +5,14 @@
 // variant is used because inner product benefits from balanced input
 // reuse. The study is an oracle, best-case memory-traffic analysis: it
 // compares untiled, S-U-C-tiled and DRT-tiled SpMSpM traffic (Fig. 11).
+// The design itself is the engine preset accel.SoftwareLLC.
 package swdrt
 
 import (
 	"math"
 
 	"drt/internal/accel"
-	"drt/internal/core"
-	"drt/internal/extractor"
 	"drt/internal/sim"
-	"drt/internal/tensor"
 )
 
 // Options configures the software study.
@@ -50,73 +48,19 @@ func ratio(num, den int64) float64 {
 	return float64(num) / float64(den)
 }
 
-// Run measures all three variants on one workload.
+// Run measures all three variants on one workload: the accel.SoftwareLLC
+// design with the LLC as its global buffer.
 func Run(w *accel.Workload, opt Options) (Study, error) {
-	var s Study
-	// Untiled row-wise SpMSpM: A streamed once, B rows fetched per
-	// referencing A element with no reuse, Z written once.
-	sum := w.Summary()
-	s.UntiledBytes = sum.AFootprint + sum.StreamedB + sum.ZFootprint
-
-	capA, capB, capO := opt.Partition.Split(opt.LLCBytes)
-	base := accel.EngineOptions{
-		Machine: softwareMachine(opt.LLCBytes),
-		CapA:    capA,
-		CapB:    capB,
-		CapO:    capO,
-		// True inner product, I → J → K with the contracted rank
-		// innermost: each output region completes before the loop moves
-		// on ("inner-product has perfect reuse on the output"), and both
-		// input tiles turn over as K advances — which is why the paper
-		// pairs this dataflow with the alternating growth variant, whose
-		// square-ish tiles balance the two inputs' pass counts.
-		LoopOrder: []int{accel.DimI, accel.DimJ, accel.DimK},
-		Intersect: sim.SerialOptimal,
-		Extractor: extractor.IdealExtractor,
-		// The output tile lives in the LLC alongside the inputs, so its
-		// footprint participates in the growth capacity check.
-		ConstrainOutput: true,
-	}
-
-	suc := base
-	suc.Strategy = core.Static
-	suc.InitialSize = staticShape(w, capA, capB)
-	r, err := accel.RunTasks(w, suc)
-	if err != nil {
-		return s, err
-	}
-	s.SUCBytes = r.Traffic.Total()
-
-	dnc := base
-	dnc.Strategy = core.Alternating
-	r, err = accel.RunTasks(w, dnc)
-	if err != nil {
-		return s, err
-	}
-	s.DNCBytes = r.Traffic.Total()
-	return s, nil
-}
-
-// softwareMachine wraps the LLC size in a machine descriptor for the
-// shared engine; bandwidth/PE settings are irrelevant to a traffic-only
-// study but must be non-zero.
-func softwareMachine(llc int64) sim.Machine {
+	// Bandwidth and PE settings are irrelevant to a traffic-only study but
+	// must be non-zero.
 	m := sim.DefaultMachine()
-	m.GlobalBuffer = llc
-	return m
-}
-
-// staticShape picks the dense-safe S-U-C shape in grid units.
-func staticShape(w *accel.Workload, capA, capB int64) []int {
-	mt := w.MicroTile
-	denseTile := float64(mt*mt) * (tensor.MetaBytes + tensor.ValueBytes)
-	side := int(math.Sqrt(float64(capB) / denseTile))
-	if side < 1 {
-		side = 1
+	m.GlobalBuffer = opt.LLCBytes
+	var r [3]sim.Result
+	for i, t := range []accel.Tiling{accel.Untiled, accel.SUC, accel.DRT} {
+		var err error
+		if r[i], err = accel.SoftwareLLC.Run(t, w, m, opt.Partition, nil); err != nil {
+			return Study{}, err
+		}
 	}
-	si := int(float64(capA) / denseTile / float64(side))
-	if si < 1 {
-		si = 1
-	}
-	return []int{si, side, side}
+	return Study{UntiledBytes: r[0].Traffic.Total(), SUCBytes: r[1].Traffic.Total(), DNCBytes: r[2].Traffic.Total()}, nil
 }

@@ -153,33 +153,12 @@ func newGrid(rows, cols, tileH, tileW int, f Format) *Grid {
 	return g
 }
 
-// NewGrid3Slice builds a grid over one (row-like, col-like) pair of
-// dimensions from explicit per-cell counts; used by the 3-D grid below and
-// by tests.
-func newGridFromCounts(rows, cols, tileH, tileW int, counts []int64) *Grid {
-	g := &Grid{
-		Rows: rows, Cols: cols, TileH: tileH, TileW: tileW,
-		GR: ceilDiv(rows, tileH), GC: ceilDiv(cols, tileW),
-	}
-	g.buildSums(counts)
-	return g
-}
-
 // allocSums sizes the three prefix-sum arrays (zeroed first row/column).
 func (g *Grid) allocSums() {
 	n := (g.GR + 1) * (g.GC + 1)
 	g.nnzSum = make([]int64, n)
 	g.fpSum = make([]int64, n)
 	g.tileSum = make([]int64, n)
-}
-
-// buildSums folds explicit per-cell counts into the prefix sums; the
-// arrays must have been sized by allocSums.
-func (g *Grid) buildSums(counts []int64) {
-	g.allocSums()
-	for r := 0; r < g.GR; r++ {
-		g.buildSumRow(r, counts[r*g.GC:(r+1)*g.GC])
-	}
 }
 
 // buildSumRow folds one grid row's cell counts into the prefix sums:
