@@ -51,7 +51,7 @@ const (
 	Static                = core.Static
 )
 
-// PlanConfig configures PlanSpMSpM.
+// PlanConfig configures PlanSpMSpM and PlanSpMM.
 type PlanConfig struct {
 	// MicroTile is the edge of the statically built square micro tiles
 	// (the paper uses 32). Defaults to 32.
@@ -61,9 +61,9 @@ type PlanConfig struct {
 	BudgetA, BudgetB int64
 	// Strategy defaults to GreedyContractedFirst.
 	Strategy Strategy
-	// BStationary selects the J→K→I dataflow with B's tiles long-lived
-	// (the paper's ExTensor-OP-DRT order); when false the I→K→J order
-	// keeps A's tiles long-lived. Default true.
+	// AStationary selects the I→K→J dataflow, which keeps A's tiles
+	// long-lived. The zero value selects J→K→I with B's tiles long-lived
+	// (the paper's ExTensor-OP-DRT order).
 	AStationary bool
 }
 
@@ -96,7 +96,7 @@ type PlanStats struct {
 	OnePassABytes, OnePassBBytes int64
 }
 
-// Plan is the output of PlanSpMSpM.
+// Plan is the output of PlanSpMSpM and PlanSpMM.
 type Plan struct {
 	Tasks []PlanTask
 	Stats PlanStats
@@ -109,6 +109,16 @@ func PlanSpMSpM(a, b *Matrix, cfg PlanConfig) (*Plan, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("drt: cannot multiply %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
+	return plan(a, b.Cols, cfg, func(mt int) (core.View, int64) {
+		gb := tiling.NewAutoGrid(b, mt, mt)
+		return core.MatrixView{G: gb}, gb.TotalFootprint()
+	})
+}
+
+// plan is the one DRT planner behind PlanSpMSpM and PlanSpMM, which
+// differ only in operand B: bView returns B's view at micro-tile edge mt
+// and B's read-once bytes, and bCols is B's width.
+func plan(a *Matrix, bCols int, cfg PlanConfig, bView func(mt int) (core.View, int64)) (*Plan, error) {
 	mt := cfg.MicroTile
 	if mt == 0 {
 		mt = 32
@@ -120,16 +130,15 @@ func PlanSpMSpM(a, b *Matrix, cfg PlanConfig) (*Plan, error) {
 		return nil, fmt.Errorf("drt: budgets must be positive, got %d/%d", cfg.BudgetA, cfg.BudgetB)
 	}
 	ga := tiling.NewAutoGrid(a, mt, mt)
-	gb := tiling.NewAutoGrid(b, mt, mt)
 	gaR, gaC := ga.Extents()
-	_, gbC := gb.Extents()
+	vb, onePassB := bView(mt)
 	k := &core.Kernel{
 		DimNames:   []string{"I", "J", "K"},
 		Contracted: []bool{false, false, true},
-		Extent:     []int{gaR, gbC, gaC},
+		Extent:     []int{gaR, (bCols + mt - 1) / mt, gaC},
 		Operands: []core.Operand{
 			{Name: "A", Dims: []int{0, 2}, View: core.MatrixView{G: ga}, Capacity: cfg.BudgetA},
-			{Name: "B", Dims: []int{2, 1}, View: core.MatrixView{G: gb}, Capacity: cfg.BudgetB},
+			{Name: "B", Dims: []int{2, 1}, View: vb, Capacity: cfg.BudgetB},
 		},
 	}
 	loop := []int{1, 2, 0} // J → K → I: B stationary
@@ -142,7 +151,7 @@ func PlanSpMSpM(a, b *Matrix, cfg PlanConfig) (*Plan, error) {
 	}
 	p := &Plan{}
 	p.Stats.OnePassABytes = ga.TotalFootprint()
-	p.Stats.OnePassBBytes = gb.TotalFootprint()
+	p.Stats.OnePassBBytes = onePassB
 	clampRange := func(r core.Range, max int) TaskRange {
 		hi := r.Hi * mt
 		if hi > max {
@@ -163,7 +172,7 @@ func PlanSpMSpM(a, b *Matrix, cfg PlanConfig) (*Plan, error) {
 		}
 		p.Tasks = append(p.Tasks, PlanTask{
 			I:         clampRange(t.Ranges[0], a.Rows),
-			J:         clampRange(t.Ranges[1], b.Cols),
+			J:         clampRange(t.Ranges[1], bCols),
 			K:         clampRange(t.Ranges[2], a.Cols),
 			ANonZeros: t.OpNNZ[0],
 			BNonZeros: t.OpNNZ[1],

@@ -11,10 +11,11 @@ import (
 	"drt/internal/sim"
 )
 
-// FuzzReadTrace feeds arbitrary bytes to both .drtt decoders: ReadTrace
-// on the stream and, through a temp file, OpenTrace. Neither may panic,
-// and whatever either accepts must re-encode with WriteBinary and decode
-// back to an equal trace that retimes identically.
+// FuzzReadTrace feeds arbitrary bytes to the .drtt decoder through both
+// of its front ends: ReadTrace on the stream and, through a temp file,
+// OpenTrace. Neither may panic, and whatever either accepts must re-encode
+// with WriteBinary and decode back to an equal trace that retimes
+// identically.
 func FuzzReadTrace(f *testing.F) {
 	for _, tr := range recordedFixturesOf(f, 48, 300) {
 		var buf bytes.Buffer

@@ -75,18 +75,16 @@ type GramOptions struct {
 	Strategy  core.Strategy // Static = S-U-C baseline, Greedy = DRT
 	Intersect sim.IntersectKind
 	Extractor extractor.Kind
-	// ConstrainOutput caps growth by the output partition (see
-	// EngineOptions.ConstrainOutput); the default multiply-and-merge
-	// configuration leaves growth unconstrained and pays spill traffic.
-	ConstrainOutput bool
 }
 
 // kernel assembles the 4-dimensional DRT kernel: both operands are views
 // of the same tensor, the first indexed (i, j, k) and the second (l, j, k),
-// so the contracted j/k growth of one co-tiles the other.
-func (w *GramWorkload) kernel(capA, capB, capO int64, constrainOutput bool) *core.Kernel {
+// so the contracted j/k growth of one co-tiles the other. Growth is not
+// capped by the output: the multiply-and-merge configuration pays spill
+// traffic instead.
+func (w *GramWorkload) kernel(capA, capB int64) *core.Kernel {
 	gi, gj, gk := w.G3.Extents3()
-	k := &core.Kernel{
+	return &core.Kernel{
 		DimNames:   []string{"I", "L", "J", "K"},
 		Contracted: []bool{false, false, true, true},
 		Extent:     []int{gi, gi, gj, gk},
@@ -95,13 +93,6 @@ func (w *GramWorkload) kernel(capA, capB, capO int64, constrainOutput bool) *cor
 			{Name: "X(l,j,k)", Dims: []int{GramDimL, GramDimJ, GramDimK}, View: core.TensorView{G: w.G3}, Capacity: capB},
 		},
 	}
-	if constrainOutput {
-		k.Operands = append(k.Operands, core.Operand{
-			Name: "G", Dims: []int{GramDimI, GramDimL},
-			View: core.MatrixView{G: w.GZ}, Capacity: capO, Output: true,
-		})
-	}
-	return k
 }
 
 // RunGram simulates the Gram kernel: DRT (or static tiling) must now grow
@@ -117,7 +108,7 @@ func RunGram(w *GramWorkload, opt GramOptions) (sim.Result, error) {
 		return sim.Result{}, err
 	}
 	capA, capB, capO := opt.Partition.Split(opt.Machine.GlobalBuffer)
-	k := w.kernel(capA, capB, capO, opt.ConstrainOutput)
+	k := w.kernel(capA, capB)
 	cfg := &core.Config{
 		// L-stationary dataflow: contracted J, K advance inside L, the
 		// un-contracted I innermost.

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sync"
+	"unsafe"
+
+	"drt/internal/diskcache"
 )
 
 // Binary trace format (.drtt): a versioned little-endian dump of one
@@ -79,31 +82,26 @@ func (t *Trace) TraceBinarySize() int64 {
 	return traceBinarySize(len(t.Name), len(t.taskRecs), len(t.rows), len(t.subs), len(t.exts), len(t.dists))
 }
 
+// traceBinarySize returns the exact .drtt file size for the given counts.
+// Counts the header check admits (up to 2^56 each) can imply more than
+// int64 holds; the size then saturates at math.MaxInt64, more than any
+// file or stream.
 func traceBinarySize(nameLen, nTasks, nRows, nSubs, nExts, nDists int) int64 {
-	return int64(traceHeaderSize) + traceTableSize +
-		int64(nameLen) + int64(tracePad8(nameLen)) + traceLedgerSize +
-		int64(nTasks)*traceTaskSize +
-		int64(nRows)*traceItemSize +
-		int64(nSubs)*traceItemSize +
-		int64(nExts)*8 +
-		int64(nDists)*traceItemSize
+	n := uint64(traceHeaderSize+traceTableSize+traceLedgerSize) +
+		uint64(nameLen+tracePad8(nameLen)) +
+		uint64(nTasks)*traceTaskSize +
+		uint64(nRows)*traceItemSize +
+		uint64(nSubs)*traceItemSize +
+		uint64(nExts)*8 +
+		uint64(nDists)*traceItemSize
+	return int64(min(n, math.MaxInt64))
 }
 
-// traceIOBuffer sizes the bufio wrappers of WriteBinary and ReadTrace.
-// They only batch the small fixed fields: section bodies move in large
-// writes and chunk reads that bypass the buffer, so a small buffer keeps
-// each call from allocating and zeroing a megabyte.
+// traceIOBuffer sizes WriteBinary's bufio wrapper. It only batches the
+// small fixed fields: section bodies move in large writes that bypass the
+// buffer, so a small buffer keeps each call from allocating and zeroing a
+// megabyte.
 const traceIOBuffer = 64 << 10
-
-// traceScratch pools the decoder's chunk buffers: one 1 MiB buffer serves
-// a whole decode pass, so deserializing a trace costs a handful of
-// allocations — the trace's own arrays, which grow by appending past one
-// chunk's worth of records. (Encoding buffers through bufio.Writer and
-// needs no scratch.)
-var traceScratch = sync.Pool{New: func() any {
-	b := make([]byte, 1<<20)
-	return &b
-}}
 
 // traceEncoder streams little-endian fields into the underlying buffered
 // writer.
@@ -286,189 +284,122 @@ func decodeTraceHeader(hdr []byte) (traceHeader, error) {
 	return h, nil
 }
 
-// traceDecoder consumes little-endian fields from an io.Reader through a
-// pooled chunk buffer.
-type traceDecoder struct {
-	r   io.Reader
-	buf []byte // pooled chunk
-}
-
-// section reads exactly n bytes (a multiple of the rec record size) via
-// the chunk buffer and passes each filled chunk to fn. Every chunk is
-// trimmed to a whole number of rec-byte records — the pooled buffer's
-// 1 MiB is not a multiple of every record size (1<<20 % 96 = 64), so an
-// untrimmed chunk boundary would split a record. fn must consume chunk
-// fully.
-func (d *traceDecoder) section(n, rec int64, fn func(chunk []byte) error) error {
-	whole := int64(len(d.buf)) / rec * rec
-	if whole <= 0 {
-		return fmt.Errorf("accel: trace decode buffer of %d bytes cannot hold a %d-byte record", len(d.buf), rec)
-	}
-	for n > 0 {
-		c := whole
-		if c > n {
-			c = n
-		}
-		chunk := d.buf[:c]
-		if _, err := io.ReadFull(d.r, chunk); err != nil {
-			return err
-		}
-		if err := fn(chunk); err != nil {
-			return err
-		}
-		n -= c
-	}
-	return nil
-}
-
-// capHint bounds the preallocation of a section of n rec-byte records by
-// what one chunk holds. Sections then grow as their chunks arrive, so a
-// header's counts can never allocate more than the data actually read.
-func (d *traceDecoder) capHint(n int, rec int64) int {
-	if most := int(int64(len(d.buf)) / rec); n > most {
-		return most
-	}
-	return n
-}
-
-// fixed reads exactly len(b) bytes into b.
-func (d *traceDecoder) fixed(b []byte) error {
-	_, err := io.ReadFull(d.r, b)
-	return err
-}
-
 // ReadTrace reads a .drtt stream fully into memory. A truncated or
 // corrupt stream is reported as an error, never as a silently short or
-// scrambled schedule.
+// scrambled schedule. The file image is read one chunk at a time as its
+// bytes arrive (diskcache.ReadImage), so a header's counts cannot
+// allocate more than a chunk beyond what the stream holds.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	bufp := traceScratch.Get().(*[]byte)
-	defer traceScratch.Put(bufp)
-	d := &traceDecoder{r: bufio.NewReaderSize(r, traceIOBuffer), buf: *bufp}
-
 	var hdr [traceHeaderSize]byte
-	if err := d.fixed(hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("accel: truncated .drtt header: %w", err)
 	}
 	h, err := decodeTraceHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
-
-	var tblRaw [traceTableSize]byte
-	if err := d.fixed(tblRaw[:]); err != nil {
-		return nil, fmt.Errorf("accel: truncated .drtt section table: %w", err)
+	data, err := diskcache.ReadImage(r, hdr[:], traceBinarySize(h.nameLen, h.nTasks, h.nRows, h.nSubs, h.nExts, h.nDists))
+	if err != nil {
+		return nil, fmt.Errorf("accel: truncated .drtt: %w", err)
 	}
-	want := traceSectionTable(h.nameLen, h.nTasks, h.nRows, h.nSubs, h.nExts, h.nDists)
-	for i := range want {
-		off := int64(binary.LittleEndian.Uint64(tblRaw[16*i:]))
-		size := int64(binary.LittleEndian.Uint64(tblRaw[16*i+8:]))
-		if off != want[i][0] || size != want[i][1] {
+	return decodeTrace(data, false)
+}
+
+// decodeTrace is the one .drtt decoder: it checks a complete file image —
+// header, exact size, section table, distribution flags and the task
+// windows — and builds its Trace. With alias, the mmap path on a host
+// that passes traceAliasOK, the per-task and per-item arrays (everything
+// that scales with the schedule) are views of data, which must be
+// 8-aligned as mmap's page-aligned memory is; without, they are decoded
+// into the heap and data is not kept. A distEvent's multicast bool
+// aliases the low byte of the on-disk flags word, so any flag bit beyond
+// bit 0 marks a corrupt file on both paths.
+func decodeTrace(data []byte, alias bool) (*Trace, error) {
+	if len(data) < traceHeaderSize {
+		return nil, fmt.Errorf("accel: truncated .drtt header: %d bytes", len(data))
+	}
+	h, err := decodeTraceHeader(data[:traceHeaderSize])
+	if err != nil {
+		return nil, err
+	}
+	if want := traceBinarySize(h.nameLen, h.nTasks, h.nRows, h.nSubs, h.nExts, h.nDists); int64(len(data)) != want {
+		return nil, fmt.Errorf("accel: .drtt size %d, want %d (truncated or corrupt)", len(data), want)
+	}
+	var sec [traceSections][]byte
+	for i, want := range traceSectionTable(h.nameLen, h.nTasks, h.nRows, h.nSubs, h.nExts, h.nDists) {
+		raw := data[traceHeaderSize+16*i:]
+		off, size := int64(binary.LittleEndian.Uint64(raw)), int64(binary.LittleEndian.Uint64(raw[8:]))
+		if off != want[0] || size != want[1] {
 			return nil, fmt.Errorf("accel: .drtt section %d is (%d,%d), header implies (%d,%d) — corrupt",
-				i, off, size, want[i][0], want[i][1])
+				i, off, size, want[0], want[1])
 		}
+		sec[i] = data[off : off+size]
 	}
 
-	tr := &Trace{hierarchical: h.hierarchical}
-
-	nameRaw := make([]byte, h.nameLen+tracePad8(h.nameLen))
-	if err := d.fixed(nameRaw); err != nil {
-		return nil, fmt.Errorf("accel: truncated .drtt name: %w", err)
-	}
-	tr.Name = string(nameRaw[:h.nameLen])
-
-	var ledger [traceLedgerSize]byte
-	if err := d.fixed(ledger[:]); err != nil {
-		return nil, fmt.Errorf("accel: truncated .drtt ledger: %w", err)
-	}
-	li := func(i int) int64 { return int64(binary.LittleEndian.Uint64(ledger[8*i:])) }
+	tr := &Trace{Name: string(sec[0][:h.nameLen]), hierarchical: h.hierarchical}
+	li := func(i int) int64 { return int64(binary.LittleEndian.Uint64(sec[1][8*i:])) }
 	tr.traffic.A, tr.traffic.B, tr.traffic.Z = li(0), li(1), li(2)
 	tr.maccs, tr.intersectOps = li(3), li(4)
 	tr.tasks, tr.emptyTasks, tr.overflows = int(li(5)), int(li(6)), int(li(7))
 	tr.inputTraffic = li(8)
 
-	if h.nTasks > 0 {
-		tr.taskRecs = make([]traceTask, 0, d.capHint(h.nTasks, traceTaskSize))
-		err := d.section(int64(h.nTasks)*traceTaskSize, traceTaskSize, func(chunk []byte) error {
-			for len(chunk) > 0 {
-				f := func(j int) int64 { return int64(binary.LittleEndian.Uint64(chunk[8*j:])) }
-				tr.taskRecs = append(tr.taskRecs, traceTask{
-					bytes: f(0), scanTiles: f(1), probes: int(f(2)), rebuiltTiles: f(3),
-					rowsLo: int(f(4)), rowsHi: int(f(5)),
-					subsLo: int(f(6)), subsHi: int(f(7)),
-					extsLo: int(f(8)), extsHi: int(f(9)),
-					distsLo: int(f(10)), distsHi: int(f(11)),
-				})
-				chunk = chunk[traceTaskSize:]
+	for i := 0; i < h.nDists; i++ {
+		if flags := binary.LittleEndian.Uint64(sec[6][16*i+8:]); flags&^uint64(1) != 0 {
+			return nil, fmt.Errorf("accel: corrupt .drtt distribution section: unknown distribution flags %#x", flags)
+		}
+	}
+	if alias {
+		tr.taskRecs = view[traceTask](sec[2], h.nTasks)
+		tr.rows = view[rowCost](sec[3], h.nRows)
+		tr.subs = view[rowCost](sec[4], h.nSubs)
+		tr.exts = view[int64](sec[5], h.nExts)
+		tr.dists = view[distEvent](sec[6], h.nDists)
+	} else {
+		f := func(b []byte, j int) int64 { return int64(binary.LittleEndian.Uint64(b[8*j:])) }
+		tr.taskRecs = decodeRecs(sec[2], traceTaskSize, func(b []byte) traceTask {
+			return traceTask{
+				bytes: f(b, 0), scanTiles: f(b, 1), probes: int(f(b, 2)), rebuiltTiles: f(b, 3),
+				rowsLo: int(f(b, 4)), rowsHi: int(f(b, 5)),
+				subsLo: int(f(b, 6)), subsHi: int(f(b, 7)),
+				extsLo: int(f(b, 8)), extsHi: int(f(b, 9)),
+				distsLo: int(f(b, 10)), distsHi: int(f(b, 11)),
 			}
-			return nil
 		})
-		if err != nil {
-			return nil, fmt.Errorf("accel: truncated .drtt task section: %w", err)
-		}
-	}
-
-	readCosts := func(n int) ([]rowCost, error) {
-		out := make([]rowCost, 0, d.capHint(n, traceItemSize))
-		err := d.section(int64(n)*traceItemSize, traceItemSize, func(chunk []byte) error {
-			for len(chunk) > 0 {
-				out = append(out, rowCost{
-					scanned: int64(binary.LittleEndian.Uint64(chunk[0:8])),
-					maccs:   int64(binary.LittleEndian.Uint64(chunk[8:16])),
-				})
-				chunk = chunk[traceItemSize:]
-			}
-			return nil
+		cost := func(b []byte) rowCost { return rowCost{scanned: f(b, 0), maccs: f(b, 1)} }
+		tr.rows = decodeRecs(sec[3], traceItemSize, cost)
+		tr.subs = decodeRecs(sec[4], traceItemSize, cost)
+		tr.exts = decodeRecs(sec[5], 8, func(b []byte) int64 { return f(b, 0) })
+		tr.dists = decodeRecs(sec[6], traceItemSize, func(b []byte) distEvent {
+			return distEvent{footprint: f(b, 0), multicast: f(b, 1)&1 != 0}
 		})
-		return out, err
-	}
-	if h.nRows > 0 {
-		if tr.rows, err = readCosts(h.nRows); err != nil {
-			return nil, fmt.Errorf("accel: truncated .drtt row section: %w", err)
-		}
-	}
-	if h.nSubs > 0 {
-		if tr.subs, err = readCosts(h.nSubs); err != nil {
-			return nil, fmt.Errorf("accel: truncated .drtt sub-task section: %w", err)
-		}
-	}
-	if h.nExts > 0 {
-		tr.exts = make([]int64, 0, d.capHint(h.nExts, 8))
-		err := d.section(int64(h.nExts)*8, 8, func(chunk []byte) error {
-			for len(chunk) > 0 {
-				tr.exts = append(tr.exts, int64(binary.LittleEndian.Uint64(chunk[0:8])))
-				chunk = chunk[8:]
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("accel: truncated .drtt extraction section: %w", err)
-		}
-	}
-	if h.nDists > 0 {
-		tr.dists = make([]distEvent, 0, d.capHint(h.nDists, traceItemSize))
-		err := d.section(int64(h.nDists)*traceItemSize, traceItemSize, func(chunk []byte) error {
-			for len(chunk) > 0 {
-				flags := binary.LittleEndian.Uint64(chunk[8:16])
-				if flags&^uint64(1) != 0 {
-					return fmt.Errorf("unknown distribution flags %#x", flags)
-				}
-				tr.dists = append(tr.dists, distEvent{
-					footprint: int64(binary.LittleEndian.Uint64(chunk[0:8])),
-					multicast: flags&1 != 0,
-				})
-				chunk = chunk[traceItemSize:]
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("accel: corrupt .drtt distribution section: %w", err)
-		}
 	}
 
 	if err := tr.validateWindows(); err != nil {
 		return nil, err
 	}
 	return tr, nil
+}
+
+// view returns the n records of E at the start of b as a slice aliasing
+// b (nil when n is 0, as for a kind the capture pass left empty).
+func view[E any](b []byte, n int) []E {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*E)(unsafe.Pointer(&b[0])), n)
+}
+
+// decodeRecs decodes a section of rec-byte records into a fresh slice
+// (nil when the section is empty).
+func decodeRecs[E any](sec []byte, rec int, dec func([]byte) E) []E {
+	if len(sec) == 0 {
+		return nil
+	}
+	out := make([]E, len(sec)/rec)
+	for i := range out {
+		out[i] = dec(sec[i*rec:])
+	}
+	return out
 }
 
 // validateWindows re-derives the capture pass's structural invariants:
@@ -504,33 +435,13 @@ func (t *Trace) validateWindows() error {
 	return nil
 }
 
-// ReadTraceFile reads a .drtt file, verifying the file size against the
-// header exactly before decoding the body.
+// ReadTraceFile reads a .drtt file fully into memory.
 func ReadTraceFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var hdr [traceHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("accel: truncated .drtt header: %w", err)
-	}
-	h, err := decodeTraceHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if want := traceBinarySize(h.nameLen, h.nTasks, h.nRows, h.nSubs, h.nExts, h.nDists); st.Size() != want {
-		return nil, fmt.Errorf("accel: .drtt size %d, want %d (truncated or corrupt)", st.Size(), want)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return ReadTrace(f)
+	return decodeTrace(data, false)
 }
 
 // WriteTraceFile writes the trace to path in .drtt form.

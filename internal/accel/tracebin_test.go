@@ -179,14 +179,11 @@ func TestTraceBinaryFuzzedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceBinaryLargeRoundTrip pins decoding across chunk boundaries.
-// The decoder streams sections through a pooled 1 MiB buffer, and 1<<20
-// is not a multiple of the 96-byte task record (1<<20 % 96 = 64), so any
-// trace with ≥ 10923 tasks forces a chunk boundary inside the task
-// section — exactly where an untrimmed chunk would split a record. The
-// 16- and 8-byte item sections divide 1 MiB evenly but still span
-// multiple chunks here, covering the multi-chunk path for every record
-// size.
+// TestTraceBinaryLargeRoundTrip pins decoding of images that span many
+// of ReadTrace's 1 MiB read chunks. 1<<20 is not a multiple of the
+// 96-byte task record (1<<20 % 96 = 64), so with ≥ 10923 tasks a chunk
+// boundary falls inside a task record, and every item section spans
+// chunks too.
 func TestTraceBinaryLargeRoundTrip(t *testing.T) {
 	const nTasks = 12000 // > 1<<20/96 ≈ 10922.7 tasks per chunk
 	flat := &Trace{Name: "large-flat", tasks: nTasks}
@@ -299,7 +296,10 @@ func TestTraceBinaryRejectsGarbage(t *testing.T) {
 // TestTraceBinaryHugeCountIsError pins that a stream's header cannot make
 // ReadTrace allocate for data that never arrives: a 208-byte stream whose
 // header and section table agree on 2^36 tasks is a truncation error, not
-// a multi-terabyte allocation.
+// a multi-terabyte allocation. A hierarchical header claiming 2^56 tasks,
+// sub-tasks, extractions and distributions passes the header check but
+// implies more bytes than int64 holds: every reader must reject it with an
+// error, not panic sizing the image.
 func TestTraceBinaryHugeCountIsError(t *testing.T) {
 	const nTasks = 1 << 36
 	var buf bytes.Buffer
@@ -317,6 +317,32 @@ func TestTraceBinaryHugeCountIsError(t *testing.T) {
 	buf.Write(make([]byte, traceLedgerSize))
 	if _, err := ReadTrace(&buf); err == nil {
 		t.Fatal("a stream without its task section decoded")
+	}
+
+	var over [traceHeaderSize]byte
+	copy(over[0:4], traceMagic)
+	binary.LittleEndian.PutUint32(over[4:8], TraceFormatVersion)
+	binary.LittleEndian.PutUint32(over[8:12], traceFlagHier)
+	for _, at := range []int{16, 32, 40, 48} { // nTasks, nSubs, nExts, nDists
+		binary.LittleEndian.PutUint64(over[at:], 1<<56)
+	}
+	if _, err := decodeTraceHeader(over[:]); err != nil {
+		t.Fatalf("the header check rejects the overflowing header itself: %v", err)
+	}
+	stream := append(over[:], make([]byte, 4<<10)...)
+	if _, err := ReadTrace(bytes.NewReader(stream)); err == nil {
+		t.Fatal("ReadTrace decoded a header whose size overflows int64")
+	}
+	path := filepath.Join(t.TempDir(), "overflow.drtt")
+	if err := os.WriteFile(path, stream, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadTraceFile(path); err == nil {
+		t.Fatal("ReadTraceFile decoded a header whose size overflows int64")
+	}
+	if v, err := OpenTrace(path); err == nil {
+		v.Close()
+		t.Fatal("OpenTrace decoded a header whose size overflows int64")
 	}
 }
 
@@ -408,9 +434,9 @@ func TestTraceBinaryGoldenHeader(t *testing.T) {
 	}
 }
 
-// TestTraceBinaryDecodeAllocs pins the pooled-scratch promise: decoding in
-// steady state allocates only the trace's own arrays, not per-chunk or
-// per-field temporaries.
+// TestTraceBinaryDecodeAllocs pins that decoding allocates only the file
+// image and the trace's own arrays, not per-record or per-field
+// temporaries.
 func TestTraceBinaryDecodeAllocs(t *testing.T) {
 	tr := recordedFixtures(t)["flat"]
 	var buf bytes.Buffer
@@ -421,18 +447,16 @@ func TestTraceBinaryDecodeAllocs(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
-	if raceEnabled {
-		t.Skip("alloc ceiling skipped under -race: sync.Pool.Put drops a quarter of its items in race builds, so the pooled decode scratch reallocates")
-	}
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := ReadTrace(bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Trace struct, 2 non-nil slices, name string, reader wrapper, decoder,
-	// plus interface boxing — a dozen covers it with slack; the point is
-	// that it does not scale with the item count (thousands here).
+	// Header, the image's chunk list, chunk and assembled copy, Trace
+	// struct, 2 non-nil slices, name string — a dozen covers it with
+	// slack; the point is that it does not scale with the item count
+	// (thousands here).
 	if allocs > 16 {
-		t.Fatalf("ReadTrace allocates %.0f objects/run, want ≤ 16 (pooled scratch regressed)", allocs)
+		t.Fatalf("ReadTrace allocates %.0f objects/run, want ≤ 16", allocs)
 	}
 }

@@ -122,12 +122,10 @@ func largeViewTrace(nTasks int, hier bool) *Trace {
 	return tr
 }
 
-// TestTraceViewChunkBoundary pins view/decode equivalence at the heap
-// decoder's truncation-adjacent sizes: the streaming reader chunks
-// sections through a 1 MiB buffer and 1<<20 % 96 = 64, so task counts
-// around 10922 (= ⌊1<<20/96⌋) put a record split exactly at the chunk
-// boundary. The mmap view has no chunking — equality here proves both
-// paths read the same schedule.
+// TestTraceViewChunkBoundary pins view/trace equivalence on traces with
+// about 1 MiB of task records (10921 to 12000 tasks of 96 bytes), flat
+// and hierarchical: the mapped view prices exactly the schedule that was
+// written.
 func TestTraceViewChunkBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large fixture")

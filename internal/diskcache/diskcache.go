@@ -4,8 +4,9 @@
 // the parts both need and neither should reimplement — env-relocatable
 // root resolution, sha256 content addressing, atomic temp+rename writes so
 // concurrent processes only ever observe complete entries, per-key
-// in-process singleflight, and an optional byte-budget LRU sweep over the
-// stored files.
+// in-process singleflight, an optional byte-budget LRU sweep over the
+// stored files, and the file image both formats' decoders read: mapped by
+// Map, or read from a stream by ReadImage.
 //
 // A Cache never fails a computation the caller could complete without it:
 // every I/O error degrades to a miss (lookups) or a no-op (stores), and a

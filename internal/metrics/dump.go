@@ -33,11 +33,20 @@ func Result(id string, t *Table, seconds float64) ExpResult {
 	}
 }
 
-// check rejects a result that no table could have written: a derived row
-// with more geomean flags than cells, whose recomputation would index
-// past its cells.
+// check rejects a result that no table could have written: a data or
+// derived row with more cells than headers, which rendering would index
+// past its column widths, and a derived row with more geomean flags than
+// cells, whose recomputation would index past its cells.
 func (r ExpResult) check() error {
+	for i, row := range r.Cells {
+		if len(row) > len(r.Headers) {
+			return fmt.Errorf("metrics: %s: row %d has %d cells for %d headers", r.ID, i, len(row), len(r.Headers))
+		}
+	}
 	for i, d := range r.Derived {
+		if len(d.Cells) > len(r.Headers) {
+			return fmt.Errorf("metrics: %s: derived row %d has %d cells for %d headers", r.ID, i, len(d.Cells), len(r.Headers))
+		}
 		if len(d.Geo) > len(d.Cells) {
 			return fmt.Errorf("metrics: %s: derived row %d has %d geomean flags for %d cells", r.ID, i, len(d.Geo), len(d.Cells))
 		}

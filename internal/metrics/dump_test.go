@@ -79,10 +79,36 @@ func TestDumpRejectsExtraGeomeanFlags(t *testing.T) {
 	}
 }
 
+// TestDumpRejectsRowsWiderThanHeaders pins that a data or derived row
+// with more cells than the table has headers is an error when loading
+// and when merging, not an index panic when the table is rendered.
+func TestDumpRejectsRowsWiderThanHeaders(t *testing.T) {
+	for name, bad := range map[string]string{
+		"data":    `{"experiments":[{"id":"x","headers":["a"],"cells":[[{"s":"x"},{"s":"y"}]]}]}`,
+		"derived": `{"experiments":[{"id":"x","headers":["a"],"cells":[],"derived":[{"cells":[{"s":"x"},{}],"geo":[false,true]}]}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), name+".json")
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := LoadDump(path); err == nil {
+			_ = d.Experiments[0].Table().String()
+			t.Errorf("%s: LoadDump accepted a row wider than the headers", name)
+		}
+		var d Dump
+		if err := json.Unmarshal([]byte(bad), &d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MergeDumps([]Dump{d}); err == nil {
+			t.Errorf("%s: MergeDumps accepted a row wider than the headers", name)
+		}
+	}
+}
+
 // FuzzLoadDump feeds arbitrary bytes through a file to LoadDump. Nothing
 // may panic: not loading, not merging one or two copies of what loaded,
-// and not rebuilding any of their tables. A loaded dump re-encodes, and
-// the re-encoding reloads to the same dump.
+// and not rebuilding or rendering (String, CSV) any of their tables. A
+// loaded dump re-encodes, and the re-encoding reloads to the same dump.
 func FuzzLoadDump(f *testing.F) {
 	tb := NewTable("T", "name", "x", "n")
 	tb.AddRow("a", 1.5, 3)
@@ -110,8 +136,13 @@ func FuzzLoadDump(f *testing.F) {
 		if err != nil {
 			return
 		}
+		render := func(r ExpResult) {
+			tb := r.Table()
+			_ = tb.String()
+			_ = tb.CSV()
+		}
 		for _, r := range d.Experiments {
-			r.Table()
+			render(r)
 		}
 		for _, dumps := range [][]Dump{{d}, {d, d}} {
 			merged, err := MergeDumps(dumps)
@@ -119,7 +150,7 @@ func FuzzLoadDump(f *testing.F) {
 				continue
 			}
 			for _, r := range merged.Experiments {
-				r.Table()
+				render(r)
 			}
 		}
 		var first bytes.Buffer

@@ -15,7 +15,7 @@ const DefaultMaxSpans = 1 << 20
 
 // Collector is the aggregating Recorder: counters, histograms, spans and
 // metadata accumulate in memory and export through the Chrome-trace and
-// JSON/CSV writers. All methods are safe for concurrent use and for a nil
+// JSON writers. All methods are safe for concurrent use and for a nil
 // receiver (a nil *Collector behaves like Nop).
 type Collector struct {
 	mu       sync.Mutex

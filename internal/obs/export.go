@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"runtime/debug"
@@ -101,65 +100,6 @@ func (c *Collector) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(c.Snapshot())
-}
-
-// WriteCSV writes the snapshot as flat CSV rows of the form
-// section,name,field,value — one row per metadatum, counter, and histogram
-// aggregate — for spreadsheet-side analysis.
-func (c *Collector) WriteCSV(w io.Writer) error {
-	snap := c.Snapshot()
-	if _, err := fmt.Fprintln(w, "section,name,field,value"); err != nil {
-		return err
-	}
-	quote := func(s string) string {
-		needs := false
-		for _, r := range s {
-			if r == ',' || r == '"' || r == '\n' {
-				needs = true
-				break
-			}
-		}
-		if !needs {
-			return s
-		}
-		out := `"`
-		for _, r := range s {
-			if r == '"' {
-				out += `""`
-			} else {
-				out += string(r)
-			}
-		}
-		return out + `"`
-	}
-	for _, k := range sortedKeys(snap.Meta) {
-		if _, err := fmt.Fprintf(w, "meta,%s,value,%s\n", quote(k), quote(snap.Meta[k])); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(snap.Counters) {
-		if _, err := fmt.Fprintf(w, "counter,%s,value,%d\n", quote(k), snap.Counters[k]); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(snap.Histograms) {
-		h := snap.Histograms[k]
-		for _, f := range []struct {
-			field string
-			v     float64
-		}{
-			{"count", float64(h.Count)},
-			{"sum", h.Sum},
-			{"min", h.Min},
-			{"max", h.Max},
-			{"mean", h.Mean},
-		} {
-			if _, err := fmt.Fprintf(w, "hist,%s,%s,%g\n", quote(k), f.field, f.v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -10,7 +10,7 @@
 //
 // The Collector implementation aggregates everything in memory and exports
 // it as a Chrome trace-event file (loadable in chrome://tracing or
-// Perfetto), a structured JSON snapshot, or flat CSV.
+// Perfetto) or a structured JSON snapshot.
 package obs
 
 // SpanID identifies an open wall-clock span returned by Begin. The no-op

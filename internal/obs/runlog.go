@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"log/slog"
 )
@@ -21,13 +20,4 @@ func NewRunLogger(w io.Writer, level slog.Level) *slog.Logger {
 
 // NopLogger returns a logger that discards every record without
 // formatting it, so call sites can log unconditionally.
-func NopLogger() *slog.Logger { return slog.New(nopHandler{}) }
-
-// nopHandler is a slog.Handler that is disabled at every level.
-// (slog.DiscardHandler arrived in go1.24; this repo's floor is go1.22.)
-type nopHandler struct{}
-
-func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (h nopHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
-func (h nopHandler) WithGroup(string) slog.Handler           { return h }
+func NopLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }

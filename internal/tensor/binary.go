@@ -7,16 +7,18 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"strconv"
 	"unsafe"
+
+	"drt/internal/diskcache"
 )
 
 // Binary operand format (.drtb): a versioned little-endian dump of one
 // compressed sparse matrix, designed so a memory-mapped file IS the
 // in-memory representation — OpenBinary on a little-endian host builds a
 // matrix whose Ptr/Idx/Val slices alias the mapping directly, with no
-// copy and the value pages streamed on demand. Every decoder checks the
+// copy and the value pages streamed on demand. Every reader hands a
+// complete file image to one decoder (decodeBinary), which checks the
 // matrix structure (Mat.Validate) before returning it, one sequential
 // pass over Ptr and Idx, so a damaged file is an error, never a matrix
 // whose indices run out of range.
@@ -48,7 +50,8 @@ const (
 )
 
 // hostLittleEndian reports whether this machine stores integers
-// little-endian; on it the bulk (reinterpret-cast) read/write paths apply.
+// little-endian; on it the bulk (reinterpret-cast) write path applies, and
+// mapped images can serve as the arrays (binaryAliasOK).
 var hostLittleEndian = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -67,11 +70,14 @@ func binaryPad(elems int64, width int) int {
 }
 
 // BinarySize returns the exact .drtb file size for a matrix of the given
-// shape at the given index width (4 or 8 bytes).
+// shape at the given index width (4 or 8 bytes). A shape the header check
+// admits can imply more than int64 holds; its size saturates at
+// math.MaxInt64, more than any file or stream.
 func BinarySize(rows, nnz int, width int) int64 {
 	elems := int64(rows) + 1 + int64(nnz)
-	return binaryHeaderSize + elems*int64(width) +
-		int64(binaryPad(elems, width)) + int64(nnz)*8
+	n := binaryHeaderSize + uint64(elems)*uint64(width) +
+		uint64(binaryPad(elems, width)) + uint64(nnz)*8
+	return int64(min(n, math.MaxInt64))
 }
 
 // WriteBinary writes the matrix in .drtb form at the receiver's index
@@ -162,19 +168,6 @@ func writeF64(w io.Writer, s []float64) error {
 	return nil
 }
 
-// WriteBinaryFile writes the matrix to path in .drtb form.
-func WriteBinaryFile[T Ix](path string, c *Mat[T]) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteBinary(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // Operand is a matrix loaded from the binary format at whichever index
 // width the file stored. Exactly one of Wide/Compact is non-nil. When the
 // operand is mmap-backed its slices alias the mapping: keep it (and any
@@ -223,6 +216,14 @@ type binaryHeader struct {
 	ix32            bool
 }
 
+// width returns the on-disk index width in bytes.
+func (h binaryHeader) width() int {
+	if h.ix32 {
+		return 4
+	}
+	return 8
+}
+
 func decodeBinaryHeader(hdr []byte) (binaryHeader, error) {
 	var h binaryHeader
 	if string(hdr[0:4]) != binaryMagic {
@@ -249,199 +250,17 @@ func decodeBinaryHeader(hdr []byte) (binaryHeader, error) {
 	return h, nil
 }
 
-// ReadBinary reads a .drtb stream fully into memory. A truncated stream
-// is reported as an error ("truncated"), never as a silently short
-// matrix, and a structurally invalid one as "corrupt". The arrays grow as
-// their bytes arrive, so a header's lengths cannot allocate more than
-// the stream holds.
-func ReadBinary(r io.Reader) (*Operand, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [binaryHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("tensor: truncated .drtb header: %w", err)
-	}
-	h, err := decodeBinaryHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	if h.ix32 {
-		m := &CSR32{Rows: h.rows, Cols: h.cols}
-		if m.Ptr, err = readIx[int32](br, h.rows+1); err == nil {
-			if m.Idx, err = readIx[int32](br, h.nnz); err == nil {
-				if err = skipPad(br, int64(h.rows+1+h.nnz), 4); err == nil {
-					m.Val, err = readF64(br, h.nnz)
-				}
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("tensor: truncated .drtb body: %w", err)
-		}
-		return validated(&Operand{Compact: m})
-	}
-	m := &CSR{Rows: h.rows, Cols: h.cols}
-	if m.Ptr, err = readIx[int](br, h.rows+1); err == nil {
-		if m.Idx, err = readIx[int](br, h.nnz); err == nil {
-			m.Val, err = readF64(br, h.nnz)
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("tensor: truncated .drtb body: %w", err)
-	}
-	return validated(&Operand{Wide: m})
-}
+// binaryAliasOK reports whether a mapped .drtb image can serve as the
+// matrix arrays in place: a little-endian host whose int is the wide
+// form's 64 bits.
+var binaryAliasOK = hostLittleEndian && strconv.IntSize == 64
 
-// validated returns op when its matrix is structurally valid.
-func validated(op *Operand) (*Operand, error) {
-	var err error
-	if op.Wide != nil {
-		err = op.Wide.Validate()
-	} else {
-		err = op.Compact.Validate()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("tensor: corrupt .drtb: %w", err)
-	}
-	return op, nil
-}
-
-// ReadBinaryFile reads a .drtb file fully into memory, verifying the file
-// size against the header before decoding.
-func ReadBinaryFile(path string) (*Operand, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if err := checkBinarySize(f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return ReadBinary(f)
-}
-
-// checkBinarySize verifies f's size matches its header exactly.
-func checkBinarySize(f *os.File) error {
-	var hdr [binaryHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return fmt.Errorf("tensor: truncated .drtb header: %w", err)
-	}
-	h, err := decodeBinaryHeader(hdr[:])
-	if err != nil {
-		return err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	width := 8
-	if h.ix32 {
-		width = 4
-	}
-	if want := BinarySize(h.rows, h.nnz, width); st.Size() != want {
-		return fmt.Errorf("tensor: .drtb size %d, want %d (truncated or corrupt)", st.Size(), want)
-	}
-	return nil
-}
-
-// readChunk bounds, in bytes, how far a stream decode allocates ahead of
-// the data: arrays grow one chunk at a time as their bytes arrive.
-const readChunk = 1 << 20
-
-// readElems reads n elements, filling the slice one chunk at a time with
-// fill as it grows.
-func readElems[E any](r io.Reader, n int, fill func(io.Reader, []E) error) ([]E, error) {
-	var zero E
-	step := readChunk / int(unsafe.Sizeof(zero))
-	s := make([]E, 0, min(n, step))
-	for len(s) < n {
-		lo := len(s)
-		c := min(n-lo, step)
-		s = slices.Grow(s, c)[:lo+c]
-		if err := fill(r, s[lo:]); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// readIx reads n little-endian index elements of type T.
-func readIx[T Ix](r io.Reader, n int) ([]T, error) { return readElems(r, n, fillIx[T]) }
-
-// readF64 reads n little-endian float64 values.
-func readF64(r io.Reader, n int) ([]float64, error) { return readElems(r, n, fillF64) }
-
-// fillIx fills s with little-endian index elements. On a little-endian
-// host with native-width elements its backing bytes are filled in one
-// ReadFull.
-func fillIx[T Ix](r io.Reader, s []T) error {
-	width := int(unsafe.Sizeof(s[0]))
-	if hostLittleEndian && (width == 4 || strconv.IntSize == 64) {
-		_, err := io.ReadFull(r, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*width))
-		return err
-	}
-	var buf [8]byte
-	for i := range s {
-		if _, err := io.ReadFull(r, buf[:width]); err != nil {
-			return err
-		}
-		if width == 4 {
-			s[i] = T(int32(binary.LittleEndian.Uint32(buf[:4])))
-		} else {
-			s[i] = T(int64(binary.LittleEndian.Uint64(buf[:8])))
-		}
-	}
-	return nil
-}
-
-// fillF64 fills s with little-endian float64 values.
-func fillF64(r io.Reader, s []float64) error {
-	if hostLittleEndian {
-		_, err := io.ReadFull(r, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8))
-		return err
-	}
-	var buf [8]byte
-	for i := range s {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return err
-		}
-		s[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-	}
-	return nil
-}
-
-// skipPad consumes the zero padding between the index and value arrays.
-func skipPad(r io.Reader, elems int64, width int) error {
-	pad := binaryPad(elems, width)
-	if pad == 0 {
-		return nil
-	}
-	var buf [8]byte
-	_, err := io.ReadFull(r, buf[:pad])
-	return err
-}
-
-// OpenBinary opens a .drtb file with its arrays memory-mapped when the
-// platform and host byte order allow it (the mmap fast path needs a
-// little-endian host whose int width matches the file's wide form), and
-// falls back to a full heap read otherwise. The returned operand's
-// matrices alias the mapping on the fast path — see Operand.
-func OpenBinary(path string) (*Operand, error) {
-	op, ok, err := openBinaryMmap(path)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return op, nil
-	}
-	return ReadBinaryFile(path)
-}
-
-// mapBinary builds an Operand over an mmap'd file image. The data slice
-// must be page-aligned (as mmap returns) so the 8-aligned file offsets
-// stay 8-aligned in memory.
-func mapBinary(data []byte, munmap func() error) (*Operand, error) {
+// decodeBinary is the one .drtb decoder: it checks a complete file image
+// (header, exact size, then Mat.Validate on the matrix) and builds its
+// operand. With munmap, the mmap path on a host that passes
+// binaryAliasOK, the matrix arrays are views of data and Close calls
+// munmap; without, they are decoded into the heap and data is not kept.
+func decodeBinary(data []byte, munmap func() error) (*Operand, error) {
 	if len(data) < binaryHeaderSize {
 		return nil, fmt.Errorf("tensor: truncated .drtb header: %d bytes", len(data))
 	}
@@ -449,34 +268,103 @@ func mapBinary(data []byte, munmap func() error) (*Operand, error) {
 	if err != nil {
 		return nil, err
 	}
-	width := 8
-	if h.ix32 {
-		width = 4
-	}
-	if want := BinarySize(h.rows, h.nnz, width); int64(len(data)) != want {
+	w := h.width()
+	if want := BinarySize(h.rows, h.nnz, w); int64(len(data)) != want {
 		return nil, fmt.Errorf("tensor: .drtb size %d, want %d (truncated or corrupt)", len(data), want)
 	}
+	idxOff := binaryHeaderSize + (h.rows+1)*w
 	elems := int64(h.rows) + 1 + int64(h.nnz)
-	valOff := binaryHeaderSize + elems*int64(width) + int64(binaryPad(elems, width))
-	var val []float64
-	if h.nnz > 0 {
-		val = unsafe.Slice((*float64)(unsafe.Pointer(&data[valOff])), h.nnz)
-	}
+	valOff := idxOff + h.nnz*w + binaryPad(elems, w)
+	alias := munmap != nil
 	op := &Operand{munmap: munmap}
+	val := array[float64](data[valOff:], h.nnz, alias)
 	if h.ix32 {
-		var ptr, idx []int32
-		ptr = unsafe.Slice((*int32)(unsafe.Pointer(&data[binaryHeaderSize])), h.rows+1)
-		if h.nnz > 0 {
-			idx = unsafe.Slice((*int32)(unsafe.Pointer(&data[binaryHeaderSize+int64(h.rows+1)*4])), h.nnz)
+		op.Compact = &CSR32{Rows: h.rows, Cols: h.cols, Val: val,
+			Ptr: array[int32](data[binaryHeaderSize:], h.rows+1, alias),
+			Idx: array[int32](data[idxOff:], h.nnz, alias)}
+		err = op.Compact.Validate()
+	} else {
+		op.Wide = &CSR{Rows: h.rows, Cols: h.cols, Val: val,
+			Ptr: array[int](data[binaryHeaderSize:], h.rows+1, alias),
+			Idx: array[int](data[idxOff:], h.nnz, alias)}
+		err = op.Wide.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("tensor: corrupt .drtb: %w", err)
+	}
+	return op, nil
+}
+
+// array returns the n little-endian values at the start of b (nil when n
+// is 0): a view of b when alias, else a heap copy.
+func array[E int32 | int | float64](b []byte, n int, alias bool) []E {
+	if n == 0 {
+		return nil
+	}
+	if alias {
+		return unsafe.Slice((*E)(unsafe.Pointer(&b[0])), n)
+	}
+	s := make([]E, n)
+	switch s := any(s).(type) {
+	case []int32:
+		for i := range s {
+			s[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 		}
-		op.Compact = &CSR32{Rows: h.rows, Cols: h.cols, Ptr: ptr, Idx: idx, Val: val}
-		return validated(op)
+	case []int:
+		for i := range s {
+			s[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
+		}
+	case []float64:
+		for i := range s {
+			s[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
 	}
-	var ptr, idx []int
-	ptr = unsafe.Slice((*int)(unsafe.Pointer(&data[binaryHeaderSize])), h.rows+1)
-	if h.nnz > 0 {
-		idx = unsafe.Slice((*int)(unsafe.Pointer(&data[binaryHeaderSize+int64(h.rows+1)*8])), h.nnz)
+	return s
+}
+
+// ReadBinary reads a .drtb stream fully into memory. A truncated stream
+// is reported as an error ("truncated"), never as a silently short
+// matrix, and a structurally invalid one as "corrupt". The file image is
+// read one chunk at a time as its bytes arrive (diskcache.ReadImage), so
+// a header's lengths cannot allocate more than a chunk beyond what the
+// stream holds.
+func ReadBinary(r io.Reader) (*Operand, error) {
+	var hdr [binaryHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("tensor: truncated .drtb header: %w", err)
 	}
-	op.Wide = &CSR{Rows: h.rows, Cols: h.cols, Ptr: ptr, Idx: idx, Val: val}
-	return validated(op)
+	h, err := decodeBinaryHeader(hdr[:])
+	if err != nil {
+		return nil, err
+	}
+	data, err := diskcache.ReadImage(r, hdr[:], BinarySize(h.rows, h.nnz, h.width()))
+	if err != nil {
+		return nil, fmt.Errorf("tensor: truncated .drtb body: %w", err)
+	}
+	return decodeBinary(data, nil)
+}
+
+// ReadBinaryFile reads a .drtb file fully into memory.
+func ReadBinaryFile(path string) (*Operand, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBinary(data, nil)
+}
+
+// OpenBinary opens a .drtb file with its arrays memory-mapped when the
+// platform and host allow it (binaryAliasOK), and reads it into the heap
+// otherwise. The returned operand's matrices alias the mapping on the
+// fast path — see Operand.
+func OpenBinary(path string) (*Operand, error) {
+	data, unmap, err := diskcache.Map(path, binaryAliasOK)
+	if err != nil {
+		return nil, err
+	}
+	op, err := decodeBinary(data, unmap)
+	if err != nil && unmap != nil {
+		unmap()
+	}
+	return op, err
 }
