@@ -12,6 +12,7 @@ import (
 	"drt/internal/obs"
 	"drt/internal/sim"
 	"drt/internal/tensor"
+	"drt/internal/tiling"
 )
 
 // PartialBytes is the byte cost of one spilled partial-output element
@@ -71,9 +72,10 @@ type regionState struct {
 }
 
 // outputModel charges output (Z) traffic as regions of the output move
-// between the output buffer partition and DRAM.
+// between the output buffer partition and DRAM. Region footprints come
+// from g, the reference product's micro-tile grid.
 type outputModel struct {
-	w       *Workload
+	g       tiling.Summary
 	capO    int64
 	regions map[[4]int]*regionState
 	fifo    []*regionState // resident regions in load order
@@ -90,12 +92,12 @@ type outputModel struct {
 // spilled element per partial point, capped by the final footprint.
 func (r *regionState) writeBack() int64 { return min(r.estF, r.partial*PartialBytes) }
 
-func newOutputModel(w *Workload, capO int64) *outputModel {
-	return &outputModel{w: w, capO: capO, regions: map[[4]int]*regionState{}}
+func newOutputModel(g tiling.Summary, capO int64) *outputModel {
+	return &outputModel{g: g, capO: capO, regions: map[[4]int]*regionState{}}
 }
 
 func (o *outputModel) estFootprint(k [4]int) int64 {
-	return o.w.GZ.RegionFootprint(k[0], k[1], k[2], k[3])
+	return o.g.RegionFootprint(k[0], k[1], k[2], k[3])
 }
 
 // touch accounts one task's partial output landing in region (i0,i1,j0,j1)
@@ -213,18 +215,28 @@ var errAboveCeiling = errors.New("accel: run exceeds its cycle ceiling")
 // is strictly above the ceiling, or when the finished run is. A run that
 // returns ok is exactly RunTasks' run: the checks read the pricing state
 // and never change it.
-func RunTasksBelow(w *Workload, opt EngineOptions, c *Ceiling) (res sim.Result, ok bool, err error) {
+func RunTasksBelow(w *Workload, opt EngineOptions, c *Ceiling) (sim.Result, bool, error) {
 	rec := obs.OrNop(opt.Rec)
 	runSpan := rec.Begin(obs.CatPhase, "simulate")
 	defer rec.End(runSpan)
+	sp, err := w.space(&opt)
+	if err != nil {
+		return sim.Result{}, false, err
+	}
+	return runBelow(w.Name, sp, opt, c)
+}
+
+// runBelow runs the engine over sp and prices each task as it is
+// captured, under ceiling c (see RunTasksBelow).
+func runBelow(name string, sp *taskSpace, opt EngineOptions, c *Ceiling) (res sim.Result, ok bool, err error) {
 	sc := retimePool.Get().(*retimeScratch)
 	defer retimePool.Put(sc)
 	sc.plan([]RetimeConfig{{Machine: opt.Machine, Intersect: opt.Intersect, Extractor: opt.Extractor}}, opt.Rec)
 	sc.ceiling = c
 	trc := &sc.capture
-	*trc = Trace{Name: w.Name, hierarchical: opt.PELevel != nil,
+	*trc = Trace{Name: name, hierarchical: opt.PELevel != nil,
 		taskRecs: trc.taskRecs[:0], rows: trc.rows[:0], subs: trc.subs[:0], exts: trc.exts[:0], dists: trc.dists[:0]}
-	err = runTasks(w, opt, trc, sc)
+	err = runTasks(sp, opt, trc, sc)
 	if errors.Is(err, errAboveCeiling) {
 		return sim.Result{}, false, nil
 	}
@@ -239,52 +251,83 @@ func RunTasksBelow(w *Workload, opt EngineOptions, c *Ceiling) (res sim.Result, 
 	return res, true, nil
 }
 
-// runTasks is the engine loop behind RunTasks and RecordTasks. It only
-// captures: every non-empty task's machine-invariant record (see Trace)
-// lands in trc, and the run's ledgers land in trc when the walk ends.
-// With a non-nil price, each task is priced as soon as it is captured and
-// trc's per-task arrays are then emptied, so a direct run never holds
-// more than one task of its schedule; a run whose priced cycles pass
-// price's ceiling stops with errAboveCeiling. A deferred workload is
-// built first.
-func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) error {
+// taskSpace is all the engine loop reads of the kernel it walks: the DRT
+// kernel, the exact work of one task, the reference product's micro-tile
+// grid with the two kernel dimensions indexing its rows and columns, and
+// the reference MACCs. Workload.space (SpMSpM) and GramWorkload.space
+// (Gram) each supply one per run; only SpMSpM has a PE level.
+type taskSpace struct {
+	kernel *core.Kernel
+	// work counts the task spanning ranges (grid coordinates, one per
+	// kernel dimension) and returns its intersect ops.
+	work    func(ranges []core.Range) (tr kernels.TaskResult, intersectOps int64)
+	out     tiling.Summary
+	outDims [2]int
+	maccs   int64
+	pe      *peState // nil without EngineOptions.PELevel
+}
+
+// space builds w when it is deferred and returns its task space under
+// opt: SpMSpM intersects stream each coordinate and charge each MACC
+// twice, scanned + 2·MACCs.
+func (w *Workload) space(opt *EngineOptions) (*taskSpace, error) {
 	w, err := w.Built()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	k := w.Kernel(opt.CapA, opt.CapB)
+	if opt.ConstrainOutput {
+		k = w.KernelWithOutput(opt.CapA, opt.CapB, opt.CapO)
+	}
+	spa := kernels.NewSPA(w.BCols())
+	mt := w.MicroTile
+	work := func(r []core.Range) (kernels.TaskResult, int64) {
+		tr := w.Restricted(coords(r[DimI], mt), coords(r[DimK], mt), coords(r[DimJ], mt), spa)
+		return tr, tr.ScannedA + 2*tr.MACCs
+	}
+	sp := &taskSpace{kernel: k, work: work, out: w.GZ, outDims: [2]int{DimI, DimJ}, maccs: w.MACCs}
+	if opt.PELevel != nil {
+		sp.pe = newPEState(w, opt.PELevel)
+	}
+	return sp, nil
+}
+
+// coords converts a grid range to coordinates at micro tile mt.
+func coords(r core.Range, mt int) kernels.Range {
+	return kernels.Range{Lo: r.Lo * mt, Hi: r.Hi * mt}
+}
+
+// runTasks is the engine loop behind RunTasks, RecordTasks and RunGram.
+// It only captures: every non-empty task's machine-invariant record (see
+// Trace) lands in trc, and the run's ledgers land in trc when the walk
+// ends. With a non-nil price, each task is priced as soon as it is
+// captured and trc's per-task arrays are then emptied, so a direct run
+// never holds more than one task of its schedule; a run whose priced
+// cycles pass price's ceiling stops with errAboveCeiling.
+func runTasks(sp *taskSpace, opt EngineOptions, trc *Trace, price *retimeScratch) error {
 	rec := obs.OrNop(opt.Rec)
 	// prog is the process-wide live-telemetry sink; nil (the default, and
 	// the only state benchmarks ever see) makes every tick a no-op, so the
 	// task loop stays allocation-free.
 	prog := obs.Active()
-	k := w.Kernel(opt.CapA, opt.CapB)
-	if opt.ConstrainOutput {
-		k = w.KernelWithOutput(opt.CapA, opt.CapB, opt.CapO)
-	}
 	cfg := &core.Config{
 		LoopOrder:   opt.LoopOrder,
 		Strategy:    opt.Strategy,
 		InitialSize: opt.InitialSize,
 		GrowStep:    opt.GrowStep,
 	}
-	e, err := core.NewEnumerator(k, cfg)
+	e, err := core.NewEnumerator(sp.kernel, cfg)
 	if err != nil {
 		return err
 	}
-
-	out := newOutputModel(w, opt.CapO)
-	spa := kernels.NewSPA(w.BCols())
-	mt := w.MicroTile
+	out := newOutputModel(sp.out, opt.CapO)
 
 	// pendingLoad[op] holds the footprint of a rebuilt tile that has not
 	// yet been charged: tiles rebuilt during empty tasks are never
 	// fetched, so the charge lands on the first non-empty task that uses
 	// the residency.
 	pendingLoad := [2]int64{}
-	var ps *peState
-	if opt.PELevel != nil {
-		ps = newPEState(w, opt.PELevel)
-	}
+	ps := sp.pe
 
 	for {
 		t, ok, err := e.Next()
@@ -337,13 +380,10 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) 
 		tc := trc.beginTask(taskBytes, t.ScanTiles, t.Probes, rebuiltTiles)
 
 		// Exact task-local compute.
-		iR := kernels.Range{Lo: t.Ranges[DimI].Lo * mt, Hi: t.Ranges[DimI].Hi * mt}
-		jR := kernels.Range{Lo: t.Ranges[DimJ].Lo * mt, Hi: t.Ranges[DimJ].Hi * mt}
-		kR := kernels.Range{Lo: t.Ranges[DimK].Lo * mt, Hi: t.Ranges[DimK].Hi * mt}
-		tr := w.Restricted(iR, kR, jR, spa)
+		tr, ops := sp.work(t.Ranges)
 		tr.Record(opt.Rec)
 		trc.maccs += tr.MACCs
-		trc.intersectOps += tr.ScannedA + 2*tr.MACCs
+		trc.intersectOps += ops
 
 		if ps != nil {
 			// Hierarchical DRT: a second tile extractor splits the LLB
@@ -354,7 +394,7 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) 
 				return err
 			}
 			if maccs != tr.MACCs {
-				return fmt.Errorf("accel: %s: PE level covered %d MACCs of task's %d", w.Name, maccs, tr.MACCs)
+				return fmt.Errorf("accel: %s: PE level covered %d MACCs of task's %d", trc.Name, maccs, tr.MACCs)
 			}
 			tc.subsHi = len(trc.subs)
 			tc.extsHi = len(trc.exts)
@@ -367,7 +407,8 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) 
 		}
 
 		// Output accounting.
-		out.touch([4]int{t.Ranges[DimI].Lo, t.Ranges[DimI].Hi, t.Ranges[DimJ].Lo, t.Ranges[DimJ].Hi}, tr.OutputNNZ)
+		oR, oC := t.Ranges[sp.outDims[0]], t.Ranges[sp.outDims[1]]
+		out.touch([4]int{oR.Lo, oR.Hi, oC.Lo, oC.Hi}, tr.OutputNNZ)
 		rec.Observe("task.input_bytes", float64(taskBytes))
 		if price != nil {
 			price.price(trc, tc)
@@ -381,8 +422,8 @@ func runTasks(w *Workload, opt EngineOptions, trc *Trace, price *retimeScratch) 
 	trc.traffic.Z = out.zTotal
 	recordCacheStats(rec, e.CacheStats(), ps)
 
-	if trc.maccs != w.MACCs {
-		return fmt.Errorf("accel: %s: task partition covered %d MACCs, kernel has %d", w.Name, trc.maccs, w.MACCs)
+	if trc.maccs != sp.maccs {
+		return fmt.Errorf("accel: %s: task partition covered %d MACCs, kernel has %d", trc.Name, trc.maccs, sp.maccs)
 	}
 	return nil
 }
@@ -459,7 +500,7 @@ func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, trc *Trace) (
 		return 0, err
 	}
 	mt := w.MicroTile
-	jW := kernels.Range{Lo: outer.Ranges[DimJ].Lo * mt, Hi: outer.Ranges[DimJ].Hi * mt}
+	jW := coords(outer.Ranges[DimJ], mt)
 	// slabKey names the A sub-tile (I and K grid ranges) whose counts
 	// over this task's J window ps.slab holds, once slabOK is set.
 	var slabKey [2]core.Range
@@ -530,12 +571,10 @@ func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, trc *Trace) (
 			}
 		}
 		if key := [2]core.Range{t.Ranges[DimI], t.Ranges[DimK]}; !slabOK || key != slabKey {
-			iR := kernels.Range{Lo: key[0].Lo * mt, Hi: key[0].Hi * mt}
-			kR := kernels.Range{Lo: key[1].Lo * mt, Hi: key[1].Hi * mt}
-			w.CountSlab(iR, kR, jW, &ps.slab)
+			w.CountSlab(coords(key[0], mt), coords(key[1], mt), jW, &ps.slab)
 			slabKey, slabOK = key, true
 		}
-		m := ps.slab.MACCs(kernels.Range{Lo: t.Ranges[DimJ].Lo * mt, Hi: t.Ranges[DimJ].Hi * mt})
+		m := ps.slab.MACCs(coords(t.Ranges[DimJ], mt))
 		maccs += m
 		trc.subs = append(trc.subs, rowCost{scanned: ps.slab.ScannedA + 2*m, maccs: m})
 		rec.Count("pe.subtasks", 1)

@@ -31,7 +31,7 @@ func denseZWorkload(t *testing.T) *Workload {
 
 func TestOutputModelResidentWriteOnce(t *testing.T) {
 	w := denseZWorkload(t)
-	om := newOutputModel(w, 1<<20) // plenty of room
+	om := newOutputModel(w.GZ, 1<<20) // plenty of room
 	key := [4]int{0, 2, 0, 2}
 	om.touch(key, 100)
 	om.touch(key, 100) // same region accumulates free of charge
@@ -48,7 +48,7 @@ func TestOutputModelSpillAndMerge(t *testing.T) {
 	// first, and returning to the first re-reads its spill.
 	key1 := [4]int{0, 1, 0, 2} // top half of the 2×2 output grid
 	key2 := [4]int{1, 2, 0, 2} // bottom half
-	om := newOutputModel(w, om1Capacity(w, key1))
+	om := newOutputModel(w.GZ, om1Capacity(w, key1))
 	om.touch(key1, 100)
 	om.touch(key2, 100) // evicts key1 (write)
 	om.touch(key1, 100) // re-loads key1 (read of spilled bytes)
@@ -66,14 +66,14 @@ func TestOutputModelSpillAndMerge(t *testing.T) {
 // om1Capacity returns a capacity that holds exactly one of the given
 // region.
 func om1Capacity(w *Workload, key [4]int) int64 {
-	om := newOutputModel(w, 1)
+	om := newOutputModel(w.GZ, 1)
 	return om.estFootprint(key) + 1
 }
 
 func TestOutputModelStreamingRegion(t *testing.T) {
 	w := denseZWorkload(t)
 	key := [4]int{0, 2, 0, 2}
-	om := newOutputModel(w, 1) // the region alone exceeds the partition
+	om := newOutputModel(w.GZ, 1) // the region alone exceeds the partition
 	om.touch(key, 3)
 	first := om.zTotal
 	if first <= 0 {
@@ -90,7 +90,7 @@ func TestOutputModelStreamingRegion(t *testing.T) {
 
 func TestOutputModelIgnoresEmptyTouch(t *testing.T) {
 	w := denseZWorkload(t)
-	om := newOutputModel(w, 1<<20)
+	om := newOutputModel(w.GZ, 1<<20)
 	om.touch([4]int{0, 1, 0, 1}, 0)
 	om.flush()
 	if om.zTotal != 0 {

@@ -11,11 +11,11 @@ import (
 	"drt/internal/sim"
 )
 
-// FuzzReadTrace feeds arbitrary bytes to the .drtt decoder through both
-// of its front ends: ReadTrace on the stream and, through a temp file,
-// OpenTrace. Neither may panic, and whatever either accepts must re-encode
-// with WriteBinary and decode back to an equal trace that retimes
-// identically.
+// FuzzReadTrace feeds arbitrary bytes to the one .drtt decoder on each
+// path a file image takes: the heap path, the aliased path over an
+// 8-aligned copy where the host allows it, and OpenTrace through a temp
+// file. None may panic, and whatever any accepts must re-encode with
+// WriteBinary and decode back to an equal trace that retimes identically.
 func FuzzReadTrace(f *testing.F) {
 	for _, tr := range recordedFixturesOf(f, 48, 300) {
 		var buf bytes.Buffer
@@ -27,9 +27,11 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte(traceMagic))
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if tr, err := ReadTrace(bytes.NewReader(data)); err == nil {
-			checkReencodes(t, tr)
-		}
+		decodeEachTrace(data, func(_ string, tr *Trace, err error) {
+			if err == nil {
+				checkReencodes(t, tr)
+			}
+		})
 		path := filepath.Join(dir, "input.drtt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -51,7 +53,7 @@ func checkReencodes(t *testing.T, tr *Trace) {
 	if err := tr.WriteBinary(&buf); err != nil {
 		t.Fatalf("accepted trace does not re-encode: %v", err)
 	}
-	got, err := ReadTrace(&buf)
+	got, err := decodeTrace(buf.Bytes(), false)
 	if err != nil {
 		t.Fatalf("re-encoded trace does not decode: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"drt/internal/core"
 	"drt/internal/extractor"
 	"drt/internal/kernels"
-	"drt/internal/obs"
 	"drt/internal/sim"
 	"drt/internal/tensor"
 	"drt/internal/tiling"
@@ -95,102 +94,44 @@ func (w *GramWorkload) kernel(capA, capB int64) *core.Kernel {
 	}
 }
 
+// space returns the Gram kernel's task space under opt: intersects
+// stream each coordinate and charge each MACC once, scanned + MACCs, and
+// the reference Gram matrix's grid is indexed by I and L.
+func (w *GramWorkload) space(opt *EngineOptions) *taskSpace {
+	mt := w.MicroTile
+	work := func(r []core.Range) (kernels.TaskResult, int64) {
+		tr := kernels.RestrictedGram(w.X, coords(r[GramDimI], mt), coords(r[GramDimL], mt),
+			coords(r[GramDimJ], mt), coords(r[GramDimK], mt))
+		return tr, tr.ScannedA + tr.MACCs
+	}
+	return &taskSpace{kernel: w.kernel(opt.CapA, opt.CapB), work: work,
+		out: w.GZ, outDims: [2]int{GramDimI, GramDimL}, maccs: w.MACCs}
+}
+
 // RunGram simulates the Gram kernel: DRT (or static tiling) must now grow
 // across three dimensions per operand, two of them contracted
-// (Sec. 6.1.3).
-//
-// It is the one engine that keeps its own task loop instead of running
-// through runTasks and the per-task replay: its kernel is 4-D, it counts
-// intersect ops as scanned plus MACCs, and its S-U-C shape is the 3-D
-// cube of gramStaticShape, not StaticShapes. No timed figure runs it.
+// (Sec. 6.1.3). It is an EngineOptions preset on the ExTensor-OP machine,
+// walked by the same engine loop and priced by the same per-task replay
+// as RunTasks. The dataflow is L-stationary: the contracted J and K
+// advance inside L, the uncontracted I innermost. The S-U-C baseline
+// (Strategy Static) tiles with gramStaticShape's dense-safe cube.
 func RunGram(w *GramWorkload, opt GramOptions) (sim.Result, error) {
 	if err := opt.Partition.Validate(); err != nil {
 		return sim.Result{}, err
 	}
 	capA, capB, capO := opt.Partition.Split(opt.Machine.GlobalBuffer)
-	k := w.kernel(capA, capB)
-	cfg := &core.Config{
-		// L-stationary dataflow: contracted J, K advance inside L, the
-		// un-contracted I innermost.
+	eo := EngineOptions{
+		Machine: opt.Machine, CapA: capA, CapB: capB, CapO: capO,
 		LoopOrder: []int{GramDimJ, GramDimK, GramDimL, GramDimI},
 		Strategy:  opt.Strategy,
+		Intersect: opt.Intersect,
+		Extractor: opt.Extractor,
 	}
 	if opt.Strategy == core.Static {
-		cfg.InitialSize = gramStaticShape(w, capA)
+		eo.InitialSize = gramStaticShape(w, capA)
 	}
-	e, err := core.NewEnumerator(k, cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-
-	res := sim.Result{Name: w.Name}
-	pe := sim.NewPEArray(opt.Machine.PEs)
-	out := newOutputModel(&Workload{GZ: w.GZ}, capO)
-	mt := w.MicroTile
-	pendingLoad := [2]int64{}
-	var extractTotal float64
-	var inputTraffic int64
-	prog := obs.Active()
-
-	for {
-		t, ok, err := e.Next()
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if !ok {
-			break
-		}
-		res.Tasks++
-		prog.TaskDone(1)
-		for oi := 0; oi < 2; oi++ {
-			if t.Rebuilt[oi] {
-				pendingLoad[oi] = t.OpFootprint[oi]
-			}
-		}
-		if t.Empty {
-			res.EmptyTasks++
-			continue
-		}
-		var taskBytes int64
-		for oi := 0; oi < 2; oi++ {
-			if pendingLoad[oi] > 0 {
-				taskBytes += pendingLoad[oi]
-				if oi == 0 {
-					res.Traffic.A += pendingLoad[oi]
-				} else {
-					res.Traffic.B += pendingLoad[oi]
-				}
-				pendingLoad[oi] = 0
-			}
-		}
-		inputTraffic += taskBytes
-
-		gr := func(d int) kernels.Range {
-			return kernels.Range{Lo: t.Ranges[d].Lo * mt, Hi: t.Ranges[d].Hi * mt}
-		}
-		tr := kernels.RestrictedGram(w.X, gr(GramDimI), gr(GramDimL), gr(GramDimJ), gr(GramDimK))
-		res.MACCs += tr.MACCs
-		res.IntersectOps += tr.ScannedA + tr.MACCs
-		for _, rw := range tr.Rows {
-			pe.Assign(sim.ComputeCycles(opt.Intersect, int64(rw.AElems)+rw.MACCs, rw.MACCs))
-		}
-
-		out.touch([4]int{t.Ranges[GramDimI].Lo, t.Ranges[GramDimI].Hi, t.Ranges[GramDimL].Lo, t.Ranges[GramDimL].Hi}, tr.OutputNNZ)
-
-		extractTotal += extractor.TaskCost(opt.Extractor, &t).Total()
-	}
-	out.flush()
-	res.Traffic.Z = out.zTotal
-
-	if res.MACCs != w.MACCs {
-		return sim.Result{}, fmt.Errorf("accel: %s: gram partition covered %d MACCs, kernel has %d", w.Name, res.MACCs, w.MACCs)
-	}
-	res.DRAMCycles = opt.Machine.DRAMCycles(res.Traffic.Total())
-	res.ComputeCycles = pe.MaxBusy()
-	res.ExtractCycles = extractTotal
-	res.BufferAccessBytes = inputTraffic + res.Traffic.Z + res.MACCs*PartialBytes
-	res.NoCBytes = inputTraffic
-	return res, nil
+	res, _, err := runBelow(w.Name, w.space(&eo), eo, nil)
+	return res, err
 }
 
 // gramStaticShape picks a dense-safe cube for the S-U-C baseline: the

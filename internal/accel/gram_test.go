@@ -1,12 +1,17 @@
 package accel
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"drt/internal/core"
 	"drt/internal/extractor"
 	"drt/internal/gen"
 	"drt/internal/sim"
+	"drt/internal/tensor"
 )
 
 func gramOptions(buffer int64, s core.Strategy) GramOptions {
@@ -82,5 +87,78 @@ func TestGramWorkloadValidation(t *testing.T) {
 	// depth; here we check the workload wiring).
 	if !w.Z.EqualApprox(w.Z.Transpose(), 1e-9) {
 		t.Fatal("gram reference not symmetric")
+	}
+}
+
+// gramGoldenCase is one pinned RunGram configuration and its result.
+type gramGoldenCase struct {
+	Config string
+	Result sim.Result
+}
+
+// gramGoldenRuns runs RunGram on two small tensors under every growth
+// strategy and two buffers; at 16 KiB some macro tiles overflow.
+func gramGoldenRuns(t *testing.T) []gramGoldenCase {
+	t.Helper()
+	tensors := []struct {
+		name string
+		x    *tensor.CSF3
+	}{
+		{"t96", gen.Tensor3(96, 64, 64, 4000, 1)},
+		{"t128", gen.Tensor3(128, 96, 96, 6000, 3)},
+	}
+	var out []gramGoldenCase
+	for _, tc := range tensors {
+		w, err := NewGramWorkload(tc.name, tc.x, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []core.Strategy{core.GreedyContractedFirst, core.Alternating, core.Static} {
+			for _, buf := range []int64{16 << 10, 64 << 10} {
+				r, err := RunGram(w, gramOptions(buf, s))
+				if err != nil {
+					t.Fatalf("%s %v %d: %v", tc.name, s, buf, err)
+				}
+				out = append(out, gramGoldenCase{Config: fmt.Sprintf("%s %v %d", tc.name, s, buf), Result: r})
+			}
+		}
+	}
+	return out
+}
+
+// TestRunGramGolden pins every sim.Result field of RunGram against
+// testdata/rungram.golden, gramGoldenRuns' results as JSON from the Gram
+// engine that had its own task loop and pricing, before the kernel moved
+// onto the shared engine loop and replay. PipelineCyclesExact and
+// Overflows are exempt: that engine reported 0 for both, and the shared
+// replay reports them as for every other engine run.
+func TestRunGramGolden(t *testing.T) {
+	got := gramGoldenRuns(t)
+	b, err := os.ReadFile(filepath.Join("testdata", "rungram.golden"))
+	if err != nil {
+		t.Fatalf("missing golden file: %v", err)
+	}
+	var want []gramGoldenCase
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d runs, golden has %d", len(got), len(want))
+	}
+	overflows := 0
+	for i := range got {
+		g, w := got[i], want[i]
+		overflows += g.Result.Overflows
+		if g.Result.PipelineCyclesExact < g.Result.DRAMCycles || g.Result.DRAMCycles <= 0 {
+			t.Errorf("%s: PipelineCyclesExact %g, DRAMCycles %g", g.Config, g.Result.PipelineCyclesExact, g.Result.DRAMCycles)
+		}
+		g.Result.PipelineCyclesExact, g.Result.Overflows = 0, 0
+		w.Result.PipelineCyclesExact, w.Result.Overflows = 0, 0
+		if g != w {
+			t.Errorf("run %d diverged from golden:\ngot  %+v\nwant %+v", i, g, w)
+		}
+	}
+	if overflows == 0 {
+		t.Error("no run overflows a partition: the 16 KiB leg lost its point")
 	}
 }

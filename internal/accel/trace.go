@@ -144,8 +144,12 @@ func RecordTasks(w *Workload, opt EngineOptions) (*Trace, error) {
 	rec := obs.OrNop(opt.Rec)
 	runSpan := rec.Begin(obs.CatPhase, "simulate")
 	defer rec.End(runSpan)
+	sp, err := w.space(&opt)
+	if err != nil {
+		return nil, err
+	}
 	trc := &Trace{Name: w.Name, hierarchical: opt.PELevel != nil}
-	if err := runTasks(w, opt, trc, nil); err != nil {
+	if err := runTasks(sp, opt, trc, nil); err != nil {
 		return nil, err
 	}
 	return trc, nil

@@ -8,8 +8,6 @@ import (
 	"math"
 	"os"
 	"unsafe"
-
-	"drt/internal/diskcache"
 )
 
 // Binary trace format (.drtt): a versioned little-endian dump of one
@@ -85,7 +83,7 @@ func (t *Trace) TraceBinarySize() int64 {
 // traceBinarySize returns the exact .drtt file size for the given counts.
 // Counts the header check admits (up to 2^56 each) can imply more than
 // int64 holds; the size then saturates at math.MaxInt64, more than any
-// file or stream.
+// file holds.
 func traceBinarySize(nameLen, nTasks, nRows, nSubs, nExts, nDists int) int64 {
 	n := uint64(traceHeaderSize+traceTableSize+traceLedgerSize) +
 		uint64(nameLen+tracePad8(nameLen)) +
@@ -235,7 +233,7 @@ func traceSectionTable(nameLen, nTasks, nRows, nSubs, nExts, nDists int) [traceS
 	return tbl
 }
 
-// traceHeader is the decoded fixed-size prefix of a .drtt stream.
+// traceHeader is the decoded fixed-size prefix of a .drtt file.
 type traceHeader struct {
 	hierarchical                        bool
 	nameLen                             int
@@ -282,27 +280,6 @@ func decodeTraceHeader(hdr []byte) (traceHeader, error) {
 		return h, fmt.Errorf("accel: flat .drtt carries PE-level items")
 	}
 	return h, nil
-}
-
-// ReadTrace reads a .drtt stream fully into memory. A truncated or
-// corrupt stream is reported as an error, never as a silently short or
-// scrambled schedule. The file image is read one chunk at a time as its
-// bytes arrive (diskcache.ReadImage), so a header's counts cannot
-// allocate more than a chunk beyond what the stream holds.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	var hdr [traceHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("accel: truncated .drtt header: %w", err)
-	}
-	h, err := decodeTraceHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	data, err := diskcache.ReadImage(r, hdr[:], traceBinarySize(h.nameLen, h.nTasks, h.nRows, h.nSubs, h.nExts, h.nDists))
-	if err != nil {
-		return nil, fmt.Errorf("accel: truncated .drtt: %w", err)
-	}
-	return decodeTrace(data, false)
 }
 
 // decodeTrace is the one .drtt decoder: it checks a complete file image —
@@ -433,15 +410,6 @@ func (t *Trace) validateWindows() error {
 			rows, subs, exts, dists, len(t.rows), len(t.subs), len(t.exts), len(t.dists))
 	}
 	return nil
-}
-
-// ReadTraceFile reads a .drtt file fully into memory.
-func ReadTraceFile(path string) (*Trace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeTrace(data, false)
 }
 
 // WriteTraceFile writes the trace to path in .drtt form.

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"drt/internal/core"
 	"drt/internal/extractor"
@@ -18,9 +19,30 @@ import (
 	"drt/internal/sim"
 )
 
-// traceRoundTrip writes tr as .drtt, reads the stream and the file form
-// back, and checks both for deep equality — the decoded trace must retime
-// identically because it is field-for-field the same value.
+// aligned8 copies b into 8-aligned memory, as mmap's pages are.
+func aligned8(b []byte) []byte {
+	words := make([]uint64, (len(b)+7)/8)
+	out := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(b))
+	copy(out, b)
+	return out
+}
+
+// decodeEachTrace runs the one .drtt decoder over a file image on each
+// path an image takes: the heap path and, where the host allows aliasing,
+// the aliased path over an 8-aligned copy.
+func decodeEachTrace(data []byte, check func(via string, tr *Trace, err error)) {
+	tr, err := decodeTrace(data, false)
+	check("heap", tr, err)
+	if traceAliasOK {
+		tr, err := decodeTrace(aligned8(data), true)
+		check("aliased", tr, err)
+	}
+}
+
+// traceRoundTrip writes tr as .drtt, decodes the image on every path and
+// opens the file form, and checks each for deep equality — the decoded
+// trace must retime identically because it is field-for-field the same
+// value.
 func traceRoundTrip(t *testing.T, tr *Trace) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -28,25 +50,27 @@ func traceRoundTrip(t *testing.T, tr *Trace) {
 		t.Fatalf("WriteBinary: %v", err)
 	}
 	if want := tr.TraceBinarySize(); int64(buf.Len()) != want {
-		t.Fatalf("stream is %d bytes, TraceBinarySize says %d", buf.Len(), want)
+		t.Fatalf("image is %d bytes, TraceBinarySize says %d", buf.Len(), want)
 	}
-	got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatalf("stream round trip mismatch:\n got %+v\nwant %+v", got, tr)
-	}
+	decodeEachTrace(buf.Bytes(), func(via string, got *Trace, err error) {
+		if err != nil {
+			t.Fatalf("%s decode: %v", via, err)
+		}
+		if !reflect.DeepEqual(got, tr) {
+			t.Fatalf("%s round trip mismatch:\n got %+v\nwant %+v", via, got, tr)
+		}
+	})
 	path := filepath.Join(t.TempDir(), "trace.drtt")
 	if err := WriteTraceFile(path, tr); err != nil {
 		t.Fatalf("WriteTraceFile: %v", err)
 	}
-	fgot, err := ReadTraceFile(path)
+	v, err := OpenTrace(path)
 	if err != nil {
-		t.Fatalf("ReadTraceFile: %v", err)
+		t.Fatalf("OpenTrace: %v", err)
 	}
-	if !reflect.DeepEqual(fgot, tr) {
-		t.Fatalf("file round trip mismatch:\n got %+v\nwant %+v", fgot, tr)
+	defer v.Close()
+	if !reflect.DeepEqual(v.Trace(), tr) {
+		t.Fatalf("file round trip mismatch:\n got %+v\nwant %+v", v.Trace(), tr)
 	}
 }
 
@@ -109,7 +133,7 @@ func TestTraceBinaryRetimeEquality(t *testing.T) {
 			if err := tr.WriteBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadTrace(&buf)
+			got, err := decodeTrace(buf.Bytes(), false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,17 +203,14 @@ func TestTraceBinaryFuzzedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceBinaryLargeRoundTrip pins decoding of images that span many
-// of ReadTrace's 1 MiB read chunks. 1<<20 is not a multiple of the
-// 96-byte task record (1<<20 % 96 = 64), so with ≥ 10923 tasks a chunk
-// boundary falls inside a task record, and every item section spans
-// chunks too.
+// TestTraceBinaryLargeRoundTrip pins decoding of multi-MiB images in
+// which every section is large: 12000 96-byte task records (over 1 MiB)
+// and item sections of over 1 MiB each.
 func TestTraceBinaryLargeRoundTrip(t *testing.T) {
-	const nTasks = 12000 // > 1<<20/96 ≈ 10922.7 tasks per chunk
+	const nTasks = 12000
 	flat := &Trace{Name: "large-flat", tasks: nTasks}
 	flat.taskRecs = make([]traceTask, nTasks)
-	// 6 rows per task ⇒ 72000 rows > 65536 (one 1 MiB chunk of 16-byte
-	// items), so the row section spans chunks too.
+	// 6 rows per task ⇒ 72000 16-byte rows, over 1 MiB.
 	flat.rows = make([]rowCost, 6*nTasks)
 	for i := range flat.rows {
 		flat.rows[i] = rowCost{scanned: int64(i), maccs: int64(2 * i)}
@@ -205,7 +226,7 @@ func TestTraceBinaryLargeRoundTrip(t *testing.T) {
 	hier := &Trace{Name: "large-hier", hierarchical: true, tasks: nTasks}
 	hier.taskRecs = make([]traceTask, nTasks)
 	hier.subs = make([]rowCost, 6*nTasks)
-	hier.exts = make([]int64, 12*nTasks) // 144000 × 8 bytes > one chunk
+	hier.exts = make([]int64, 12*nTasks) // 144000 × 8 bytes > 1 MiB
 	hier.dists = make([]distEvent, 6*nTasks)
 	for i := range hier.subs {
 		hier.subs[i] = rowCost{scanned: int64(i), maccs: int64(3 * i)}
@@ -257,9 +278,11 @@ func TestTraceBinaryTruncated(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{len(full) - 1, len(full) / 2, traceHeaderSize + traceTableSize + 3, traceHeaderSize + 3, 10, 0} {
-		if _, err := ReadTrace(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("ReadTrace accepted a stream truncated to %d of %d bytes", cut, len(full))
-		}
+		decodeEachTrace(full[:cut], func(via string, _ *Trace, err error) {
+			if err == nil {
+				t.Fatalf("%s decode accepted an image truncated to %d of %d bytes", via, cut, len(full))
+			}
+		})
 	}
 	dir := t.TempDir()
 	for name, data := range map[string][]byte{
@@ -270,16 +293,20 @@ func TestTraceBinaryTruncated(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadTraceFile(path); err == nil {
-			t.Fatalf("ReadTraceFile accepted %s (%d bytes, want %d)", name, len(data), len(full))
+		if v, err := OpenTrace(path); err == nil {
+			v.Close()
+			t.Fatalf("OpenTrace accepted %s (%d bytes, want %d)", name, len(data), len(full))
 		}
 	}
 }
 
 func TestTraceBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader([]byte("not a drtt trace at all, just some prose that is long enough to cover the header and table sections of the format, which together span 176 bytes of the stream......."))); err == nil {
-		t.Fatal("ReadTrace accepted garbage")
-	}
+	garbage := []byte("not a drtt trace at all, just some prose that is long enough to cover the header and table sections of the format, which together span 176 bytes of the image........")
+	decodeEachTrace(garbage, func(via string, _ *Trace, err error) {
+		if err == nil {
+			t.Fatalf("%s decode accepted garbage", via)
+		}
+	})
 	// Wrong version.
 	tr := &Trace{Name: "v"}
 	var buf bytes.Buffer
@@ -288,18 +315,20 @@ func TestTraceBinaryRejectsGarbage(t *testing.T) {
 	}
 	bad := buf.Bytes()
 	bad[4] = 99
-	if _, err := ReadTrace(bytes.NewReader(bad)); err == nil {
-		t.Fatal("ReadTrace accepted a future format version")
-	}
+	decodeEachTrace(bad, func(via string, _ *Trace, err error) {
+		if err == nil {
+			t.Fatalf("%s decode accepted a future format version", via)
+		}
+	})
 }
 
-// TestTraceBinaryHugeCountIsError pins that a stream's header cannot make
-// ReadTrace allocate for data that never arrives: a 208-byte stream whose
-// header and section table agree on 2^36 tasks is a truncation error, not
-// a multi-terabyte allocation. A hierarchical header claiming 2^56 tasks,
-// sub-tasks, extractions and distributions passes the header check but
-// implies more bytes than int64 holds: every reader must reject it with an
-// error, not panic sizing the image.
+// TestTraceBinaryHugeCountIsError pins that header counts are checked
+// against the image's size before anything is sized from them: a 208-byte
+// image whose header and section table agree on 2^36 tasks is a
+// truncation error, not a multi-terabyte allocation. A hierarchical header
+// claiming 2^56 tasks, sub-tasks, extractions and distributions passes the
+// header check but implies more bytes than int64 holds: every path must
+// reject it with an error, not panic sizing the image.
 func TestTraceBinaryHugeCountIsError(t *testing.T) {
 	const nTasks = 1 << 36
 	var buf bytes.Buffer
@@ -315,9 +344,6 @@ func TestTraceBinaryHugeCountIsError(t *testing.T) {
 		buf.Write(b[:])
 	}
 	buf.Write(make([]byte, traceLedgerSize))
-	if _, err := ReadTrace(&buf); err == nil {
-		t.Fatal("a stream without its task section decoded")
-	}
 
 	var over [traceHeaderSize]byte
 	copy(over[0:4], traceMagic)
@@ -329,25 +355,29 @@ func TestTraceBinaryHugeCountIsError(t *testing.T) {
 	if _, err := decodeTraceHeader(over[:]); err != nil {
 		t.Fatalf("the header check rejects the overflowing header itself: %v", err)
 	}
-	stream := append(over[:], make([]byte, 4<<10)...)
-	if _, err := ReadTrace(bytes.NewReader(stream)); err == nil {
-		t.Fatal("ReadTrace decoded a header whose size overflows int64")
-	}
-	path := filepath.Join(t.TempDir(), "overflow.drtt")
-	if err := os.WriteFile(path, stream, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTraceFile(path); err == nil {
-		t.Fatal("ReadTraceFile decoded a header whose size overflows int64")
-	}
-	if v, err := OpenTrace(path); err == nil {
-		v.Close()
-		t.Fatal("OpenTrace decoded a header whose size overflows int64")
+	dir := t.TempDir()
+	for name, img := range map[string][]byte{
+		"no-task-section": buf.Bytes(),
+		"size-overflow":   append(over[:], make([]byte, 4<<10)...),
+	} {
+		decodeEachTrace(img, func(via string, _ *Trace, err error) {
+			if err == nil {
+				t.Fatalf("%s: %s decode accepted the image", name, via)
+			}
+		})
+		path := filepath.Join(dir, name+".drtt")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := OpenTrace(path); err == nil {
+			v.Close()
+			t.Fatalf("%s: OpenTrace accepted the file", name)
+		}
 	}
 }
 
-// TestTraceBinaryRejectsScrambledWindows pins the structural validation: a
-// stream whose sizes all agree but whose task windows break the capture
+// TestTraceBinaryRejectsScrambledWindows pins the structural validation: an
+// image whose sizes all agree but whose task windows break the capture
 // invariant is rejected, not retimed into garbage.
 func TestTraceBinaryRejectsScrambledWindows(t *testing.T) {
 	tr := &Trace{Name: "scrambled"}
@@ -360,9 +390,11 @@ func TestTraceBinaryRejectsScrambledWindows(t *testing.T) {
 	if err := tr.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadTrace(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("ReadTrace accepted overlapping task windows")
-	}
+	decodeEachTrace(buf.Bytes(), func(via string, _ *Trace, err error) {
+		if err == nil {
+			t.Fatalf("%s decode accepted overlapping task windows", via)
+		}
+	})
 	// Windows that undercover the stored items are equally invalid.
 	tr2 := &Trace{Name: "short"}
 	tr2.taskRecs = []traceTask{{rowsLo: 0, rowsHi: 1}}
@@ -371,9 +403,11 @@ func TestTraceBinaryRejectsScrambledWindows(t *testing.T) {
 	if err := tr2.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadTrace(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("ReadTrace accepted windows that undercover the item array")
-	}
+	decodeEachTrace(buf.Bytes(), func(via string, _ *Trace, err error) {
+		if err == nil {
+			t.Fatalf("%s decode accepted windows that undercover the item array", via)
+		}
+	})
 	// A hierarchical flag with flat row items is inconsistent.
 	tr3 := &Trace{Name: "mixed", hierarchical: true}
 	tr3.taskRecs = []traceTask{{rowsLo: 0, rowsHi: 1}}
@@ -382,9 +416,11 @@ func TestTraceBinaryRejectsScrambledWindows(t *testing.T) {
 	if err := tr3.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadTrace(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("ReadTrace accepted a hierarchical trace carrying flat rows")
-	}
+	decodeEachTrace(buf.Bytes(), func(via string, _ *Trace, err error) {
+		if err == nil {
+			t.Fatalf("%s decode accepted a hierarchical trace carrying flat rows", via)
+		}
+	})
 }
 
 // TestTraceBinaryGoldenHeader pins the first header+table bytes of a fixed
@@ -430,7 +466,7 @@ func TestTraceBinaryGoldenHeader(t *testing.T) {
 			hex.EncodeToString(got), goldenPrefix)
 	}
 	if int64(buf.Len()) != tr.TraceBinarySize() {
-		t.Fatalf("golden stream is %d bytes, want %d", buf.Len(), tr.TraceBinarySize())
+		t.Fatalf("golden image is %d bytes, want %d", buf.Len(), tr.TraceBinarySize())
 	}
 }
 
@@ -444,19 +480,18 @@ func TestTraceBinaryDecodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := ReadTrace(bytes.NewReader(data)); err != nil {
+	if _, err := decodeTrace(data, false); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := ReadTrace(bytes.NewReader(data)); err != nil {
+		if _, err := decodeTrace(data, false); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Header, the image's chunk list, chunk and assembled copy, Trace
-	// struct, 2 non-nil slices, name string — a dozen covers it with
-	// slack; the point is that it does not scale with the item count
+	// Trace struct, 2 non-nil slices, name string — a handful, well
+	// within 16; the point is that it does not scale with the item count
 	// (thousands here).
 	if allocs > 16 {
-		t.Fatalf("ReadTrace allocates %.0f objects/run, want ≤ 16", allocs)
+		t.Fatalf("decodeTrace allocates %.0f objects/run, want ≤ 16", allocs)
 	}
 }

@@ -5,8 +5,8 @@
 // root resolution, sha256 content addressing, atomic temp+rename writes so
 // concurrent processes only ever observe complete entries, per-key
 // in-process singleflight, an optional byte-budget LRU sweep over the
-// stored files, and the file image both formats' decoders read: mapped by
-// Map, or read from a stream by ReadImage.
+// stored files, and the file image both formats' decoders read, mapped
+// or read into the heap by Map.
 //
 // A Cache never fails a computation the caller could complete without it:
 // every I/O error degrades to a miss (lookups) or a no-op (stores), and a

@@ -2,60 +2,11 @@ package diskcache
 
 import (
 	"bytes"
-	"io"
-	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 )
-
-// countingReader counts the bytes read through it.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// TestReadImage pins the stream reader: an image spanning several chunks
-// comes back byte for byte with the header in front, and a size the
-// stream does not back, up to math.MaxInt64, is a read error, never a
-// panic, that allocated at most one chunk more than the stream holds.
-func TestReadImage(t *testing.T) {
-	blob := make([]byte, 2*imageChunk+12345)
-	rand.New(rand.NewSource(1)).Read(blob)
-	head, rest := blob[:40], blob[40:]
-	got, err := ReadImage(bytes.NewReader(rest), append([]byte(nil), head...), int64(len(blob)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, blob) {
-		t.Fatal("image differs from the stream")
-	}
-	for _, size := range []int64{int64(len(blob)) + 1, 1 << 40, math.MaxInt64} {
-		cr := &countingReader{r: bytes.NewReader(rest)}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := ReadImage(cr, head, size)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("size %d: a short stream read without error", size)
-		}
-		if cr.n != int64(len(rest)) {
-			t.Fatalf("size %d: read %d of the stream's %d bytes", size, cr.n, len(rest))
-		}
-		// 64 KiB of slack covers the chunk list and the test runtime.
-		if got, most := after.TotalAlloc-before.TotalAlloc, uint64(len(rest)+imageChunk+64<<10); got > most {
-			t.Fatalf("size %d: allocated %d bytes for a %d-byte stream, want ≤ %d", size, got, len(rest), most)
-		}
-	}
-}
 
 // TestMap pins the opener: a file's image is its bytes on both paths, the
 // mapped one only where asked for and available, and an empty file is an

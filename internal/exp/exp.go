@@ -114,8 +114,8 @@ type Context struct {
 	summaries *diskcache.Cache
 
 	mu     sync.Mutex
-	spmspm map[string]*workloadCell
-	grams  map[string]*gramCell
+	spmspm map[string]*workloadCell[*accel.Workload]
+	grams  map[string]*workloadCell[*accel.GramWorkload]
 	traces map[traceKey]*traceCell
 	// traceSeen marks configurations requested at least once: the trace
 	// cache only records a schedule on its second request (see cache.go).
@@ -132,18 +132,12 @@ type Context struct {
 	specs map[string]gen.Spec
 }
 
-// workloadCell is one memoized workload; the Once guarantees exactly one
-// generation even when concurrent runners race on the same key.
-type workloadCell struct {
+// workloadCell is one memoized workload (SpMSpM or Gram); the Once
+// guarantees exactly one generation even when concurrent runners race on
+// the same key.
+type workloadCell[W any] struct {
 	once sync.Once
-	w    *accel.Workload
-	err  error
-}
-
-// gramCell is the workloadCell analogue for 3-tensor Gram workloads.
-type gramCell struct {
-	once sync.Once
-	w    *accel.GramWorkload
+	w    W
 	err  error
 }
 
@@ -158,8 +152,8 @@ func NewContext(opt Options) *Context {
 	opt.Parallel = par.Workers(opt.Parallel)
 	c := &Context{
 		Opt:         opt,
-		spmspm:      map[string]*workloadCell{},
-		grams:       map[string]*gramCell{},
+		spmspm:      map[string]*workloadCell[*accel.Workload]{},
+		grams:       map[string]*workloadCell[*accel.GramWorkload]{},
 		traces:      map[traceKey]*traceCell{},
 		traceSeen:   map[traceKey]bool{},
 		specs:       map[string]gen.Spec{},
@@ -284,19 +278,19 @@ func (c *Context) CPU() cpuref.CPU {
 // no usable record — the workload is built here, and with the store on
 // its record is written for the next process.
 func (c *Context) Square(e workloads.Entry) (*accel.Workload, error) {
-	return c.workload(e.Name, func() (*accel.Workload, error) { return c.square(e) })
+	return workload(c, c.spmspm, e.Name, func() (*accel.Workload, error) { return c.square(e) })
 }
 
-// workload returns the memoized workload for key, building it at most
-// once (singleflight: racing callers block on the builder's Once). Every
-// lookup is counted on the context's recorder as exp.workload.hits or
-// exp.workload.misses.
-func (c *Context) workload(key string, build func() (*accel.Workload, error)) (*accel.Workload, error) {
+// workload returns the memoized workload for key in cells (c.spmspm or
+// c.grams), building it at most once (singleflight: racing callers block
+// on the builder's Once). Every lookup is counted on the context's
+// recorder as exp.workload.hits or exp.workload.misses.
+func workload[W any](c *Context, cells map[string]*workloadCell[W], key string, build func() (W, error)) (W, error) {
 	c.mu.Lock()
-	cell := c.spmspm[key]
+	cell := cells[key]
 	if cell == nil {
-		cell = &workloadCell{}
-		c.spmspm[key] = cell
+		cell = &workloadCell[W]{}
+		cells[key] = cell
 	}
 	c.mu.Unlock()
 	built := false
@@ -304,35 +298,12 @@ func (c *Context) workload(key string, build func() (*accel.Workload, error)) (*
 		built = true
 		cell.w, cell.err = build()
 	})
-	c.countLookup(built)
-	return cell.w, cell.err
-}
-
-// gramWorkload is workload for the 3-tensor Gram kernel's inputs.
-func (c *Context) gramWorkload(key string, build func() (*accel.GramWorkload, error)) (*accel.GramWorkload, error) {
-	c.mu.Lock()
-	cell := c.grams[key]
-	if cell == nil {
-		cell = &gramCell{}
-		c.grams[key] = cell
-	}
-	c.mu.Unlock()
-	built := false
-	cell.once.Do(func() {
-		built = true
-		cell.w, cell.err = build()
-	})
-	c.countLookup(built)
-	return cell.w, cell.err
-}
-
-func (c *Context) countLookup(built bool) {
-	rec := obs.OrNop(c.Opt.Rec)
 	if built {
-		rec.Count("exp.workload.misses", 1)
+		obs.OrNop(c.Opt.Rec).Count("exp.workload.misses", 1)
 	} else {
-		rec.Count("exp.workload.hits", 1)
+		obs.OrNop(c.Opt.Rec).Count("exp.workload.hits", 1)
 	}
+	return cell.w, cell.err
 }
 
 // square prepares one S² workload, deferred behind its stored summary

@@ -175,7 +175,7 @@ func (c *Context) Fig07() (*metrics.Table, error) {
 		if suffix != "FᵀF" {
 			wkey = e.Name + "-FFt"
 		}
-		w, err := c.workload(wkey, func() (*accel.Workload, error) {
+		w, err := workload(c, c.spmspm, wkey, func() (*accel.Workload, error) {
 			c.countBuild()
 			c.noteSpec(wkey, e.TallSkinnySpec(c.Opt.Scale, 1<<7))
 			f, fT := e.TallSkinnyPair(c.Opt.Scale, 1<<7)

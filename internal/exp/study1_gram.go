@@ -53,7 +53,7 @@ func (c *Context) Fig09() (*metrics.Table, error) {
 		// The generated tensor and its Gram workload are memoized per entry
 		// (building one runs the exact reference kernel); repeated
 		// invocations reuse them.
-		gw, err := c.gramWorkload(e.Name, func() (*accel.GramWorkload, error) {
+		gw, err := workload(c, c.grams, e.Name, func() (*accel.GramWorkload, error) {
 			c.countBuild()
 			cfg := c.workloadConfig()
 			cfg.MicroTile = c.Opt.MicroTile/2 + 1

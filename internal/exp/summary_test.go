@@ -380,9 +380,12 @@ func TestTraceStoreCrossProcess(t *testing.T) {
 		case strings.HasPrefix(de.Name(), "."):
 			t.Errorf("temp file %s left in the store", de.Name())
 		case strings.HasSuffix(de.Name(), ".drtt"):
-			if _, err := accel.ReadTraceFile(path); err != nil {
+			v, err := accel.OpenTrace(path)
+			if err != nil {
 				t.Errorf("stored trace does not decode: %v", err)
+				continue
 			}
+			v.Close()
 		case strings.HasSuffix(de.Name(), ".drtw"):
 			if _, err := readSummaryFile(path); err != nil {
 				t.Errorf("stored summary does not decode: %v", err)

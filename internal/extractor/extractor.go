@@ -7,10 +7,7 @@
 // < 1% end-to-end overhead versus an ideal zero-cycle extractor (Sec. 6.5).
 package extractor
 
-import (
-	"drt/internal/core"
-	"drt/internal/obs"
-)
+import "drt/internal/obs"
 
 // Width is the P-word vector width of the Aggregate unit's reads into the
 // compressed representation (the evaluation uses P = 32 with a P-to-1
@@ -61,23 +58,11 @@ func (c Cost) Record(rec obs.Recorder) {
 	rec.Count("extract.tasks", 1)
 }
 
-// TaskCost models the extraction cycles of one DRT task from the probe
-// statistics the core algorithm recorded.
-func TaskCost(kind Kind, t *core.Task) Cost {
-	var tiles int64
-	for oi, n := range t.OpTiles {
-		if t.Rebuilt == nil || t.Rebuilt[oi] {
-			tiles += n
-		}
-	}
-	return CostScalars(kind, t.ScanTiles, t.Probes, tiles)
-}
-
-// CostScalars is TaskCost on the task's pre-reduced probe statistics:
-// scanTiles metadata words scanned by the Aggregate unit, probes growth
-// probes, and rebuiltTiles stored micro tiles across the task's rebuilt
-// macro tiles. The SpMSpM engine prices every task through this (accel's
-// per-task replay), so it must stay arithmetically identical to TaskCost.
+// CostScalars models the extraction cycles of one DRT task from the
+// probe statistics the core algorithm recorded: scanTiles metadata words
+// scanned by the Aggregate unit, probes growth probes, and rebuiltTiles
+// stored micro tiles across the task's rebuilt macro tiles. The engine's
+// per-task replay prices every task through it.
 func CostScalars(kind Kind, scanTiles int64, probes int, rebuiltTiles int64) Cost {
 	if kind == IdealExtractor {
 		return Cost{}

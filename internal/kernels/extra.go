@@ -6,11 +6,6 @@ import (
 	"drt/internal/tensor"
 )
 
-// The kernels below round out ExTensor's kernel list (Table 2: SpMSpM,
-// SpMM, TTM/V, SDDMM): sparse-times-dense matrix multiplication, sampled
-// dense-dense multiplication, and tensor-times-vector on CSF. Each is an
-// exact reference implementation with effectual-work statistics.
-
 // SpMM computes Z = A·B where A is sparse and B dense. The result is
 // dense (every row of Z with a non-empty A row is generally dense).
 func SpMM(a *tensor.CSR, b *tensor.Dense) (*tensor.Dense, Stats) {
@@ -34,101 +29,5 @@ func SpMM(a *tensor.CSR, b *tensor.Dense) (*tensor.Dense, Stats) {
 			st.OutputNNZ++
 		}
 	}
-	return z, st
-}
-
-// SDDMM computes Z = S ⊙ (A·Bᵀ): the dense product A·Bᵀ sampled at the
-// non-zero positions of the sparse matrix S. A has shape |S.Rows|×d and B
-// |S.Cols|×d. This is the kernel of attention/factorization workloads.
-func SDDMM(s *tensor.CSR, a, b *tensor.Dense) (*tensor.CSR, Stats) {
-	if a.Rows != s.Rows || b.Rows != s.Cols || a.Cols != b.Cols {
-		panic(fmt.Sprintf("kernels: sddmm shape mismatch: S %dx%d, A %dx%d, B %dx%d",
-			s.Rows, s.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	var st Stats
-	z := &tensor.CSR{Rows: s.Rows, Cols: s.Cols, Ptr: make([]int, s.Rows+1)}
-	d := a.Cols
-	for i := 0; i < s.Rows; i++ {
-		f := s.Row(i)
-		for p, j := range f.Coords {
-			var dot float64
-			for t := 0; t < d; t++ {
-				dot += a.At(i, t) * b.At(j, t)
-			}
-			st.MACCs += int64(d)
-			v := f.Vals[p] * dot
-			if v != 0 {
-				z.Idx = append(z.Idx, j)
-				z.Val = append(z.Val, v)
-			}
-		}
-		z.Ptr[i+1] = len(z.Idx)
-	}
-	st.OutputNNZ = int64(z.NNZ())
-	return z, st
-}
-
-// TTV computes the tensor-times-vector contraction Y_ij = Σ_k χ_ijk · v_k
-// directly on the CSF representation, returning the I×J result matrix.
-func TTV(x *tensor.CSF3, v []float64) (*tensor.CSR, Stats) {
-	if len(v) != x.K {
-		panic(fmt.Sprintf("kernels: ttv vector length %d, tensor K = %d", len(v), x.K))
-	}
-	var st Stats
-	out := tensor.NewCOO(x.I, x.J)
-	for r := 0; r < len(x.RootCoords); r++ {
-		i, lo, hi := x.Slice(r)
-		for m := lo; m < hi; m++ {
-			j := x.MidCoords[m]
-			f := x.LeafFiber(m)
-			var sum float64
-			for p, k := range f.Coords {
-				sum += f.Vals[p] * v[k]
-			}
-			st.MACCs += int64(f.Len())
-			if sum != 0 {
-				out.Append(i, j, sum)
-			}
-		}
-	}
-	z := tensor.FromCOO(out)
-	st.OutputNNZ = int64(z.NNZ())
-	return z, st
-}
-
-// TTM computes the tensor-times-matrix contraction Y_ijm = Σ_k χ_ijk·M_km
-// on the CSF representation, returning the result as a new CSF tensor of
-// shape I×J×M.
-func TTM(x *tensor.CSF3, m *tensor.Dense) (*tensor.CSF3, Stats) {
-	if m.Rows != x.K {
-		panic(fmt.Sprintf("kernels: ttm matrix rows %d, tensor K = %d", m.Rows, x.K))
-	}
-	var st Stats
-	out := tensor.NewCOO3(x.I, x.J, m.Cols)
-	acc := make([]float64, m.Cols)
-	for r := 0; r < len(x.RootCoords); r++ {
-		i, lo, hi := x.Slice(r)
-		for mp := lo; mp < hi; mp++ {
-			j := x.MidCoords[mp]
-			f := x.LeafFiber(mp)
-			for c := range acc {
-				acc[c] = 0
-			}
-			for p, k := range f.Coords {
-				xv := f.Vals[p]
-				for c := 0; c < m.Cols; c++ {
-					acc[c] += xv * m.At(k, c)
-				}
-				st.MACCs += int64(m.Cols)
-			}
-			for c, v := range acc {
-				if v != 0 {
-					out.Append(i, j, c, v)
-				}
-			}
-		}
-	}
-	z := tensor.FromCOO3(out)
-	st.OutputNNZ = int64(z.NNZ())
 	return z, st
 }

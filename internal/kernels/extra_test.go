@@ -33,93 +33,6 @@ func TestSpMMMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSDDMMMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		m, n, d := rng.Intn(12)+1, rng.Intn(12)+1, rng.Intn(6)+1
-		s := gen.Uniform(m, n, m*n/2+1, rng.Int63())
-		a := randomDense(rng, m, d)
-		b := randomDense(rng, n, d)
-		z, st := SDDMM(s, a, b)
-		// Oracle: S ⊙ (A·Bᵀ) element-wise.
-		ab := a.MatMul(transpose(b))
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				want := s.At(i, j) * ab.At(i, j)
-				if diff := z.At(i, j) - want; diff > 1e-9 || diff < -1e-9 {
-					t.Fatalf("trial %d: z(%d,%d) = %g, want %g", trial, i, j, z.At(i, j), want)
-				}
-			}
-		}
-		if st.MACCs != int64(s.NNZ())*int64(d) {
-			t.Fatalf("trial %d: MACCs = %d, want %d", trial, st.MACCs, s.NNZ()*d)
-		}
-	}
-}
-
-func transpose(d *tensor.Dense) *tensor.Dense {
-	out := tensor.NewDense(d.Cols, d.Rows)
-	for i := 0; i < d.Rows; i++ {
-		for j := 0; j < d.Cols; j++ {
-			out.Set(j, i, d.At(i, j))
-		}
-	}
-	return out
-}
-
-func TestTTVMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 15; trial++ {
-		x := gen.Tensor3(rng.Intn(8)+2, rng.Intn(8)+2, rng.Intn(8)+2, rng.Intn(60)+5, rng.Int63())
-		v := make([]float64, x.K)
-		for i := range v {
-			v[i] = rng.Float64() + 0.5
-		}
-		y, _ := TTV(x, v)
-		// Oracle from the coordinate list.
-		c := x.ToCOO3()
-		want := tensor.NewDense(x.I, x.J)
-		for p := 0; p < c.Len(); p++ {
-			want.V[c.Is[p]*x.J+c.Js[p]] += c.V[p] * v[c.Ks[p]]
-		}
-		if !y.ToDense().EqualApprox(want, 1e-9) {
-			t.Fatalf("trial %d: ttv != oracle", trial)
-		}
-	}
-}
-
-func TestTTMMatchesTTVColumns(t *testing.T) {
-	// TTM with a matrix equals stacking TTVs of its columns.
-	rng := rand.New(rand.NewSource(4))
-	x := gen.Tensor3(6, 5, 7, 40, 9)
-	m := randomDense(rng, 7, 3)
-	y, st := TTM(x, m)
-	if err := y.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if st.MACCs != int64(x.NNZ())*3 {
-		t.Fatalf("MACCs = %d, want %d", st.MACCs, x.NNZ()*3)
-	}
-	for c := 0; c < 3; c++ {
-		col := make([]float64, 7)
-		for k := range col {
-			col[k] = m.At(k, c)
-		}
-		yc, _ := TTV(x, col)
-		// Compare slice c of y against yc.
-		got := tensor.NewDense(x.I, x.J)
-		cc := y.ToCOO3()
-		for p := 0; p < cc.Len(); p++ {
-			if cc.Ks[p] == c {
-				got.V[cc.Is[p]*x.J+cc.Js[p]] += cc.V[p]
-			}
-		}
-		if !got.EqualApprox(yc.ToDense(), 1e-9) {
-			t.Fatalf("ttm column %d != ttv", c)
-		}
-	}
-}
-
 func TestExtraKernelPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

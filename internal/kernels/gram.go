@@ -120,9 +120,9 @@ func GramParallel(x *tensor.CSF3, workers int) (*tensor.CSR, Stats) {
 }
 
 // GramViaMatricize computes the same kernel as G = X·Xᵀ on the mode-1
-// matricization X of χ. It serves as a second, independent implementation
-// for cross-validation and is the path the accelerator simulators take
-// (SpMSpM machinery reused for higher-order kernels).
+// matricization X of χ, with the SpMSpM Gustavson kernel. It is a second,
+// independent implementation for cross-validating Gram; no simulator
+// takes it (accel.RunGram tiles the 4-D kernel on χ directly).
 func GramViaMatricize(x *tensor.CSF3) (*tensor.CSR, Stats) {
 	m := x.Matricize()
 	return Gustavson(m, m.Transpose())

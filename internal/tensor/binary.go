@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strconv"
 	"unsafe"
 
@@ -17,8 +16,8 @@ import (
 // compressed sparse matrix, designed so a memory-mapped file IS the
 // in-memory representation — OpenBinary on a little-endian host builds a
 // matrix whose Ptr/Idx/Val slices alias the mapping directly, with no
-// copy and the value pages streamed on demand. Every reader hands a
-// complete file image to one decoder (decodeBinary), which checks the
+// copy and the value pages streamed on demand. OpenBinary hands the
+// complete file image to the one decoder (decodeBinary), which checks the
 // matrix structure (Mat.Validate) before returning it, one sequential
 // pass over Ptr and Idx, so a damaged file is an error, never a matrix
 // whose indices run out of range.
@@ -72,7 +71,7 @@ func binaryPad(elems int64, width int) int {
 // BinarySize returns the exact .drtb file size for a matrix of the given
 // shape at the given index width (4 or 8 bytes). A shape the header check
 // admits can imply more than int64 holds; its size saturates at
-// math.MaxInt64, more than any file or stream.
+// math.MaxInt64, more than any file holds.
 func BinarySize(rows, nnz int, width int) int64 {
 	elems := int64(rows) + 1 + int64(nnz)
 	n := binaryHeaderSize + uint64(elems)*uint64(width) +
@@ -320,37 +319,6 @@ func array[E int32 | int | float64](b []byte, n int, alias bool) []E {
 		}
 	}
 	return s
-}
-
-// ReadBinary reads a .drtb stream fully into memory. A truncated stream
-// is reported as an error ("truncated"), never as a silently short
-// matrix, and a structurally invalid one as "corrupt". The file image is
-// read one chunk at a time as its bytes arrive (diskcache.ReadImage), so
-// a header's lengths cannot allocate more than a chunk beyond what the
-// stream holds.
-func ReadBinary(r io.Reader) (*Operand, error) {
-	var hdr [binaryHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("tensor: truncated .drtb header: %w", err)
-	}
-	h, err := decodeBinaryHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	data, err := diskcache.ReadImage(r, hdr[:], BinarySize(h.rows, h.nnz, h.width()))
-	if err != nil {
-		return nil, fmt.Errorf("tensor: truncated .drtb body: %w", err)
-	}
-	return decodeBinary(data, nil)
-}
-
-// ReadBinaryFile reads a .drtb file fully into memory.
-func ReadBinaryFile(path string) (*Operand, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeBinary(data, nil)
 }
 
 // OpenBinary opens a .drtb file with its arrays memory-mapped when the

@@ -25,21 +25,32 @@ func drtbHeader(rows, cols, nnz int64, ix32 bool) []byte {
 	return hdr
 }
 
-// TestBinaryHugeShapeIsError pins that header lengths allocate nothing
-// the stream does not back: a 40-byte stream declaring 2^36 rows (which
-// the header check allows) once asked for a 512 GiB Ptr slice, and an nnz
-// near MaxInt64/16 after a valid Ptr panicked in makeslice. Both must be
-// plain truncation errors.
+// TestBinaryHugeShapeIsError pins that header lengths are checked against
+// the image's size before anything is sized from them: a 40-byte image
+// declaring 2^36 rows (which the header check allows) must not ask for a
+// 512 GiB Ptr slice, nor an nnz near MaxInt64/16 after a valid Ptr panic
+// in makeslice. Both are plain truncation errors on every path.
 func TestBinaryHugeShapeIsError(t *testing.T) {
 	hugeNNZ := append(drtbHeader(1, 1, math.MaxInt64/16, false), make([]byte, 16)...)
-	for name, stream := range map[string][]byte{
+	dir := t.TempDir()
+	for name, img := range map[string][]byte{
 		"rows":     drtbHeader(1<<36, 1, 0, false),
 		"nnz":      hugeNNZ,
 		"nnz-tail": append(hugeNNZ, make([]byte, 3<<20)...),
 	} {
-		_, err := ReadBinary(bytes.NewReader(stream))
+		decodeEach(img, func(via string, _ *Operand, err error) {
+			if err == nil || !strings.Contains(err.Error(), "truncated") {
+				t.Errorf("%s: %s decode = %v, want a truncation error", name, via, err)
+			}
+		})
+		path := filepath.Join(dir, name+".drtb")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		op, err := OpenBinary(path)
 		if err == nil || !strings.Contains(err.Error(), "truncated") {
-			t.Errorf("%s: ReadBinary = %v, want a truncation error", name, err)
+			op.Close()
+			t.Errorf("%s: OpenBinary = %v, want a truncation error", name, err)
 		}
 	}
 }
@@ -74,15 +85,14 @@ func TestBinaryCorruptStructureIsError(t *testing.T) {
 			if err := write(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "corrupt") {
-				t.Errorf("%s/%s: ReadBinary = %v, want a corrupt-matrix error", name, width, err)
-			}
+			decodeEach(buf.Bytes(), func(via string, _ *Operand, err error) {
+				if err == nil || !strings.Contains(err.Error(), "corrupt") {
+					t.Errorf("%s/%s: %s decode = %v, want a corrupt-matrix error", name, width, via, err)
+				}
+			})
 			path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+"-"+width+".drtb")
 			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
-			}
-			if _, err := ReadBinaryFile(path); err == nil {
-				t.Errorf("%s/%s: ReadBinaryFile accepted the file", name, width)
 			}
 			if op, err := OpenBinary(path); err == nil {
 				op.Close()
@@ -92,10 +102,12 @@ func TestBinaryCorruptStructureIsError(t *testing.T) {
 	}
 }
 
-// FuzzReadBinary feeds arbitrary bytes to the .drtb stream reader and,
-// through a file, to OpenBinary (the mmap path where the host allows it).
-// Neither may panic, and every accepted operand must be a valid matrix
-// that re-encodes byte-identically through WriteBinary.
+// FuzzReadBinary feeds arbitrary bytes to the one .drtb decoder on each
+// path a file image takes: the heap path, the aliased path over an
+// 8-aligned copy where the host allows it, and, through a file,
+// OpenBinary (mapped where the host allows it). None may panic, and every
+// accepted operand must be a valid matrix that re-encodes byte-identically
+// through WriteBinary.
 func FuzzReadBinary(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for _, m := range []*CSR{NewCSR(0, 3), NewCSR(4, 2), randCSR(f, rng, 9, 7, 20)} {
@@ -114,9 +126,11 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(append(drtbHeader(1, 1, math.MaxInt64/16, false), make([]byte, 16)...))
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, src []byte) {
-		if op, err := ReadBinary(bytes.NewReader(src)); err == nil {
-			checkAccepted(t, "ReadBinary", op)
-		}
+		decodeEach(src, func(via string, op *Operand, err error) {
+			if err == nil {
+				checkAccepted(t, via+" decode", op)
+			}
+		})
 		path := filepath.Join(dir, "in.drtb")
 		if err := os.WriteFile(path, src, 0o644); err != nil {
 			t.Fatal(err)
@@ -157,11 +171,11 @@ func checkAccepted(t *testing.T, via string, op *Operand) {
 		t.Fatalf("%s accepted a malformed matrix: %v", via, err)
 	}
 	enc := encode(op)
-	back, err := ReadBinary(bytes.NewReader(enc))
+	back, err := decodeBinary(enc, nil)
 	if err != nil {
-		t.Fatalf("%s: rereading the written operand: %v", via, err)
+		t.Fatalf("%s: decoding the written operand: %v", via, err)
 	}
 	if !bytes.Equal(encode(back), enc) {
-		t.Fatalf("%s: WriteBinary/ReadBinary round trip changed the operand", via)
+		t.Fatalf("%s: WriteBinary/decodeBinary round trip changed the operand", via)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 )
 
 // randCSR builds a random matrix with the requested shape and target
@@ -25,9 +26,29 @@ func randCSR(t testing.TB, rng *rand.Rand, rows, cols, nnz int) *CSR {
 	return c
 }
 
+// aligned8 copies b into 8-aligned memory, as mmap's pages are.
+func aligned8(b []byte) []byte {
+	words := make([]uint64, (len(b)+7)/8)
+	out := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(b))
+	copy(out, b)
+	return out
+}
+
+// decodeEach runs the one .drtb decoder over a file image on each path an
+// image takes: the heap path and, where the host allows aliasing, the
+// aliased path over an 8-aligned copy.
+func decodeEach(data []byte, check func(via string, op *Operand, err error)) {
+	op, err := decodeBinary(data, nil)
+	check("heap", op, err)
+	if binaryAliasOK {
+		op, err := decodeBinary(aligned8(data), func() error { return nil })
+		check("aliased", op, err)
+	}
+}
+
 // roundTrip writes m at both index widths (when the compact one fits),
-// reads each stream back and checks equality; the file-backed variants
-// additionally exercise ReadBinaryFile and the mmap OpenBinary path.
+// decodes each image on every path and checks equality; the file-backed
+// variants additionally exercise the mmap OpenBinary path.
 func roundTrip(t *testing.T, m *CSR) {
 	t.Helper()
 	write := func(name string, f func(w io.Writer) error) *bytes.Buffer {
@@ -51,27 +72,23 @@ func roundTrip(t *testing.T, m *CSR) {
 	}
 	dir := t.TempDir()
 	for name, buf := range streams {
-		op, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: ReadBinary: %v", name, err)
-		}
-		if name == "compact" && op.Compact == nil {
-			t.Fatalf("compact stream decoded wide")
-		}
-		check(name+"/read", op)
+		decodeEach(buf.Bytes(), func(via string, op *Operand, err error) {
+			if err != nil {
+				t.Fatalf("%s: %s decode: %v", name, via, err)
+			}
+			if name == "compact" && op.Compact == nil {
+				t.Fatalf("compact image decoded wide")
+			}
+			check(name+"/"+via, op)
+		})
 
 		path := filepath.Join(dir, name+".drtb")
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if want := BinarySize(m.Rows, m.NNZ(), map[string]int{"wide": 8, "compact": 4}[name]); int64(buf.Len()) != want {
-			t.Fatalf("%s: stream is %d bytes, BinarySize says %d", name, buf.Len(), want)
+			t.Fatalf("%s: image is %d bytes, BinarySize says %d", name, buf.Len(), want)
 		}
-		fop, err := ReadBinaryFile(path)
-		if err != nil {
-			t.Fatalf("%s: ReadBinaryFile: %v", name, err)
-		}
-		check(name+"/file", fop)
 		mop, err := OpenBinary(path)
 		if err != nil {
 			t.Fatalf("%s: OpenBinary: %v", name, err)
@@ -138,17 +155,16 @@ func TestBinaryTruncated(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{len(full) - 1, len(full) / 2, binaryHeaderSize + 3, 10, 0} {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("ReadBinary accepted a stream truncated to %d of %d bytes", cut, len(full))
-		}
+		decodeEach(full[:cut], func(via string, _ *Operand, err error) {
+			if err == nil {
+				t.Fatalf("%s decode accepted an image truncated to %d of %d bytes", via, cut, len(full))
+			}
+		})
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trunc.drtb")
 	if err := os.WriteFile(path, full[:len(full)-8], 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ReadBinaryFile(path); err == nil {
-		t.Fatal("ReadBinaryFile accepted a truncated file")
 	}
 	if _, err := OpenBinary(path); err == nil {
 		t.Fatal("OpenBinary accepted a truncated file")
@@ -156,9 +172,11 @@ func TestBinaryTruncated(t *testing.T) {
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a drtb file at all........................."))); err == nil {
-		t.Fatal("ReadBinary accepted garbage")
-	}
+	decodeEach([]byte("not a drtb file at all........................."), func(via string, _ *Operand, err error) {
+		if err == nil {
+			t.Fatalf("%s decode accepted garbage", via)
+		}
+	})
 }
 
 // TestTransposeIntoAllocFree pins the pooled-scratch promise: repeated
