@@ -45,11 +45,9 @@
 // disables it); -shard k/n runs one contiguous piece of the shardable
 // experiments (fig6, fig7, tab3) so a full-scale sweep spreads across
 // machines, with drtmetrics -merge recombining the per-shard -metrics-out
-// dumps (see DESIGN.md "Compact tensors & operand cache" and
-// EXPERIMENTS.md for the merge recipe). The micro-tile grid representation
-// and the operand index width are not knobs: each workload picks them by
-// their Auto rules (DESIGN.md "Key design decisions" and "Compact tensors
-// & operand cache").
+// dumps (see DESIGN.md "Operand cache" and EXPERIMENTS.md for the merge
+// recipe). The micro-tile grid representation is not a knob: each
+// workload picks it by its Auto rule (DESIGN.md "Key design decisions").
 //
 // -metrics-out writes every experiment's table as structured JSON together
 // with the run metadata (scale, workload generator specs, VCS revision),
@@ -97,6 +95,7 @@ func main() {
 	cli.GroupUsage("drtbench", "Performance knobs", "parallel", "sched", "trace-store", "operand-cache", "shard")
 	flag.Parse()
 	defer cli.Cleanup()
+	cli.CheckScale("drtbench", *scale, *microTile)
 	stopProf := prof.Start("drtbench")
 
 	if *list {

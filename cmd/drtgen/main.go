@@ -36,6 +36,7 @@ func main() {
 	prof := cli.AddProfileFlags()
 	flag.Parse()
 	defer cli.Cleanup()
+	cli.CheckScale("drtgen", *scale, *microTile)
 	stopProf := prof.Start("drtgen")
 	defer stopProf()
 

@@ -113,6 +113,7 @@ func main() {
 	cli.GroupUsage("drtsim", "Performance knobs", "parallel", "trace-store")
 	flag.Parse()
 	defer cli.Cleanup()
+	cli.CheckScale("drtsim", *scale, *microTile)
 	stopProf := prof.Start("drtsim")
 
 	logger, err := cli.Logger(*logLevel)
@@ -126,9 +127,6 @@ func main() {
 	e, err := workloads.Lookup(*name)
 	if err != nil {
 		cli.Usagef("drtsim: %v", err)
-	}
-	if *microTile < 1 {
-		cli.Usagef("drtsim: -microtile %d: must be at least 1", *microTile)
 	}
 
 	// The collector is attached only when an observability output was
@@ -281,8 +279,7 @@ func printTrace(a *accel.Workload, microTile int) error {
 		canvas[r] = bytes.Repeat([]byte{'.'}, W)
 	}
 	glyphs := []byte("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
-	bRows, bCols, _ := a.BShape()
-	n, k := bCols, bRows
+	n, k := a.B.Cols, a.B.Rows
 	for i, t := range plan.Tasks {
 		g := glyphs[i%len(glyphs)]
 		r0 := t.K.Lo * H / k

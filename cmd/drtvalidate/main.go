@@ -43,6 +43,7 @@ func main() {
 	prof := cli.AddProfileFlags()
 	flag.Parse()
 	defer cli.Cleanup()
+	cli.CheckScale("drtvalidate", *scale, *microTile)
 	stopProf := prof.Start("drtvalidate")
 
 	logger, err := cli.Logger(*logLevel)

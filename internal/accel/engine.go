@@ -29,7 +29,6 @@ type EngineOptions struct {
 	LoopOrder        []int
 	Strategy         core.Strategy
 	InitialSize      []int
-	GrowStep         int
 	Intersect        sim.IntersectKind
 	Extractor        extractor.Kind
 	// PELevel, when non-nil, applies DRT hierarchically (Sec. 3.2.1 /
@@ -314,7 +313,6 @@ func runTasks(sp *taskSpace, opt EngineOptions, trc *Trace, price *retimeScratch
 		LoopOrder:   opt.LoopOrder,
 		Strategy:    opt.Strategy,
 		InitialSize: opt.InitialSize,
-		GrowStep:    opt.GrowStep,
 	}
 	e, err := core.NewEnumerator(sp.kernel, cfg)
 	if err != nil {

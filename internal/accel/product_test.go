@@ -53,10 +53,9 @@ func sameAnswers(got, want tiling.Summary) error {
 // tiling.NewSummaryGrid over kernels.Gustavson's product does, in the
 // same representation, and its MACCs must equal Gustavson's. The
 // generators' values never cancel, so the structural and numeric products
-// coincide. It covers dense and compressed grids, wide and compact
-// indices, 1 and 3 workers (the pass is bit-identical across worker
-// counts), square and rectangular operands, both micro-tile formats, and a
-// Retile to another micro tile.
+// coincide. It covers dense and compressed grids, 1 and 3 workers (the
+// pass is bit-identical across worker counts), square and rectangular
+// operands, both micro-tile formats, and a Retile to another micro tile.
 func TestReferencePassMatchesGustavson(t *testing.T) {
 	sq := gen.RMAT(200, 2400, 0.57, 0.19, 0.19, 51)
 	ra := gen.Uniform(150, 90, 1100, 52)
@@ -67,23 +66,21 @@ func TestReferencePassMatchesGustavson(t *testing.T) {
 	}{{"square", sq, sq}, {"rect", ra, rb}} {
 		z, st := kernels.Gustavson(op.a, op.b)
 		for _, grid := range []tiling.Mode{tiling.Dense, tiling.Compressed} {
-			for _, index := range []IndexMode{IndexWide, IndexCompact} {
-				for _, workers := range []int{1, 3} {
-					for _, f := range []tiling.Format{tiling.TUC, tiling.TCC} {
-						name := fmt.Sprintf("%s/grid%d/index%d/workers%d/%v", op.name, grid, index, workers, f)
-						cfg := WorkloadConfig{MicroTile: 8, Format: f, Grid: grid, Parallel: workers, Index: index}
-						w, err := NewWorkloadWith(name, op.a, op.b, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkReference(t, name, w, z, st.MACCs, cfg)
-						cfg.MicroTile = 5
-						rw, err := w.Retile(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkReference(t, name+"/retile5", rw, z, st.MACCs, cfg)
+			for _, workers := range []int{1, 3} {
+				for _, f := range []tiling.Format{tiling.TUC, tiling.TCC} {
+					name := fmt.Sprintf("%s/grid%d/workers%d/%v", op.name, grid, workers, f)
+					cfg := WorkloadConfig{MicroTile: 8, Format: f, Grid: grid, Parallel: workers}
+					w, err := NewWorkloadWith(name, op.a, op.b, cfg)
+					if err != nil {
+						t.Fatal(err)
 					}
+					checkReference(t, name, w, z, st.MACCs, cfg)
+					cfg.MicroTile = 5
+					rw, err := w.Retile(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkReference(t, name+"/retile5", rw, z, st.MACCs, cfg)
 				}
 			}
 		}

@@ -95,10 +95,10 @@ func summaryChecksum(b []byte) uint64 {
 // SpMSpM: Σ_k nnz(A·,k)·rowBytes(B_k). It is the CPU baseline's streamed
 // B traffic, the untiled software baseline's B traffic (Study 3) and
 // MatRaptor's untiled B model.
-func StreamedBBytes[T tensor.Ix](a, b *tensor.Mat[T]) int64 {
+func StreamedBBytes(a, b *tensor.CSR) int64 {
 	colRefs := make([]int64, a.Cols)
 	for _, k := range a.Idx {
-		colRefs[int(k)]++
+		colRefs[k]++
 	}
 	var total int64
 	for k := 0; k < b.Rows; k++ {

@@ -84,60 +84,6 @@ func TestTraceViewFuzzedEquality(t *testing.T) {
 	}
 }
 
-// largeViewTrace builds a flat or hierarchical trace with exactly nTasks
-// tasks, each with a few items, following TestTraceBinaryLargeRoundTrip's
-// construction.
-func largeViewTrace(nTasks int, hier bool) *Trace {
-	tr := &Trace{Name: "large-view", hierarchical: hier, tasks: nTasks}
-	tr.taskRecs = make([]traceTask, nTasks)
-	if hier {
-		tr.subs = make([]rowCost, 2*nTasks)
-		tr.exts = make([]int64, nTasks)
-		tr.dists = make([]distEvent, nTasks)
-		for i := range tr.subs {
-			tr.subs[i] = rowCost{scanned: int64(i), maccs: int64(3 * i)}
-		}
-		for i := range tr.taskRecs {
-			tr.exts[i] = int64(i)
-			tr.dists[i] = distEvent{footprint: int64(i), multicast: i%2 == 1}
-			tr.taskRecs[i] = traceTask{
-				bytes:  int64(i),
-				subsLo: 2 * i, subsHi: 2 * (i + 1),
-				extsLo: i, extsHi: i + 1,
-				distsLo: i, distsHi: i + 1,
-			}
-		}
-		return tr
-	}
-	tr.rows = make([]rowCost, 2*nTasks)
-	for i := range tr.rows {
-		tr.rows[i] = rowCost{scanned: int64(i), maccs: int64(2 * i)}
-	}
-	for i := range tr.taskRecs {
-		tr.taskRecs[i] = traceTask{
-			bytes: int64(i), scanTiles: int64(i % 7), probes: i % 11, rebuiltTiles: int64(i % 3),
-			rowsLo: 2 * i, rowsHi: 2 * (i + 1),
-		}
-	}
-	return tr
-}
-
-// TestTraceViewChunkBoundary pins view/trace equivalence on traces with
-// about 1 MiB of task records (10921 to 12000 tasks of 96 bytes), flat
-// and hierarchical: the mapped view prices exactly the schedule that was
-// written.
-func TestTraceViewChunkBoundary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large fixture")
-	}
-	rng := rand.New(rand.NewSource(59))
-	for _, nTasks := range []int{10921, 10922, 10923, 12000} {
-		for _, hier := range []bool{false, true} {
-			viewEqualsDecoded(t, largeViewTrace(nTasks, hier), rng)
-		}
-	}
-}
-
 // TestTraceViewCorrupt pins that the view opener validates exactly like
 // the heap decoder: truncation, garbage, and unknown distribution flags
 // are errors on the mmap path, never scrambled schedules.

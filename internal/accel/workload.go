@@ -32,34 +32,7 @@ type WorkloadConfig struct {
 	// integers, so its result is identical at any worker count and this
 	// only affects wall time.
 	Parallel int
-	// Index selects the operand index width (IndexAuto compacts large
-	// operands to int32 when they fit; the engines are byte-identical in
-	// either width, pinned by TestCompactEngineEquivalence, which forces
-	// each width through this field — everything else leaves it Auto).
-	Index IndexMode
 }
-
-// IndexMode selects the in-memory index width of the workload operands.
-type IndexMode int
-
-const (
-	// IndexAuto compacts the operands to int32 indices when both fit and
-	// their combined occupancy reaches DefaultCompactNNZ — small (test-
-	// sized) workloads keep the historical wide representation, full-scale
-	// operands automatically halve their index memory and bandwidth.
-	IndexAuto IndexMode = iota
-	// IndexWide always keeps int indices.
-	IndexWide
-	// IndexCompact always compacts to int32 indices; workload construction
-	// fails when the operands do not fit.
-	IndexCompact
-)
-
-// DefaultCompactNNZ is the IndexAuto occupancy threshold: operands whose
-// combined nnz reaches it (and whose shapes fit int32) are compacted.
-// Scaled-down experiment operands stay wide; the full-scale SuiteSparse /
-// SNAP matrices cross it and compact automatically.
-const DefaultCompactNNZ = 1 << 22
 
 // Workload is one SpMSpM instance Z = A·B prepared for simulation: the
 // operands pre-processed into micro tiles (Sec. 5.2.4) and the reference
@@ -77,13 +50,8 @@ const DefaultCompactNNZ = 1 << 22
 // Retile, the accelerator packages' runs and sweeps) build it themselves;
 // any other reader of operands or grids calls Built first.
 type Workload struct {
-	Name string
-	// Exactly one operand pair is non-nil: A/B in wide (int) index form,
-	// or A32/B32 in compact (int32) form. Use the accessor methods — they
-	// dispatch on the active width — instead of touching the fields where
-	// the width is not known statically.
+	Name      string
 	A, B      *tensor.CSR
-	A32, B32  *tensor.CSR32
 	MicroTile int
 
 	GA tiling.Summary // A as I×K (rows I)
@@ -172,101 +140,29 @@ func NewWorkloadWith(name string, a, b *tensor.CSR, cfg WorkloadConfig) (*Worklo
 	if mt < 1 {
 		return nil, fmt.Errorf("accel: %s: micro tile %d", name, mt)
 	}
-	w := &Workload{Name: name, MicroTile: mt}
-	compact := cfg.Index == IndexCompact
-	if cfg.Index == IndexAuto {
-		compact = a.CompactFits() && b.CompactFits() && a.NNZ()+b.NNZ() >= DefaultCompactNNZ
-	}
-	if compact {
-		if !a.CompactFits() || !b.CompactFits() {
-			return nil, fmt.Errorf("accel: %s: operands do not fit int32 indices", name)
-		}
-		w.A32 = a.Compact()
-		w.B32 = w.A32
-		if b != a {
-			w.B32 = b.Compact()
-		}
-	} else {
-		w.A, w.B = a, b
-	}
-	return finishWorkload(w, cfg)
+	return finishWorkload(&Workload{Name: name, A: a, B: b, MicroTile: mt}, cfg), nil
 }
 
-// NewWorkloadOf32 is NewWorkloadWith for operands already in compact
-// (int32) form — the shape a cached .drtb load usually yields. The width
-// decision is identical to NewWorkloadWith (purely size-based under
-// IndexAuto), so a cached load and a fresh generation of the same operand
-// resolve to the same representation; when the resolved width is wide the
-// operands are widened, otherwise they are used directly with no copy.
-func NewWorkloadOf32(name string, a, b *tensor.CSR32, cfg WorkloadConfig) (*Workload, error) {
-	compact := cfg.Index == IndexCompact
-	if cfg.Index == IndexAuto {
-		compact = a.NNZ()+b.NNZ() >= DefaultCompactNNZ
+// finishWorkload builds the operand grids over the already-installed
+// operands, a square self-product (B and A the same tensor) sharing one
+// grid for both, then counts Z = A·B per micro tile
+// (kernels.CountProductTiles, over cfg.Parallel workers) straight into
+// Z's summary grid along with the product's effectual MACCs.
+func finishWorkload(w *Workload, cfg WorkloadConfig) *Workload {
+	mt := w.MicroTile
+	w.GA = tiling.NewSummaryGrid(w.A, mt, mt, cfg.Format, cfg.Grid)
+	w.GB = w.GA
+	if w.B != w.A {
+		w.GB = tiling.NewSummaryGrid(w.B, mt, mt, cfg.Format, cfg.Grid)
 	}
-	if !compact {
-		aw := a.Widen()
-		bw := aw
-		if b != a {
-			bw = b.Widen()
-		}
-		return NewWorkloadWith(name, aw, bw, cfg)
-	}
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("accel: %s: A is %dx%d but B is %dx%d", name, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	mt := cfg.MicroTile
-	if mt < 1 {
-		return nil, fmt.Errorf("accel: %s: micro tile %d", name, mt)
-	}
-	w := &Workload{Name: name, MicroTile: mt, A32: a, B32: b}
-	return finishWorkload(w, cfg)
-}
-
-// finishWorkload builds the operand grids and counts the reference
-// product over the already-installed operands at the active index width.
-func finishWorkload(w *Workload, cfg WorkloadConfig) (*Workload, error) {
-	w.GA, w.GB = w.operandGrids(w.MicroTile, cfg)
-	w.GZ, w.MACCs = w.productGrid(w.MicroTile, cfg)
-	return w, nil
-}
-
-// productGrid counts Z = A·B per micro tile (kernels.CountProductTiles,
-// over cfg.Parallel workers) straight into Z's summary grid. It returns
-// the grid and the product's effectual MACCs.
-func (w *Workload) productGrid(mt int, cfg WorkloadConfig) (tiling.Summary, int64) {
 	workers := cfg.Parallel
 	if workers == 0 {
 		workers = 1
 	}
-	rows, _, _ := w.AShape()
-	sb := tiling.NewSummaryBuilder(rows, w.BCols(), mt, mt, cfg.Format, cfg.Grid)
-	var maccs int64
-	if w.A32 != nil {
-		maccs = kernels.CountProductTiles(w.A32, w.B32, mt, workers, sb.AddRow)
-	} else {
-		maccs = kernels.CountProductTiles(w.A, w.B, mt, workers, sb.AddRow)
-	}
-	return sb.Summary(), maccs
-}
-
-// operandGrids builds the operand summary grids at the workload's active
-// index width; a square self-product (B and A the same tensor) shares one
-// grid for both operands.
-func (w *Workload) operandGrids(mt int, cfg WorkloadConfig) (ga, gb tiling.Summary) {
-	if w.A32 != nil {
-		ga = tiling.NewSummaryGrid(w.A32, mt, mt, cfg.Format, cfg.Grid)
-		gb = ga
-		if w.B32 != w.A32 {
-			gb = tiling.NewSummaryGrid(w.B32, mt, mt, cfg.Format, cfg.Grid)
-		}
-		return ga, gb
-	}
-	ga = tiling.NewSummaryGrid(w.A, mt, mt, cfg.Format, cfg.Grid)
-	gb = ga
-	if w.B != w.A {
-		gb = tiling.NewSummaryGrid(w.B, mt, mt, cfg.Format, cfg.Grid)
-	}
-	return ga, gb
+	sb := tiling.NewSummaryBuilder(w.A.Rows, w.B.Cols, mt, mt, cfg.Format, cfg.Grid)
+	w.MACCs = kernels.CountProductTiles(w.A, w.B, mt, workers, sb.AddRow)
+	w.GZ = sb.Summary()
+	return w
 }
 
 // Retile returns a workload sharing this one's operands but tiled under a
@@ -284,68 +180,27 @@ func (w *Workload) Retile(cfg WorkloadConfig) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw := &Workload{
-		Name: w.Name,
-		A:    w.A, B: w.B, A32: w.A32, B32: w.B32,
-		MicroTile: mt,
-	}
-	return finishWorkload(nw, cfg)
+	return finishWorkload(&Workload{Name: w.Name, A: w.A, B: w.B, MicroTile: mt}, cfg), nil
 }
 
-// Compacted reports whether the operands are stored with int32 indices.
-func (w *Workload) Compacted() bool { return w.A32 != nil }
-
-// AShape returns A's shape and occupancy regardless of index width.
-func (w *Workload) AShape() (rows, cols, nnz int) {
-	if w.A32 != nil {
-		return w.A32.Rows, w.A32.Cols, w.A32.NNZ()
-	}
-	return w.A.Rows, w.A.Cols, w.A.NNZ()
-}
-
-// BShape returns B's shape and occupancy regardless of index width.
-func (w *Workload) BShape() (rows, cols, nnz int) {
-	if w.B32 != nil {
-		return w.B32.Rows, w.B32.Cols, w.B32.NNZ()
-	}
-	return w.B.Rows, w.B.Cols, w.B.NNZ()
-}
+// AShape returns A's shape and occupancy.
+func (w *Workload) AShape() (rows, cols, nnz int) { return w.A.Rows, w.A.Cols, w.A.NNZ() }
 
 // BCols returns the output column extent (B's column count).
-func (w *Workload) BCols() int {
-	_, cols, _ := w.BShape()
-	return cols
-}
+func (w *Workload) BCols() int { return w.B.Cols }
 
-// Restricted counts the range-restricted partial product over the active
-// operand width — the engines' compute kernel, byte-identical across
-// widths (the index type never enters the counts).
+// Restricted counts the range-restricted partial product — the engines'
+// compute kernel (kernels.RestrictedGustavson).
 func (w *Workload) Restricted(iR, kR, jR kernels.Range, spa *kernels.SPA) kernels.TaskResult {
-	if w.A32 != nil {
-		return kernels.RestrictedGustavson(w.A32, w.B32, iR, kR, jR, spa)
-	}
 	return kernels.RestrictedGustavson(w.A, w.B, iR, kR, jR, spa)
 }
 
 // CountSlab prices one resident A slab's J sweep over the window jR with
-// the workload's micro tile, at the active operand width (see
-// kernels.CountSlab). Every tile-aligned J sub-range then reads the MACCs
-// and ScannedA that Restricted would compute for it.
+// the workload's micro tile (see kernels.CountSlab). Every tile-aligned J
+// sub-range then reads the MACCs and ScannedA that Restricted would
+// compute for it.
 func (w *Workload) CountSlab(iR, kR, jR kernels.Range, s *kernels.SlabCounts) {
-	if w.A32 != nil {
-		kernels.CountSlab(w.A32, w.B32, iR, kR, jR, w.MicroTile, s)
-		return
-	}
 	kernels.CountSlab(w.A, w.B, iR, kR, jR, w.MicroTile, s)
-}
-
-// SuggestMicroTile picks the footprint-minimizing micro-tile edge for A
-// from the candidates (tiling.SuggestMicroTile at the active width).
-func (w *Workload) SuggestMicroTile(candidates ...int) int {
-	if w.A32 != nil {
-		return tiling.SuggestMicroTile(w.A32, candidates...)
-	}
-	return tiling.SuggestMicroTile(w.A, candidates...)
 }
 
 // Kernel assembles the I,J,K DRT kernel description for this workload with
@@ -420,16 +275,12 @@ func (w *Workload) OutputFootprint() int64 {
 }
 
 // StreamedBBytes returns the workload's no-reuse B row-fetch volume (see
-// the generic StreamedBBytes).
+// the package-level StreamedBBytes).
 func (w *Workload) StreamedBBytes() int64 {
-	c := w.current()
-	if c == nil {
-		return w.pending.sum.StreamedB
+	if c := w.current(); c != nil {
+		return StreamedBBytes(c.A, c.B)
 	}
-	if c.A32 != nil {
-		return StreamedBBytes(c.A32, c.B32)
-	}
-	return StreamedBBytes(c.A, c.B)
+	return w.pending.sum.StreamedB
 }
 
 // Summary returns every summary accessor's answer at once: the record the

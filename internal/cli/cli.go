@@ -68,6 +68,19 @@ func Usagef(format string, args ...any) {
 	exit(ExitUsage)
 }
 
+// CheckScale rejects a -scale or -microtile below 1 as a usage error.
+// Commands call it right after parsing, before any other work: a
+// scale-down factor below 1 would otherwise generate full-scale operands,
+// and a zero micro tile divides by zero.
+func CheckScale(cmd string, scale, microTile int) {
+	if scale < 1 {
+		Usagef("%s: -scale %d: must be at least 1", cmd, scale)
+	}
+	if microTile < 1 {
+		Usagef("%s: -microtile %d: must be at least 1", cmd, microTile)
+	}
+}
+
 // GroupUsage replaces the default flag.Usage with one that prints the
 // named flags under a separate trailing section (e.g. "Performance
 // knobs"), keeping knobs that only affect speed — never output — visually

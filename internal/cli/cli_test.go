@@ -25,6 +25,17 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+func TestCheckScale(t *testing.T) {
+	for _, tc := range []struct {
+		scale, microTile, want int
+	}{{1, 1, 0}, {64, 8, 0}, {0, 8, ExitUsage}, {-3, 8, ExitUsage}, {16, 0, ExitUsage}, {16, -1, ExitUsage}} {
+		code, _ := withExitCapture(t, func() { CheckScale("clitest", tc.scale, tc.microTile) })
+		if code != tc.want {
+			t.Errorf("CheckScale(%d, %d) exit = %d, want %d", tc.scale, tc.microTile, code, tc.want)
+		}
+	}
+}
+
 func TestAtExitRunsOnceOnFatal(t *testing.T) {
 	runs := 0
 	AtExit(func() { runs++ })

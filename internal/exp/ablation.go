@@ -104,7 +104,7 @@ func (c *Context) AblAutoTile() (*metrics.Table, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		edge := base.SuggestMicroTile(4, 8, 16, 32)
+		edge := tiling.SuggestMicroTile(base.A, 4, 8, 16, 32)
 		run := func(mt int) (int64, error) {
 			cfg := c.workloadConfig()
 			cfg.MicroTile = mt

@@ -19,8 +19,7 @@ func TestOperandCacheIdentity(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("DRT_OPERAND_CACHE", dir)
 
-	// An entry big enough at this scale to engage the cache (and the
-	// compact index path: combined nnz crosses DefaultCompactNNZ too).
+	// An entry big enough at this scale to engage the cache.
 	const scale = 4
 	var entry workloads.Entry
 	best := 0
@@ -46,7 +45,7 @@ func TestOperandCacheIdentity(t *testing.T) {
 		}
 		fa, fb := w.InputFootprint()
 		return rec, &workloadsResult{
-			gz: w.GZ, maccs: w.MACCs, compact: w.Compacted(),
+			gz: w.GZ, maccs: w.MACCs,
 			fa: fa, fb: fb, fz: w.OutputFootprint(),
 		}
 	}
@@ -65,19 +64,15 @@ func TestOperandCacheIdentity(t *testing.T) {
 		if !reflect.DeepEqual(got.gz, fresh.gz) {
 			t.Fatalf("%s: reference output grid differs from cache-bypassing build", name)
 		}
-		if got.maccs != fresh.maccs || got.compact != fresh.compact ||
+		if got.maccs != fresh.maccs ||
 			got.fa != fresh.fa || got.fb != fresh.fb || got.fz != fresh.fz {
 			t.Fatalf("%s: workload stats differ: %+v vs %+v", name, got, fresh)
 		}
-	}
-	if !fresh.compact {
-		t.Fatalf("fixture too small: expected the compact index path at scale %d", scale)
 	}
 }
 
 type workloadsResult struct {
 	gz         tiling.Summary
 	maccs      int64
-	compact    bool
 	fa, fb, fz int64
 }

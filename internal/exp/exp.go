@@ -340,12 +340,7 @@ func (c *Context) buildSquare(name string, spec gen.Spec) (*accel.Workload, erro
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", name, err)
 	}
-	var w *accel.Workload
-	if op.Compact != nil {
-		w, err = accel.NewWorkloadOf32(name, op.Compact, op.Compact, c.workloadConfig())
-	} else {
-		w, err = accel.NewWorkloadWith(name, op.Wide, op.Wide, c.workloadConfig())
-	}
+	w, err := accel.NewWorkloadWith(name, op.CSR, op.CSR, c.workloadConfig())
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", name, err)
 	}
@@ -384,14 +379,14 @@ func (c *Context) operand(spec gen.Spec, rec obs.Recorder) (*tensor.Operand, err
 		if err != nil {
 			return nil, err
 		}
-		return &tensor.Operand{Wide: m}, nil
+		return &tensor.Operand{CSR: m}, nil
 	}
 	return gen.CachedBuild(spec, rec)
 }
 
 // workloadConfig is the workload pre-processing configuration the context's
 // options select (micro tile and reference-kernel parallelism; the grid
-// representation and index width are left to their Auto rules).
+// representation is left to its Auto rule).
 func (c *Context) workloadConfig() accel.WorkloadConfig {
 	return accel.WorkloadConfig{
 		MicroTile: c.Opt.MicroTile,

@@ -64,8 +64,8 @@ func TestWorkloadConfigResolvesParallel(t *testing.T) {
 		if cfg.Parallel != tc.want {
 			t.Errorf("Parallel %d: workload config Parallel = %d, want %d", tc.in, cfg.Parallel, tc.want)
 		}
-		if cfg.MicroTile != 8 || cfg.Grid != tiling.Auto || cfg.Index != accel.IndexAuto {
-			t.Errorf("Parallel %d: workload config %+v, want micro tile 8 with Auto grid and index", tc.in, cfg)
+		if cfg.MicroTile != 8 || cfg.Grid != tiling.Auto {
+			t.Errorf("Parallel %d: workload config %+v, want micro tile 8 with Auto grid", tc.in, cfg)
 		}
 	}
 }

@@ -54,14 +54,7 @@ func (c *Context) Tab03() (*metrics.Table, error) {
 		if err != nil {
 			return statRow{}, fmt.Errorf("exp: %s: %w", e.Name, err)
 		}
-		r, _, nnz := op.Shape()
-		s := statRow{rows: r, nnz: nnz}
-		if op.Compact != nil {
-			s.density, s.rowVar = op.Compact.Density(), op.Compact.RowNNZVariation()
-		} else {
-			s.density, s.rowVar = op.Wide.Density(), op.Wide.RowNNZVariation()
-		}
-		return s, nil
+		return statRow{rows: op.Rows, nnz: op.NNZ(), density: op.Density(), rowVar: op.RowNNZVariation()}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -11,9 +11,11 @@ import (
 	"drt/internal/tensor"
 )
 
-// cacheFormatVersion is folded into every cache key; bump it whenever the
-// on-disk .drtb layout or a generator's output changes, so stale entries
-// are simply never looked up again.
+// cacheFormatVersion is folded into every cache key; bump it whenever a
+// generator's output changes, or the .drtb layout changes in a way the
+// decoder still accepts, so stale entries are simply never looked up
+// again. A layout the decoder rejects needs no bump: its entries are
+// misses that the fresh build overwrites.
 const cacheFormatVersion = 1
 
 // CacheMinNNZ gates the operand cache by target occupancy: matrices below
@@ -58,7 +60,9 @@ func operandCache() *diskcache.Cache {
 
 // CachedBuild materializes the spec through the operand cache: a hit
 // memory-maps (or, failing that, reads) the stored .drtb file; a miss
-// builds the matrix, stores it, and returns the in-memory build. Small
+// builds the matrix, stores it, and returns the in-memory build. An entry
+// that does not decode (damaged, or written in the retired 32-bit layout)
+// is a miss, and the store replaces it. Small
 // specs (below CacheMinNNZ) and a disabled cache build directly. Cache I/O
 // failures degrade to a fresh build — the cache can never fail a run that
 // generation alone would complete.
@@ -97,26 +101,15 @@ func CachedBuild(spec Spec, rec obs.Recorder) (*tensor.Operand, error) {
 		return nil, err
 	}
 	// Best-effort store; a failed store is just a future miss.
-	cache.Put(key, func(f *os.File) error {
-		if op.Compact != nil {
-			return op.Compact.WriteBinary(f)
-		}
-		return op.Wide.WriteBinary(f)
-	})
+	cache.Put(key, func(f *os.File) error { return op.WriteBinary(f) })
 	return op, nil
 }
 
-// buildOperand builds the spec fresh and wraps it at its natural width:
-// compact when the shape fits int32, wide otherwise. Downstream width
-// selection is purely size-based, so cached and fresh loads of the same
-// spec resolve identically either way.
+// buildOperand builds the spec fresh, on the heap.
 func buildOperand(spec Spec) (*tensor.Operand, error) {
 	m, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
-	if m.CompactFits() {
-		return &tensor.Operand{Compact: m.Compact()}, nil
-	}
-	return &tensor.Operand{Wide: m}, nil
+	return &tensor.Operand{CSR: m}, nil
 }

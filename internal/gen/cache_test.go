@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -58,10 +59,10 @@ func TestCachedBuildRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cold.Widened().Equal(fresh) {
+	if !cold.Equal(fresh) {
 		t.Fatal("cold CachedBuild differs from Spec.Build")
 	}
-	if !warm.Widened().Equal(fresh) {
+	if !warm.Equal(fresh) {
 		t.Fatal("warm CachedBuild differs from Spec.Build")
 	}
 	if err := warm.Close(); err != nil {
@@ -102,7 +103,7 @@ func TestCachedBuildDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh, _ := small.Build()
-	if !op.Widened().Equal(fresh) {
+	if !op.Equal(fresh) {
 		t.Fatal("small-spec CachedBuild differs from Spec.Build")
 	}
 	if files := cacheFiles(t, dir); len(files) != 0 {
@@ -139,18 +140,15 @@ func TestCachedBuildRejectsCorruptEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fresh.CompactFits() {
-		t.Fatal("cache spec no longer stores 32-bit indices")
-	}
-	// The compact layout puts Idx right after the 40-byte header and the
-	// rows+1 segment bounds; Idx's last entry ends its row, so setting it
-	// to Cols breaks only the range check.
+	// Idx starts right after the 40-byte header and the rows+1 segment
+	// bounds; Idx's last entry ends its row, so setting it to Cols breaks
+	// only the range check.
 	blob, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := 40 + 4*(fresh.Rows+1) + 4*(fresh.NNZ()-1)
-	binary.LittleEndian.PutUint32(blob[last:], uint32(fresh.Cols))
+	last := 40 + 8*(fresh.Rows+1) + 8*(fresh.NNZ()-1)
+	binary.LittleEndian.PutUint64(blob[last:], uint64(fresh.Cols))
 	if err := os.WriteFile(files[0], blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +162,7 @@ func TestCachedBuildRejectsCorruptEntry(t *testing.T) {
 	if rec.Counter("operand_cache.hits") != 0 || rec.Counter("operand_cache.misses") != 1 {
 		t.Errorf("corrupt entry: %d hits, %d misses; want a miss", rec.Counter("operand_cache.hits"), rec.Counter("operand_cache.misses"))
 	}
-	if !op.Widened().Equal(fresh) {
+	if !op.Equal(fresh) {
 		t.Fatal("CachedBuild served the corrupt entry")
 	}
 	again, err := CachedBuild(cacheSpec, rec)
@@ -172,7 +170,73 @@ func TestCachedBuildRejectsCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer again.Close()
-	if rec.Counter("operand_cache.hits") != 1 || !again.Widened().Equal(fresh) {
+	if rec.Counter("operand_cache.hits") != 1 || !again.Equal(fresh) {
 		t.Error("the rebuilt entry did not replace the corrupt one")
+	}
+}
+
+// ix32Entry rewrites a .drtb image of a rows-row, nnz-point matrix into the
+// retired 32-bit index layout: flag bit 0 set, Ptr and Idx as int32, zero
+// padding to the next multiple of 8, then Val unchanged.
+func ix32Entry(wide []byte, rows, nnz int) []byte {
+	out := append([]byte(nil), wide[:40]...)
+	binary.LittleEndian.PutUint32(out[8:], 1)
+	end := 40 + 8*(rows+1+nnz)
+	for p := 40; p < end; p += 8 {
+		out = binary.LittleEndian.AppendUint32(out, uint32(binary.LittleEndian.Uint64(wide[p:])))
+	}
+	if len(out)%8 != 0 {
+		out = append(out, 0, 0, 0, 0)
+	}
+	return append(out, wide[end:]...)
+}
+
+// TestCachedBuildReplacesIx32Entry pins that an entry stored in the
+// retired 32-bit index layout is a miss: the fresh build replaces it with
+// the 64-bit entry, which the next call hits.
+func TestCachedBuildReplacesIx32Entry(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("DRT_OPERAND_CACHE", dir)
+	if _, err := CachedBuild(cacheSpec, nil); err != nil {
+		t.Fatal(err)
+	}
+	files := cacheFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("cold call left %d cache files, want 1", len(files))
+	}
+	fresh, err := cacheSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[0], ix32Entry(wide, fresh.Rows, fresh.NNZ()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := obs.NewCollector()
+	op, err := CachedBuild(cacheSpec, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	if rec.Counter("operand_cache.hits") != 0 || rec.Counter("operand_cache.misses") != 1 {
+		t.Errorf("32-bit entry: %d hits, %d misses; want a miss", rec.Counter("operand_cache.hits"), rec.Counter("operand_cache.misses"))
+	}
+	if !op.Equal(fresh) {
+		t.Fatal("CachedBuild differs from Spec.Build after a 32-bit entry")
+	}
+	if blob, err := os.ReadFile(files[0]); err != nil || !bytes.Equal(blob, wide) {
+		t.Fatalf("the 32-bit entry was not replaced by the 64-bit one (read error %v)", err)
+	}
+	again, err := CachedBuild(cacheSpec, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if rec.Counter("operand_cache.hits") != 1 || !again.Equal(fresh) {
+		t.Error("the rebuilt entry was not hit")
 	}
 }

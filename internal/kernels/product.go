@@ -31,7 +31,7 @@ import (
 // select one per CPU), each with its own stamp scratch; blocks are emitted
 // in band order, and the counts are integers, so the result is identical
 // at any worker count.
-func CountProductTiles[T tensor.Ix](a, b *tensor.Mat[T], mt, workers int, emit func(cols []int, nnz []int64)) int64 {
+func CountProductTiles(a, b *tensor.CSR, mt, workers int, emit func(cols []int, nnz []int64)) int64 {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("kernels: spmspm shape mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -95,8 +95,8 @@ func CountProductTiles[T tensor.Ix](a, b *tensor.Mat[T], mt, workers int, emit f
 }
 
 // tileCounter is one worker's scratch for CountProductTiles.
-type tileCounter[T tensor.Ix] struct {
-	a, b *tensor.Mat[T]
+type tileCounter struct {
+	a, b *tensor.CSR
 	mt   int
 	// shift is log2(mt) when mt is a power of two (every sweep's micro
 	// tile is), turning the per-point division into a shift; else -1.
@@ -106,7 +106,7 @@ type tileCounter[T tensor.Ix] struct {
 	// globally unique, so a stamp never needs clearing. fresh collects the
 	// current row's distinct columns; it has one slot past b.Cols, because
 	// every visit writes a slot before knowing whether it is new.
-	stamp, fresh []T
+	stamp, fresh []int
 	// cnt[t] is the current band's output points in tile column t, zero
 	// between bands; touched lists the columns with cnt > 0 and nnz their
 	// counts once the band is sorted. nnz has room for every tile column,
@@ -116,16 +116,16 @@ type tileCounter[T tensor.Ix] struct {
 	nnz     []int64
 }
 
-func newTileCounter[T tensor.Ix](a, b *tensor.Mat[T], mt int) *tileCounter[T] {
+func newTileCounter(a, b *tensor.CSR, mt int) *tileCounter {
 	shift := -1
 	if mt&(mt-1) == 0 {
 		shift = bits.TrailingZeros(uint(mt))
 	}
 	gc := (b.Cols + mt - 1) / mt
-	return &tileCounter[T]{
+	return &tileCounter{
 		a: a, b: b, mt: mt, shift: shift,
-		stamp:   make([]T, b.Cols),
-		fresh:   make([]T, b.Cols+1),
+		stamp:   make([]int, b.Cols),
+		fresh:   make([]int, b.Cols+1),
 		cnt:     make([]int64, gc),
 		touched: make([]int, 0, gc+1),
 		nnz:     make([]int64, 0, gc),
@@ -134,12 +134,12 @@ func newTileCounter[T tensor.Ix](a, b *tensor.Mat[T], mt int) *tileCounter[T] {
 
 // band counts band gr and returns its occupied tile columns, ascending,
 // and their counts; both alias the scratch until the next call.
-func (c *tileCounter[T]) band(gr int) ([]int, []int64) {
+func (c *tileCounter) band(gr int) ([]int, []int64) {
 	a, b, mt, shift := c.a, c.b, c.mt, c.shift
 	stamp, fresh, cnt, touched := c.stamp, c.fresh, c.cnt, c.touched[:cap(c.touched)]
 	m := 0
 	for i := gr * mt; i < min((gr+1)*mt, a.Rows); i++ {
-		row := T(i + 1)
+		row := i + 1
 		n := 0
 		for _, k := range a.Idx[a.Ptr[i]:a.Ptr[i+1]] {
 			js := b.Idx[b.Ptr[k]:b.Ptr[k+1]]
@@ -159,9 +159,9 @@ func (c *tileCounter[T]) band(gr int) ([]int, []int64) {
 		for _, j := range fresh[:n] {
 			var t int
 			if shift >= 0 {
-				t = int(j) >> shift
+				t = j >> shift
 			} else {
-				t = int(j) / mt
+				t = j / mt
 			}
 			// The same compaction one level up: the band's first points
 			// in each tile column.

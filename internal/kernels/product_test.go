@@ -34,8 +34,8 @@ func tileCounts(z *tensor.CSR, mt int) (cols [][]int, nnz [][]int64) {
 
 // TestCountProductTilesMatchesGustavson checks the structural pass against
 // Gustavson's product on random shapes (generated values never cancel),
-// at both index widths, power-of-two and other micro tiles, and several
-// worker counts: every band's tile columns and counts, and the MACCs.
+// at power-of-two and other micro tiles and several worker counts: every
+// band's tile columns and counts, and the MACCs.
 func TestCountProductTilesMatchesGustavson(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 30; trial++ {
@@ -47,30 +47,24 @@ func TestCountProductTilesMatchesGustavson(t *testing.T) {
 			b = gen.RMAT(m, 4*m, 0.57, 0.19, 0.19, rng.Int63())
 		}
 		z, st := Gustavson(a, b)
-		a32, b32 := a.Compact(), b.Compact()
 		for _, mt := range []int{1, 3, 4, 8} {
 			wantCols, wantNNZ := tileCounts(z, mt)
 			for _, workers := range []int{1, 2, 3, 8} {
-				for width, count := range []func(emit func([]int, []int64)) int64{
-					func(emit func([]int, []int64)) int64 { return CountProductTiles(a, b, mt, workers, emit) },
-					func(emit func([]int, []int64)) int64 { return CountProductTiles(a32, b32, mt, workers, emit) },
-				} {
-					var gotCols [][]int
-					var gotNNZ [][]int64
-					maccs := count(func(cols []int, nnz []int64) {
-						gotCols, gotNNZ = append(gotCols, slices.Clone(cols)), append(gotNNZ, slices.Clone(nnz))
-					})
-					if maccs != st.MACCs {
-						t.Fatalf("trial %d mt %d workers %d width %d: MACCs %d, Gustavson %d", trial, mt, workers, width, maccs, st.MACCs)
-					}
-					if len(gotCols) != len(wantCols) {
-						t.Fatalf("trial %d mt %d workers %d width %d: %d bands, want %d", trial, mt, workers, width, len(gotCols), len(wantCols))
-					}
-					for gr := range wantCols {
-						if !slices.Equal(gotCols[gr], wantCols[gr]) || !slices.Equal(gotNNZ[gr], wantNNZ[gr]) {
-							t.Fatalf("trial %d mt %d workers %d width %d band %d: tiles %v %v, want %v %v",
-								trial, mt, workers, width, gr, gotCols[gr], gotNNZ[gr], wantCols[gr], wantNNZ[gr])
-						}
+				var gotCols [][]int
+				var gotNNZ [][]int64
+				maccs := CountProductTiles(a, b, mt, workers, func(cols []int, nnz []int64) {
+					gotCols, gotNNZ = append(gotCols, slices.Clone(cols)), append(gotNNZ, slices.Clone(nnz))
+				})
+				if maccs != st.MACCs {
+					t.Fatalf("trial %d mt %d workers %d: MACCs %d, Gustavson %d", trial, mt, workers, maccs, st.MACCs)
+				}
+				if len(gotCols) != len(wantCols) {
+					t.Fatalf("trial %d mt %d workers %d: %d bands, want %d", trial, mt, workers, len(gotCols), len(wantCols))
+				}
+				for gr := range wantCols {
+					if !slices.Equal(gotCols[gr], wantCols[gr]) || !slices.Equal(gotNNZ[gr], wantNNZ[gr]) {
+						t.Fatalf("trial %d mt %d workers %d band %d: tiles %v %v, want %v %v",
+							trial, mt, workers, gr, gotCols[gr], gotNNZ[gr], wantCols[gr], wantNNZ[gr])
 					}
 				}
 			}

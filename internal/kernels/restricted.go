@@ -51,7 +51,7 @@ type TaskResult struct {
 // keeps the whole stream allocation-free (pinned by TestRestrictedAllocs).
 // The scratch remembers b's row ranges across calls (see SPA), so b must
 // not be modified while a scratch that has seen it is reused.
-func RestrictedGustavson[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, spa *SPA) TaskResult {
+func RestrictedGustavson(a, b *tensor.CSR, iR, kR, jR Range, spa *SPA) TaskResult {
 	if spa == nil {
 		spa = NewSPA(b.Cols)
 	}
@@ -69,12 +69,12 @@ func RestrictedGustavson[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, spa
 		var rowMACCs int64
 		n := 0
 		for _, k := range a.Idx[lo:hi] {
-			off := int(k) - kR.Lo
+			off := k - kR.Lo
 			var blo, bhi int
 			if kGen[off] == kCur {
 				blo, bhi = kLo[off], kHi[off]
 			} else {
-				blo, bhi = b.RowRange(int(k), jR.Lo, jR.Hi)
+				blo, bhi = b.RowRange(k, jR.Lo, jR.Hi)
 				kGen[off], kLo[off], kHi[off] = kCur, blo, bhi
 			}
 			rowMACCs += int64(bhi - blo)
@@ -106,7 +106,7 @@ func RestrictedGustavson[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, spa
 // names the same b and both windows — consecutive tasks of an I sweep
 // under J→K→I — and otherwise a new stamp makes them unreadable without
 // re-zeroing.
-func (s *SPA) rangeMemo(b any, kR, jR Range) (gen, lo, hi []int) {
+func (s *SPA) rangeMemo(b *tensor.CSR, kR, jR Range) (gen, lo, hi []int) {
 	kw := max(kR.Hi-kR.Lo, 0)
 	if s.kB != b || s.kR != kR || s.kJ != jR {
 		s.kB, s.kR, s.kJ = b, kR, jR
@@ -157,7 +157,7 @@ func (s *SlabCounts) MACCs(jR Range) int64 {
 // window lengths (at most the slab's MACCs over the window), plus one
 // pass over the window's micro tiles; the call allocates nothing once s's
 // scratch has grown.
-func CountSlab[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, mt int, s *SlabCounts) {
+func CountSlab(a, b *tensor.CSR, iR, kR, jR Range, mt int, s *SlabCounts) {
 	s.ScannedA = 0
 	s.jLo, s.mt = jR.Lo, mt
 	nb := max(jR.Hi-jR.Lo, 0) / mt
@@ -175,9 +175,9 @@ func CountSlab[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, mt int, s *Sl
 		lo, hi := a.RowRange(i, kR.Lo, kR.Hi)
 		s.ScannedA += int64(hi - lo)
 		for _, k := range a.Idx[lo:hi] {
-			off := int(k) - kR.Lo
+			off := k - kR.Lo
 			if mult[off] == 0 {
-				ks = append(ks, int(k))
+				ks = append(ks, k)
 			}
 			mult[off]++
 		}
@@ -189,10 +189,10 @@ func CountSlab[T tensor.Ix](a, b *tensor.Mat[T], iR, kR, jR Range, mt int, s *Sl
 		// B's row is sorted, so each micro tile's columns are one run:
 		// one division per run, not per element.
 		for q := lo; q < hi; {
-			t := (int(b.Idx[q]) - jR.Lo) / mt
+			t := (b.Idx[q] - jR.Lo) / mt
 			end := jR.Lo + (t+1)*mt
 			r := q + 1
-			for r < hi && int(b.Idx[r]) < end {
+			for r < hi && b.Idx[r] < end {
 				r++
 			}
 			cum[t+1] += m * int64(r-q)
@@ -248,7 +248,7 @@ type SPA struct {
 	// changes, so stale ranges are never read (see rangeMemo).
 	kLo, kHi, kGen []int
 	kCur           int
-	kB             any
+	kB             *tensor.CSR
 	kR, kJ         Range
 }
 

@@ -27,7 +27,7 @@ type Stats struct {
 // against Intel MKL. Per-row emission uses
 // the SPA's sorted-run merge, so the inner loops are free of comparison
 // sorts and per-row allocations.
-func Gustavson[T tensor.Ix](a, b *tensor.Mat[T]) (*tensor.CSR, Stats) {
+func Gustavson(a, b *tensor.CSR) (*tensor.CSR, Stats) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("kernels: spmspm shape mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -39,10 +39,10 @@ func Gustavson[T tensor.Ix](a, b *tensor.Mat[T]) (*tensor.CSR, Stats) {
 		fa := a.Row(i)
 		for p, k := range fa.Coords {
 			av := fa.Vals[p]
-			fb := b.Row(int(k))
+			fb := b.Row(k)
 			st.MACCs += int64(fb.Len())
 			for q, j := range fb.Coords {
-				spa.Add(int(j), av*fb.Vals[q])
+				spa.Add(j, av*fb.Vals[q])
 			}
 		}
 		for _, j := range spa.SortedCols() {

@@ -11,14 +11,12 @@ import (
 	"testing"
 )
 
-// drtbHeader encodes a .drtb header declaring the given shape.
-func drtbHeader(rows, cols, nnz int64, ix32 bool) []byte {
+// drtbHeader encodes a .drtb header declaring the given shape and flags.
+func drtbHeader(rows, cols, nnz int64, flags uint32) []byte {
 	hdr := make([]byte, binaryHeaderSize)
 	copy(hdr, binaryMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], binaryVersion)
-	if ix32 {
-		binary.LittleEndian.PutUint32(hdr[8:], binaryFlagIx32)
-	}
+	binary.LittleEndian.PutUint32(hdr[8:], flags)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(rows))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(cols))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(nnz))
@@ -31,10 +29,10 @@ func drtbHeader(rows, cols, nnz int64, ix32 bool) []byte {
 // 512 GiB Ptr slice, nor an nnz near MaxInt64/16 after a valid Ptr panic
 // in makeslice. Both are plain truncation errors on every path.
 func TestBinaryHugeShapeIsError(t *testing.T) {
-	hugeNNZ := append(drtbHeader(1, 1, math.MaxInt64/16, false), make([]byte, 16)...)
+	hugeNNZ := append(drtbHeader(1, 1, math.MaxInt64/16, 0), make([]byte, 16)...)
 	dir := t.TempDir()
 	for name, img := range map[string][]byte{
-		"rows":     drtbHeader(1<<36, 1, 0, false),
+		"rows":     drtbHeader(1<<36, 1, 0, 0),
 		"nnz":      hugeNNZ,
 		"nnz-tail": append(hugeNNZ, make([]byte, 3<<20)...),
 	} {
@@ -77,27 +75,69 @@ func TestBinaryCorruptStructureIsError(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%s: Validate accepted the matrix", name)
 		}
-		for width, write := range map[string]func(*bytes.Buffer) error{
-			"wide":    func(b *bytes.Buffer) error { return bad.WriteBinary(b) },
-			"compact": func(b *bytes.Buffer) error { return bad.Compact().WriteBinary(b) },
-		} {
-			var buf bytes.Buffer
-			if err := write(&buf); err != nil {
-				t.Fatal(err)
+		var buf bytes.Buffer
+		if err := bad.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		decodeEach(buf.Bytes(), func(via string, _ *Operand, err error) {
+			if err == nil || !strings.Contains(err.Error(), "corrupt") {
+				t.Errorf("%s: %s decode = %v, want a corrupt-matrix error", name, via, err)
 			}
-			decodeEach(buf.Bytes(), func(via string, _ *Operand, err error) {
-				if err == nil || !strings.Contains(err.Error(), "corrupt") {
-					t.Errorf("%s/%s: %s decode = %v, want a corrupt-matrix error", name, width, via, err)
-				}
-			})
-			path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+"-"+width+".drtb")
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
+		})
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".drtb")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if op, err := OpenBinary(path); err == nil {
+			op.Close()
+			t.Errorf("%s: OpenBinary accepted the file", name)
+		}
+	}
+}
+
+// ix32Image encodes m in the retired 32-bit .drtb layout: flag bit 0 set,
+// Ptr and Idx as int32, zero padding to the next multiple of 8, then Val.
+func ix32Image(m *CSR) []byte {
+	b := drtbHeader(int64(m.Rows), int64(m.Cols), int64(m.NNZ()), 1)
+	for _, v := range append(append([]int(nil), m.Ptr...), m.Idx...) {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	if len(b)%8 != 0 {
+		b = append(b, 0, 0, 0, 0)
+	}
+	for _, v := range m.Val {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// TestBinaryRejectsIx32Flag pins that an image written with the retired
+// 32-bit index flag is an error on every path, like any unknown flag: the
+// operand cache then treats such an entry as a miss and rebuilds it. Both
+// a complete 32-bit image and a 64-bit image with only the flag set are
+// refused.
+func TestBinaryRejectsIx32Flag(t *testing.T) {
+	m := randCSR(t, rand.New(rand.NewSource(8)), 12, 9, 40)
+	var wide bytes.Buffer
+	if err := m.WriteBinary(&wide); err != nil {
+		t.Fatal(err)
+	}
+	flagged := bytes.Clone(wide.Bytes())
+	binary.LittleEndian.PutUint32(flagged[8:], 1)
+	dir := t.TempDir()
+	for name, img := range map[string][]byte{"ix32": ix32Image(m), "flag-only": flagged} {
+		decodeEach(img, func(via string, _ *Operand, err error) {
+			if err == nil || !strings.Contains(err.Error(), "unknown .drtb flags") {
+				t.Errorf("%s: %s decode = %v, want an unknown-flags error", name, via, err)
 			}
-			if op, err := OpenBinary(path); err == nil {
-				op.Close()
-				t.Errorf("%s/%s: OpenBinary accepted the file", name, width)
-			}
+		})
+		path := filepath.Join(dir, name+".drtb")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if op, err := OpenBinary(path); err == nil || !strings.Contains(err.Error(), "unknown .drtb flags") {
+			op.Close()
+			t.Errorf("%s: OpenBinary = %v, want an unknown-flags error", name, err)
 		}
 	}
 }
@@ -111,19 +151,15 @@ func TestBinaryCorruptStructureIsError(t *testing.T) {
 func FuzzReadBinary(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for _, m := range []*CSR{NewCSR(0, 3), NewCSR(4, 2), randCSR(f, rng, 9, 7, 20)} {
-		for _, write := range []func(*bytes.Buffer) error{
-			func(b *bytes.Buffer) error { return m.WriteBinary(b) },
-			func(b *bytes.Buffer) error { return m.Compact().WriteBinary(b) },
-		} {
-			var buf bytes.Buffer
-			if err := write(&buf); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf.Bytes())
+		var buf bytes.Buffer
+		if err := m.WriteBinary(&buf); err != nil {
+			f.Fatal(err)
 		}
+		f.Add(buf.Bytes())
+		f.Add(ix32Image(m))
 	}
-	f.Add(drtbHeader(1<<36, 1, 0, false))
-	f.Add(append(drtbHeader(1, 1, math.MaxInt64/16, false), make([]byte, 16)...))
+	f.Add(drtbHeader(1<<36, 1, 0, 0))
+	f.Add(append(drtbHeader(1, 1, math.MaxInt64/16, 0), make([]byte, 16)...))
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, src []byte) {
 		decodeEach(src, func(via string, op *Operand, err error) {
@@ -150,24 +186,12 @@ func checkAccepted(t *testing.T, via string, op *Operand) {
 	t.Helper()
 	encode := func(op *Operand) []byte {
 		var buf bytes.Buffer
-		var err error
-		if op.Compact != nil {
-			err = op.Compact.WriteBinary(&buf)
-		} else {
-			err = op.Wide.WriteBinary(&buf)
-		}
-		if err != nil {
+		if err := op.WriteBinary(&buf); err != nil {
 			t.Fatalf("%s: WriteBinary: %v", via, err)
 		}
 		return buf.Bytes()
 	}
-	var err error
-	if op.Compact != nil {
-		err = op.Compact.Validate()
-	} else {
-		err = op.Wide.Validate()
-	}
-	if err != nil {
+	if err := op.Validate(); err != nil {
 		t.Fatalf("%s accepted a malformed matrix: %v", via, err)
 	}
 	enc := encode(op)

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -46,57 +45,39 @@ func decodeEach(data []byte, check func(via string, op *Operand, err error)) {
 	}
 }
 
-// roundTrip writes m at both index widths (when the compact one fits),
-// decodes each image on every path and checks equality; the file-backed
-// variants additionally exercise the mmap OpenBinary path.
+// roundTrip writes m, decodes the image on every path and checks
+// equality; the file-backed variant additionally exercises the mmap
+// OpenBinary path.
 func roundTrip(t *testing.T, m *CSR) {
 	t.Helper()
-	write := func(name string, f func(w io.Writer) error) *bytes.Buffer {
-		var buf bytes.Buffer
-		if err := f(&buf); err != nil {
-			t.Fatalf("%s: write: %v", name, err)
-		}
-		return &buf
+	var buf bytes.Buffer
+	if err := m.WriteBinary(&buf); err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	check := func(name string, op *Operand) {
-		t.Helper()
-		if !op.Widened().Equal(m) {
-			t.Fatalf("%s: round trip mismatch", name)
-		}
+	if want := BinarySize(m.Rows, m.NNZ()); int64(buf.Len()) != want {
+		t.Fatalf("image is %d bytes, BinarySize says %d", buf.Len(), want)
 	}
-	streams := map[string]*bytes.Buffer{
-		"wide": write("wide", m.WriteBinary),
-	}
-	if m.CompactFits() {
-		streams["compact"] = write("compact", m.Compact().WriteBinary)
-	}
-	dir := t.TempDir()
-	for name, buf := range streams {
-		decodeEach(buf.Bytes(), func(via string, op *Operand, err error) {
-			if err != nil {
-				t.Fatalf("%s: %s decode: %v", name, via, err)
-			}
-			if name == "compact" && op.Compact == nil {
-				t.Fatalf("compact image decoded wide")
-			}
-			check(name+"/"+via, op)
-		})
-
-		path := filepath.Join(dir, name+".drtb")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if want := BinarySize(m.Rows, m.NNZ(), map[string]int{"wide": 8, "compact": 4}[name]); int64(buf.Len()) != want {
-			t.Fatalf("%s: image is %d bytes, BinarySize says %d", name, buf.Len(), want)
-		}
-		mop, err := OpenBinary(path)
+	decodeEach(buf.Bytes(), func(via string, op *Operand, err error) {
 		if err != nil {
-			t.Fatalf("%s: OpenBinary: %v", name, err)
+			t.Fatalf("%s decode: %v", via, err)
 		}
-		check(name+"/mmap", mop)
-		if err := mop.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", name, err)
+		if !op.Equal(m) {
+			t.Fatalf("%s: round trip mismatch", via)
 		}
+	})
+	path := filepath.Join(t.TempDir(), "m.drtb")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	op, err := OpenBinary(path)
+	if err != nil {
+		t.Fatalf("OpenBinary: %v", err)
+	}
+	if !op.Equal(m) {
+		t.Fatal("mmap: round trip mismatch")
+	}
+	if err := op.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 
@@ -127,8 +108,7 @@ func TestBinaryRandomProperty(t *testing.T) {
 	}
 }
 
-// TestBinaryWideBoundary stores coordinates past the int32 range, forcing
-// the wide (int64) on-disk form.
+// TestBinaryWideBoundary round-trips coordinates past the int32 range.
 func TestBinaryWideBoundary(t *testing.T) {
 	cols := int(math.MaxInt32) + 10
 	m := &CSR{
@@ -139,9 +119,6 @@ func TestBinaryWideBoundary(t *testing.T) {
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if m.CompactFits() {
-		t.Fatalf("matrix with %d cols should not fit int32", cols)
 	}
 	roundTrip(t, m)
 }
@@ -195,28 +172,5 @@ func TestTransposeIntoAllocFree(t *testing.T) {
 	}
 	if !m.Transpose().Equal(dst) {
 		t.Fatal("TransposeInto result differs from Transpose")
-	}
-}
-
-// TestCompactRoundTrip pins Compact/Widen as exact inverses and the
-// compact matrix as query-identical to the wide one.
-func TestCompactRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m := randCSR(t, rng, 150, 90, 1200)
-	c := m.Compact()
-	if !c.Widen().Equal(m) {
-		t.Fatal("Compact→Widen is not the identity")
-	}
-	if got, want := c.Transpose().Widen(), m.Transpose(); !got.Equal(want) {
-		t.Fatal("compact Transpose differs")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for _, win := range [][2]int{{0, m.Cols}, {-5, 3}, {10, 10}, {40, 1 << 40}, {m.Cols, m.Cols + 7}} {
-			wl, wh := m.RowRange(i, win[0], win[1])
-			cl, ch := c.RowRange(i, win[0], win[1])
-			if wh-wl != ch-cl {
-				t.Fatalf("row %d window %v: wide span %d, compact span %d", i, win, wh-wl, ch-cl)
-			}
-		}
 	}
 }

@@ -1,60 +1,53 @@
 package tensor
 
-// CSCOf is a compressed sparse column matrix (T-CU mirror of CSR) generic
-// over the index element type: Ptr is the per-column segment array, Idx
-// holds row coordinates in increasing order within each column. The
-// paper's concordant traversals use CSC for the K-major and J-major
-// operand layouts of Fig. 3b.
-type CSCOf[T Ix] struct {
+// CSC is a compressed sparse column matrix (T-CU mirror of CSR): Ptr is
+// the per-column segment array, Idx holds row coordinates in increasing
+// order within each column. The paper's concordant traversals use CSC for
+// the K-major and J-major operand layouts of Fig. 3b.
+type CSC struct {
 	Rows, Cols int
-	Ptr        []T
-	Idx        []T
+	Ptr        []int
+	Idx        []int
 	Val        []float64
 }
 
-// CSC is the wide (int-indexed) compressed sparse column matrix.
-type CSC = CSCOf[int]
-
-// CSC32 is the compact (int32-indexed) variant.
-type CSC32 = CSCOf[int32]
-
 // NNZ returns the number of stored non-zeros.
-func (c *CSCOf[T]) NNZ() int { return len(c.Idx) }
+func (c *CSC) NNZ() int { return len(c.Idx) }
 
 // Footprint returns the modeled byte footprint of the representation.
-func (c *CSCOf[T]) Footprint() int64 { return FootprintCSR(c.Cols, c.NNZ()) }
+func (c *CSC) Footprint() int64 { return FootprintCSR(c.Cols, c.NNZ()) }
 
 // Col returns the fiber for column j: its row coordinates and values.
-func (c *CSCOf[T]) Col(j int) FiberOf[T] {
+func (c *CSC) Col(j int) Fiber {
 	lo, hi := c.Ptr[j], c.Ptr[j+1]
-	return FiberOf[T]{Coords: c.Idx[lo:hi], Vals: c.Val[lo:hi]}
+	return Fiber{Coords: c.Idx[lo:hi], Vals: c.Val[lo:hi]}
 }
 
 // ColRange returns the positions [lo, hi) within column j whose row
-// coordinates fall inside [r0, r1). Like Mat.RowRange, the window bounds
-// are clamped to [0, Rows] before narrowing to T.
-func (c *CSCOf[T]) ColRange(j, r0, r1 int) (lo, hi int) {
-	s, e := int(c.Ptr[j]), int(c.Ptr[j+1])
+// coordinates fall inside [r0, r1). Like CSR.RowRange, the window bounds
+// are clamped to [0, Rows].
+func (c *CSC) ColRange(j, r0, r1 int) (lo, hi int) {
+	s, e := c.Ptr[j], c.Ptr[j+1]
 	if r0 < 0 {
 		r0 = 0
 	}
 	if r1 > c.Rows {
 		r1 = c.Rows
 	}
-	if s == e || r1 <= r0 || int(c.Idx[e-1]) < r0 {
+	if s == e || r1 <= r0 || c.Idx[e-1] < r0 {
 		return e, e
 	}
-	if int(c.Idx[s]) >= r1 {
+	if c.Idx[s] >= r1 {
 		return s, s
 	}
-	lo = lowerBound(c.Idx, s, e, T(r0))
-	hi = lowerBound(c.Idx, lo, e, T(r1))
+	lo = lowerBound(c.Idx, s, e, r0)
+	hi = lowerBound(c.Idx, lo, e, r1)
 	return lo, hi
 }
 
 // ToCSR converts to the row-major representation.
-func (c *CSCOf[T]) ToCSR() *Mat[T] {
+func (c *CSC) ToCSR() *CSR {
 	// A CSC is bitwise a CSR of the transpose; transpose it back.
-	t := &Mat[T]{Rows: c.Cols, Cols: c.Rows, Ptr: c.Ptr, Idx: c.Idx, Val: c.Val}
+	t := &CSR{Rows: c.Cols, Cols: c.Rows, Ptr: c.Ptr, Idx: c.Idx, Val: c.Val}
 	return t.Transpose()
 }

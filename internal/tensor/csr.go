@@ -6,37 +6,16 @@ import (
 	"sync"
 )
 
-// Ix is the set of index element types a compressed matrix can store its
-// segment and coordinate arrays in. The wide int form is the historical
-// default; int32 halves index bandwidth and memory for the full-scale
-// operands whose dims and occupancy fit (see CompactFits).
-type Ix interface {
-	~int | ~int32
-}
-
-// Mat is a compressed sparse row matrix (T-UC in the paper's taxonomy)
-// generic over the index element type: Ptr is the segment array
-// (len Rows+1), Idx the column-coordinate array and Val the data array.
-// Row i occupies positions Ptr[i]..Ptr[i+1] and its column coordinates are
-// strictly increasing.
-//
-// CSR and CSR32 are aliases of the two instantiations; all existing code
-// written against CSR compiles unchanged, and kernels generic over Ix
-// accept either width with identical results (the index type never enters
-// the arithmetic).
-type Mat[T Ix] struct {
+// CSR is a compressed sparse row matrix (T-UC in the paper's taxonomy):
+// Ptr is the segment array (len Rows+1), Idx the column-coordinate array
+// and Val the data array. Row i occupies positions Ptr[i]..Ptr[i+1] and
+// its column coordinates are strictly increasing.
+type CSR struct {
 	Rows, Cols int
-	Ptr        []T
-	Idx        []T
+	Ptr        []int
+	Idx        []int
 	Val        []float64
 }
-
-// CSR is the wide (int-indexed) compressed sparse row matrix.
-type CSR = Mat[int]
-
-// CSR32 is the compact (int32-indexed) variant: half the index bytes on
-// every segment/coordinate touch. Use Compact/CompactFits to obtain one.
-type CSR32 = Mat[int32]
 
 // NewCSR returns an empty CSR matrix with the given shape.
 func NewCSR(rows, cols int) *CSR {
@@ -81,10 +60,10 @@ func FromCOO(m *COO) *CSR {
 }
 
 // NNZ returns the number of stored non-zeros (the matrix occupancy).
-func (c *Mat[T]) NNZ() int { return len(c.Idx) }
+func (c *CSR) NNZ() int { return len(c.Idx) }
 
 // Density returns the fraction of points that are non-zero.
-func (c *Mat[T]) Density() float64 {
+func (c *CSR) Density() float64 {
 	if c.Rows == 0 || c.Cols == 0 {
 		return 0
 	}
@@ -92,12 +71,12 @@ func (c *Mat[T]) Density() float64 {
 }
 
 // Footprint returns the modeled byte footprint of the representation.
-func (c *Mat[T]) Footprint() int64 { return FootprintCSR(c.Rows, c.NNZ()) }
+func (c *CSR) Footprint() int64 { return FootprintCSR(c.Rows, c.NNZ()) }
 
 // Row returns the fiber for row i: its column coordinates and values.
-func (c *Mat[T]) Row(i int) FiberOf[T] {
+func (c *CSR) Row(i int) Fiber {
 	lo, hi := c.Ptr[i], c.Ptr[i+1]
-	return FiberOf[T]{Coords: c.Idx[lo:hi], Vals: c.Val[lo:hi]}
+	return Fiber{Coords: c.Idx[lo:hi], Vals: c.Val[lo:hi]}
 }
 
 // RowRange returns the positions [lo, hi) within row i whose column
@@ -108,25 +87,24 @@ func (c *Mat[T]) Row(i int) FiberOf[T] {
 // windows that miss the row's coordinate span entirely (the common case
 // for tile-sized windows over sparse rows) and uses open-coded lower
 // bounds instead of sort.SearchInts closures. The window bounds are
-// clamped to [0, Cols] before narrowing to T: stored coordinates lie in
-// [0, Cols), so the clamp preserves the result while keeping an
-// arbitrarily wide query window representable in a compact matrix.
-func (c *Mat[T]) RowRange(i, c0, c1 int) (lo, hi int) {
-	s, e := int(c.Ptr[i]), int(c.Ptr[i+1])
+// clamped to [0, Cols]: stored coordinates lie in [0, Cols), so the clamp
+// preserves the result.
+func (c *CSR) RowRange(i, c0, c1 int) (lo, hi int) {
+	s, e := c.Ptr[i], c.Ptr[i+1]
 	if c0 < 0 {
 		c0 = 0
 	}
 	if c1 > c.Cols {
 		c1 = c.Cols
 	}
-	if s == e || c1 <= c0 || int(c.Idx[e-1]) < c0 {
+	if s == e || c1 <= c0 || c.Idx[e-1] < c0 {
 		return e, e
 	}
-	if int(c.Idx[s]) >= c1 {
+	if c.Idx[s] >= c1 {
 		return s, s
 	}
-	lo = lowerBound(c.Idx, s, e, T(c0))
-	hi = lowerBound(c.Idx, lo, e, T(c1))
+	lo = lowerBound(c.Idx, s, e, c0)
+	hi = lowerBound(c.Idx, lo, e, c1)
 	return lo, hi
 }
 
@@ -135,7 +113,7 @@ func (c *Mat[T]) RowRange(i, c0, c1 int) (lo, hi int) {
 // row fragments whose typical length is a handful of elements, so the
 // search bisects only until the window is short and finishes with a
 // branch-predictable linear scan.
-func lowerBound[T Ix](idx []T, lo, hi int, v T) int {
+func lowerBound(idx []int, lo, hi, v int) int {
 	for hi-lo > 16 {
 		m := int(uint(lo+hi) >> 1)
 		if idx[m] < v {
@@ -151,7 +129,7 @@ func lowerBound[T Ix](idx []T, lo, hi int, v T) int {
 }
 
 // At returns the value at (i, j), or 0 when the point is not stored.
-func (c *Mat[T]) At(i, j int) float64 {
+func (c *CSR) At(i, j int) float64 {
 	lo, hi := c.RowRange(i, j, j+1)
 	if lo < hi {
 		return c.Val[lo]
@@ -178,15 +156,15 @@ func getTransposeScratch(n int) *[]int {
 // Transpose returns the transposed matrix, still in row-major form. A CSR
 // of the transpose is identical in memory layout to a CSC of the original,
 // so this is also the CSR→CSC conversion kernel.
-func (c *Mat[T]) Transpose() *Mat[T] {
-	return c.TransposeInto(&Mat[T]{})
+func (c *CSR) Transpose() *CSR {
+	return c.TransposeInto(&CSR{})
 }
 
 // TransposeInto transposes c into t, reusing t's slices when their
 // capacity suffices, and returns t. Together with the pooled scatter
 // cursors this makes repeated transposition allocation-free in the steady
 // state (pinned by TestTransposeIntoAllocFree).
-func (c *Mat[T]) TransposeInto(t *Mat[T]) *Mat[T] {
+func (c *CSR) TransposeInto(t *CSR) *CSR {
 	t.Rows, t.Cols = c.Cols, c.Rows
 	t.Ptr = growSlice(t.Ptr, c.Cols+1)
 	clear(t.Ptr)
@@ -203,14 +181,14 @@ func (c *Mat[T]) TransposeInto(t *Mat[T]) *Mat[T] {
 	np := getTransposeScratch(c.Cols)
 	next := *np
 	for j := 0; j < c.Cols; j++ {
-		next[j] = int(t.Ptr[j])
+		next[j] = t.Ptr[j]
 	}
 	for i := 0; i < c.Rows; i++ {
-		for p := int(c.Ptr[i]); p < int(c.Ptr[i+1]); p++ {
+		for p := c.Ptr[i]; p < c.Ptr[i+1]; p++ {
 			j := c.Idx[p]
 			q := next[j]
 			next[j]++
-			t.Idx[q] = T(i)
+			t.Idx[q] = i
 			t.Val[q] = c.Val[p]
 		}
 	}
@@ -228,83 +206,25 @@ func growSlice[E any](s []E, n int) []E {
 }
 
 // ToCSC converts to an explicit column-major representation.
-func (c *Mat[T]) ToCSC() *CSCOf[T] {
+func (c *CSR) ToCSC() *CSC {
 	t := c.Transpose()
-	return &CSCOf[T]{Rows: c.Rows, Cols: c.Cols, Ptr: t.Ptr, Idx: t.Idx, Val: t.Val}
+	return &CSC{Rows: c.Rows, Cols: c.Cols, Ptr: t.Ptr, Idx: t.Idx, Val: t.Val}
 }
 
 // ToCOO expands the matrix back into a coordinate list in row-major order.
-func (c *Mat[T]) ToCOO() *COO {
+func (c *CSR) ToCOO() *COO {
 	m := NewCOO(c.Rows, c.Cols)
 	for i := 0; i < c.Rows; i++ {
-		for p := int(c.Ptr[i]); p < int(c.Ptr[i+1]); p++ {
-			m.Append(i, int(c.Idx[p]), c.Val[p])
+		for p := c.Ptr[i]; p < c.Ptr[i+1]; p++ {
+			m.Append(i, c.Idx[p], c.Val[p])
 		}
 	}
 	return m
 }
 
-// maxCompactDim is the largest dimension extent or occupancy an int32
-// index array can address.
-const maxCompactDim = math.MaxInt32
-
-// CompactFits reports whether a matrix with the given shape and occupancy
-// is representable with int32 indices: every stored coordinate (< cols),
-// every segment offset (≤ nnz) and the row count must fit.
-func CompactFits(rows, cols, nnz int) bool {
-	return rows <= maxCompactDim && cols <= maxCompactDim && nnz <= maxCompactDim
-}
-
-// CompactFits reports whether this matrix fits the int32 representation.
-func (c *Mat[T]) CompactFits() bool { return CompactFits(c.Rows, c.Cols, c.NNZ()) }
-
-// Compact returns the matrix with int32 index arrays, halving index
-// memory and bandwidth. The Val slice is shared with the receiver
-// (matrices are immutable after construction throughout this repo); when
-// the receiver is already compact it is returned unchanged. Panics when
-// the shape does not fit — gate with CompactFits.
-func (c *Mat[T]) Compact() *CSR32 {
-	if t, ok := any(c).(*CSR32); ok {
-		return t
-	}
-	if !c.CompactFits() {
-		panic(fmt.Sprintf("tensor: %dx%d nnz=%d does not fit int32 indices", c.Rows, c.Cols, c.NNZ()))
-	}
-	return &CSR32{
-		Rows: c.Rows, Cols: c.Cols,
-		Ptr: convertIx[int32](c.Ptr),
-		Idx: convertIx[int32](c.Idx),
-		Val: c.Val,
-	}
-}
-
-// Widen returns the matrix with int index arrays. The Val slice is shared
-// with the receiver; when the receiver is already wide it is returned
-// unchanged.
-func (c *Mat[T]) Widen() *CSR {
-	if t, ok := any(c).(*CSR); ok {
-		return t
-	}
-	return &CSR{
-		Rows: c.Rows, Cols: c.Cols,
-		Ptr: convertIx[int](c.Ptr),
-		Idx: convertIx[int](c.Idx),
-		Val: c.Val,
-	}
-}
-
-// convertIx copies an index slice into a new slice of element type U.
-func convertIx[U, T Ix](src []T) []U {
-	dst := make([]U, len(src))
-	for i, v := range src {
-		dst[i] = U(v)
-	}
-	return dst
-}
-
 // Equal reports whether two matrices have identical shape and stored
 // points. Values are compared exactly.
-func (c *Mat[T]) Equal(o *Mat[T]) bool {
+func (c *CSR) Equal(o *CSR) bool {
 	if c.Rows != o.Rows || c.Cols != o.Cols || c.NNZ() != o.NNZ() {
 		return false
 	}
@@ -323,7 +243,7 @@ func (c *Mat[T]) Equal(o *Mat[T]) bool {
 
 // EqualApprox reports whether two matrices have the same sparsity pattern
 // and values within tol of each other.
-func (c *Mat[T]) EqualApprox(o *Mat[T], tol float64) bool {
+func (c *CSR) EqualApprox(o *CSR, tol float64) bool {
 	if c.Rows != o.Rows || c.Cols != o.Cols || c.NNZ() != o.NNZ() {
 		return false
 	}
@@ -346,7 +266,7 @@ func (c *Mat[T]) EqualApprox(o *Mat[T], tol float64) bool {
 
 // RowNNZVariation returns the coefficient of variation (stddev/mean) of the
 // per-row non-zero counts; Fig. 8 sorts workloads by this statistic.
-func (c *Mat[T]) RowNNZVariation() float64 {
+func (c *CSR) RowNNZVariation() float64 {
 	if c.Rows == 0 || c.NNZ() == 0 {
 		return 0
 	}
@@ -361,11 +281,11 @@ func (c *Mat[T]) RowNNZVariation() float64 {
 
 // Validate checks the structural invariants of the representation and
 // returns a descriptive error for the first violation found.
-func (c *Mat[T]) Validate() error {
+func (c *CSR) Validate() error {
 	if len(c.Ptr) != c.Rows+1 {
 		return fmt.Errorf("tensor: Ptr length %d, want %d", len(c.Ptr), c.Rows+1)
 	}
-	if c.Ptr[0] != 0 || int(c.Ptr[c.Rows]) != c.NNZ() {
+	if c.Ptr[0] != 0 || c.Ptr[c.Rows] != c.NNZ() {
 		return fmt.Errorf("tensor: segment array ends %d..%d, want 0..%d", c.Ptr[0], c.Ptr[c.Rows], c.NNZ())
 	}
 	if len(c.Idx) != len(c.Val) {
@@ -380,7 +300,7 @@ func (c *Mat[T]) Validate() error {
 	}
 	for i := 0; i < c.Rows; i++ {
 		for p := c.Ptr[i]; p < c.Ptr[i+1]; p++ {
-			if int(c.Idx[p]) < 0 || int(c.Idx[p]) >= c.Cols {
+			if c.Idx[p] < 0 || c.Idx[p] >= c.Cols {
 				return fmt.Errorf("tensor: row %d coordinate %d outside [0,%d)", i, c.Idx[p], c.Cols)
 			}
 			if p > c.Ptr[i] && c.Idx[p] <= c.Idx[p-1] {

@@ -20,12 +20,12 @@ func (d *Dense) At(i, j int) float64 { return d.V[i*d.Cols+j] }
 // Set stores v at (i, j).
 func (d *Dense) Set(i, j int, v float64) { d.V[i*d.Cols+j] = v }
 
-// ToDense expands a compressed matrix of either index width.
-func (c *Mat[T]) ToDense() *Dense {
+// ToDense expands a compressed matrix.
+func (c *CSR) ToDense() *Dense {
 	d := NewDense(c.Rows, c.Cols)
 	for i := 0; i < c.Rows; i++ {
 		for p := c.Ptr[i]; p < c.Ptr[i+1]; p++ {
-			d.Set(i, int(c.Idx[p]), c.Val[p])
+			d.Set(i, c.Idx[p], c.Val[p])
 		}
 	}
 	return d

@@ -1,19 +1,15 @@
 package tensor
 
-// FiberOf is one coordinate-payload list of the fibertree representation
-// (Fig. 2c), generic over the index element type: a sorted list of
-// coordinates with parallel payloads. For leaf fibers the payloads are
-// scalar values.
-type FiberOf[T Ix] struct {
-	Coords []T
+// Fiber is one coordinate-payload list of the fibertree representation
+// (Fig. 2c): a sorted list of coordinates with parallel payloads. For leaf
+// fibers the payloads are scalar values.
+type Fiber struct {
+	Coords []int
 	Vals   []float64
 }
 
-// Fiber is the wide (int-indexed) fiber.
-type Fiber = FiberOf[int]
-
 // Len returns the number of stored coordinates in the fiber.
-func (f FiberOf[T]) Len() int { return len(f.Coords) }
+func (f Fiber) Len() int { return len(f.Coords) }
 
 // IntersectStats records the work performed by a two-fiber coordinate
 // intersection; the intersection units in internal/sim convert these counts
@@ -27,7 +23,7 @@ type IntersectStats struct {
 // shared coordinate with the positions of the match in each list. It
 // returns the work statistics. This is the skip-based two-finger
 // intersection used by ExTensor's intersection unit.
-func Intersect[T Ix](a, b FiberOf[T], visit func(coord, pa, pb int)) IntersectStats {
+func Intersect(a, b Fiber, visit func(coord, pa, pb int)) IntersectStats {
 	var st IntersectStats
 	pa, pb := 0, 0
 	for pa < len(a.Coords) && pb < len(b.Coords) {
@@ -37,7 +33,7 @@ func Intersect[T Ix](a, b FiberOf[T], visit func(coord, pa, pb int)) IntersectSt
 		case ca == cb:
 			st.Matches++
 			if visit != nil {
-				visit(int(ca), pa, pb)
+				visit(ca, pa, pb)
 			}
 			pa++
 			pb++
@@ -51,13 +47,13 @@ func Intersect[T Ix](a, b FiberOf[T], visit func(coord, pa, pb int)) IntersectSt
 }
 
 // IntersectCount returns only the number of shared coordinates.
-func IntersectCount[T Ix](a, b FiberOf[T]) int {
+func IntersectCount(a, b Fiber) int {
 	return Intersect(a, b, nil).Matches
 }
 
 // UnionCount returns the number of distinct coordinates present in either
 // fiber; outer-product merge hardware performs this union.
-func UnionCount[T Ix](a, b FiberOf[T]) int {
+func UnionCount(a, b Fiber) int {
 	n, pa, pb := 0, 0, 0
 	for pa < len(a.Coords) && pb < len(b.Coords) {
 		n++
@@ -76,7 +72,7 @@ func UnionCount[T Ix](a, b FiberOf[T]) int {
 
 // Dot returns the inner product of two fibers along with the intersection
 // statistics: sum over shared coordinates of the pairwise value products.
-func Dot[T Ix](a, b FiberOf[T]) (float64, IntersectStats) {
+func Dot(a, b Fiber) (float64, IntersectStats) {
 	var sum float64
 	st := Intersect(a, b, func(_, pa, pb int) {
 		sum += a.Vals[pa] * b.Vals[pb]

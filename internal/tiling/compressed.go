@@ -37,7 +37,6 @@ type Summary interface {
 var (
 	_ Summary = (*Grid)(nil)
 	_ Summary = (*CompressedGrid)(nil)
-	_ Summary = (*CompressedGrid32)(nil)
 )
 
 // Mode selects the grid representation when a matrix is tiled.
@@ -68,16 +67,13 @@ const (
 const DefaultCellBudget = 1 << 23
 
 // NewAutoGrid tiles m with the representation Auto mode selects.
-func NewAutoGrid[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int) Summary {
+func NewAutoGrid(m *tensor.CSR, tileH, tileW int) Summary {
 	return NewSummaryGrid(m, tileH, tileW, TUC, Auto)
 }
 
 // NewSummaryGrid tiles m into tileH×tileW micro tiles of format f using the
-// given representation mode. The compressed representation inherits the
-// operand's index width: a compact (int32) matrix yields a CompressedGrid32
-// whose cell-index arrays are also 32-bit, so the full-scale memory saving
-// carries through the grid summaries automatically.
-func NewSummaryGrid[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int, f Format, mode Mode) Summary {
+// given representation mode.
+func NewSummaryGrid(m *tensor.CSR, tileH, tileW int, f Format, mode Mode) Summary {
 	if compressedFor(ceilDiv(m.Rows, tileH), ceilDiv(m.Cols, tileW), mode) {
 		return NewCompressedGridWithFormat(m, tileH, tileW, f)
 	}
@@ -100,11 +96,11 @@ type SummaryBuilder struct {
 
 // NewSummaryBuilder starts the summary of a rows×cols matrix tiled into
 // tileH×tileW micro tiles of format f. mode picks the representation by
-// NewSummaryGrid's rule; the compressed grid uses wide indices.
+// NewSummaryGrid's rule.
 func NewSummaryBuilder(rows, cols, tileH, tileW int, f Format, mode Mode) *SummaryBuilder {
 	gr, gc := ceilDiv(rows, tileH), ceilDiv(cols, tileW)
 	if compressedFor(gr, gc, mode) {
-		return &SummaryBuilder{comp: newCompressedGridOf[int](rows, cols, tileH, tileW, f), gr: gr}
+		return &SummaryBuilder{comp: newCompressedGrid(rows, cols, tileH, tileW, f), gr: gr}
 	}
 	return &SummaryBuilder{dense: newGrid(rows, cols, tileH, tileW, f), row: make([]int64, gc), gr: gr}
 }
@@ -144,51 +140,40 @@ func compressedFor(gr, gc int, mode Mode) bool {
 	return mode == Compressed || (mode == Auto && int64(gr)*int64(gc) > DefaultCellBudget)
 }
 
-// CompressedGridOf is the sparse counterpart of Grid, generic over the
-// cell-index element type: instead of dense 2-D prefix sums it stores, per
-// occupied grid row, the sorted list of non-empty cells together with
-// running prefix sums of their occupancy and footprint. Memory is
-// O(occupied tiles); a rectangle query walks the occupied grid rows in
-// range and answers each with two binary searches over that row's cell
-// list. Query results are identical to Grid's (pinned by the equivalence
-// property test).
-type CompressedGridOf[T tensor.Ix] struct {
+// CompressedGrid is the sparse counterpart of Grid: instead of dense 2-D
+// prefix sums it stores, per occupied grid row, the sorted list of
+// non-empty cells together with running prefix sums of their occupancy and
+// footprint. Memory is O(occupied tiles); a rectangle query walks the
+// occupied grid rows in range and answers each with two binary searches
+// over that row's cell list. Query results are identical to Grid's (pinned
+// by the equivalence property test).
+type CompressedGrid struct {
 	Rows, Cols   int    // parent coordinate-space shape
 	TileH, TileW int    // micro tile shape
 	GR, GC       int    // grid extents (ceil division)
 	Format       Format // per-micro-tile representation
 
-	occRows []T // sorted occupied grid rows
-	rowPtr  []T // len(occRows)+1 offsets into cols
-	cols    []T // occupied cell columns, sorted within each row
+	occRows []int // sorted occupied grid rows
+	rowPtr  []int // len(occRows)+1 offsets into cols
+	cols    []int // occupied cell columns, sorted within each row
 	// Running sums over the cells in storage order, one leading zero:
 	// a row's [lo,hi) cell span contributes cum[hi]-cum[lo].
 	nnzCum []int64
 	fpCum  []int64
 }
 
-// CompressedGrid is the wide (int-indexed) compressed grid.
-type CompressedGrid = CompressedGridOf[int]
-
-// CompressedGrid32 is the compact (int32-indexed) compressed grid built
-// from compact operands: half the index bytes per occupied tile.
-type CompressedGrid32 = CompressedGridOf[int32]
-
 // NewCompressedGrid tiles m into tileH×tileW T-UC micro tiles in the
 // compressed representation.
-func NewCompressedGrid[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int) *CompressedGridOf[T] {
+func NewCompressedGrid(m *tensor.CSR, tileH, tileW int) *CompressedGrid {
 	return NewCompressedGridWithFormat(m, tileH, tileW, TUC)
 }
 
 // NewCompressedGridWithFormat is NewCompressedGrid with an explicit
 // micro-tile representation. Construction is O(nnz + occupied·log) time and
 // never materializes a dense cell array: per grid row, touched tile columns
-// are tracked in an epoch-marked scratch of width GC. The grid's index
-// arrays use the operand's index width T (grid extents and occupied-tile
-// counts never exceed the operand's dims and nnz, so whatever fits the
-// operand fits the grid).
-func NewCompressedGridWithFormat[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int, f Format) *CompressedGridOf[T] {
-	g := newCompressedGridOf[T](m.Rows, m.Cols, tileH, tileW, f)
+// are tracked in an epoch-marked scratch of width GC.
+func NewCompressedGridWithFormat(m *tensor.CSR, tileH, tileW int, f Format) *CompressedGrid {
+	g := newCompressedGrid(m.Rows, m.Cols, tileH, tileW, f)
 	cnt := make([]int64, g.GC)
 	mark := make([]int, g.GC)
 	epoch := 0
@@ -207,10 +192,10 @@ func NewCompressedGridWithFormat[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int
 		if hi > m.Rows {
 			hi = m.Rows
 		}
-		for _, j := range m.Idx[int(m.Ptr[gr*tileH]):int(m.Ptr[hi])] {
-			c := int(j) / tileW
+		for _, j := range m.Idx[m.Ptr[gr*tileH]:m.Ptr[hi]] {
+			c := j / tileW
 			if shift >= 0 {
-				c = int(j) >> shift
+				c = j >> shift
 			}
 			if mark[c] != epoch {
 				mark[c] = epoch
@@ -230,18 +215,18 @@ func NewCompressedGridWithFormat[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int
 	return g
 }
 
-// newCompressedGridOf returns an empty compressed grid over a rows×cols
+// newCompressedGrid returns an empty compressed grid over a rows×cols
 // matrix, ready for appendRow.
-func newCompressedGridOf[T tensor.Ix](rows, cols, tileH, tileW int, f Format) *CompressedGridOf[T] {
+func newCompressedGrid(rows, cols, tileH, tileW int, f Format) *CompressedGrid {
 	if tileH < 1 || tileW < 1 {
 		panic(fmt.Sprintf("tiling: invalid micro tile shape %dx%d", tileH, tileW))
 	}
-	return &CompressedGridOf[T]{
+	return &CompressedGrid{
 		Rows: rows, Cols: cols,
 		TileH: tileH, TileW: tileW,
 		GR: ceilDiv(rows, tileH), GC: ceilDiv(cols, tileW),
 		Format: f,
-		rowPtr: []T{0},
+		rowPtr: []int{0},
 		nnzCum: []int64{0},
 		fpCum:  []int64{0},
 	}
@@ -250,54 +235,39 @@ func newCompressedGridOf[T tensor.Ix](rows, cols, tileH, tileW int, f Format) *C
 // appendRow stores grid row gr's occupied cells: cols ascending, with
 // nnz[p] non-zeros in cell cols[p]. Rows must be appended in ascending
 // order; an empty row stores nothing.
-func (g *CompressedGridOf[T]) appendRow(gr int, cols []int, nnz []int64) {
+func (g *CompressedGrid) appendRow(gr int, cols []int, nnz []int64) {
 	if len(cols) == 0 {
 		return
 	}
-	g.occRows = append(g.occRows, T(gr))
+	g.occRows = append(g.occRows, gr)
 	for p, c := range cols {
 		n := nnz[p]
-		g.cols = append(g.cols, T(c))
+		g.cols = append(g.cols, c)
 		g.nnzCum = append(g.nnzCum, g.nnzCum[len(g.nnzCum)-1]+n)
 		g.fpCum = append(g.fpCum, g.fpCum[len(g.fpCum)-1]+MicroFootprintFormat(g.Format, g.TileH, int(n)))
 	}
-	g.rowPtr = append(g.rowPtr, T(len(g.cols)))
+	g.rowPtr = append(g.rowPtr, len(g.cols))
 }
 
 // clampRect clips a grid-coordinate rectangle to the grid extents.
-func (g *CompressedGridOf[T]) clampRect(r0, r1, c0, c1 int) (int, int, int, int) {
+func (g *CompressedGrid) clampRect(r0, r1, c0, c1 int) (int, int, int, int) {
 	r0, r1 = clampSpan(r0, r1, g.GR)
 	c0, c1 = clampSpan(c0, c1, g.GC)
 	return r0, r1, c0, c1
 }
 
-// searchIx returns the first position in the ascending slice s whose value
-// is >= v (len(s) when none is) — sort.SearchInts over either index width.
-func searchIx[T tensor.Ix](s []T, v int) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if int(s[m]) < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
 // query accumulates nnz/footprint/tile counts over the rectangle: the
 // occupied rows in [r0,r1) are found by binary search, then each row's
 // [c0,c1) span by two more binary searches over its sorted cell columns.
-func (g *CompressedGridOf[T]) query(r0, r1, c0, c1 int) (nnz, fp, tiles int64) {
+func (g *CompressedGrid) query(r0, r1, c0, c1 int) (nnz, fp, tiles int64) {
 	r0, r1, c0, c1 = g.clampRect(r0, r1, c0, c1)
-	a := searchIx(g.occRows, r0)
-	b := searchIx(g.occRows, r1)
+	a, _ := slices.BinarySearch(g.occRows, r0)
+	b, _ := slices.BinarySearch(g.occRows, r1)
 	for t := a; t < b; t++ {
-		lo, hi := int(g.rowPtr[t]), int(g.rowPtr[t+1])
-		row := g.cols[lo:hi]
-		s := lo + searchIx(row, c0)
-		e := lo + searchIx(row, c1)
+		lo, hi := g.rowPtr[t], g.rowPtr[t+1]
+		s, _ := slices.BinarySearch(g.cols[lo:hi], c0)
+		e, _ := slices.BinarySearch(g.cols[lo:hi], c1)
+		s, e = lo+s, lo+e
 		nnz += g.nnzCum[e] - g.nnzCum[s]
 		fp += g.fpCum[e] - g.fpCum[s]
 		tiles += int64(e - s)
@@ -306,38 +276,38 @@ func (g *CompressedGridOf[T]) query(r0, r1, c0, c1 int) (nnz, fp, tiles int64) {
 }
 
 // RegionNNZ implements Summary.
-func (g *CompressedGridOf[T]) RegionNNZ(r0, r1, c0, c1 int) int64 {
+func (g *CompressedGrid) RegionNNZ(r0, r1, c0, c1 int) int64 {
 	n, _, _ := g.query(r0, r1, c0, c1)
 	return n
 }
 
 // RegionFootprint implements Summary.
-func (g *CompressedGridOf[T]) RegionFootprint(r0, r1, c0, c1 int) int64 {
+func (g *CompressedGrid) RegionFootprint(r0, r1, c0, c1 int) int64 {
 	_, fp, _ := g.query(r0, r1, c0, c1)
 	return fp
 }
 
 // RegionTiles implements Summary.
-func (g *CompressedGridOf[T]) RegionTiles(r0, r1, c0, c1 int) int64 {
+func (g *CompressedGrid) RegionTiles(r0, r1, c0, c1 int) int64 {
 	_, _, tc := g.query(r0, r1, c0, c1)
 	return tc
 }
 
 // Extents implements Summary.
-func (g *CompressedGridOf[T]) Extents() (int, int) { return g.GR, g.GC }
+func (g *CompressedGrid) Extents() (int, int) { return g.GR, g.GC }
 
 // TotalNNZ implements Summary.
-func (g *CompressedGridOf[T]) TotalNNZ() int64 { return g.nnzCum[len(g.nnzCum)-1] }
+func (g *CompressedGrid) TotalNNZ() int64 { return g.nnzCum[len(g.nnzCum)-1] }
 
 // TotalFootprint implements Summary.
-func (g *CompressedGridOf[T]) TotalFootprint() int64 { return g.fpCum[len(g.fpCum)-1] }
+func (g *CompressedGrid) TotalFootprint() int64 { return g.fpCum[len(g.fpCum)-1] }
 
 // EachTile implements Summary: only stored tiles are visited, in row-major
 // order.
-func (g *CompressedGridOf[T]) EachTile(f func(gr, gc int, nnz int64)) {
+func (g *CompressedGrid) EachTile(f func(gr, gc int, nnz int64)) {
 	for t, r := range g.occRows {
-		for p := int(g.rowPtr[t]); p < int(g.rowPtr[t+1]); p++ {
-			f(int(r), int(g.cols[p]), g.nnzCum[p+1]-g.nnzCum[p])
+		for p := g.rowPtr[t]; p < g.rowPtr[t+1]; p++ {
+			f(r, g.cols[p], g.nnzCum[p+1]-g.nnzCum[p])
 		}
 	}
 }

@@ -95,12 +95,12 @@ type Grid struct {
 
 // NewGrid tiles m into tileH×tileW T-UC micro tiles and builds the prefix
 // sums.
-func NewGrid[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int) *Grid {
+func NewGrid(m *tensor.CSR, tileH, tileW int) *Grid {
 	return NewGridWithFormat(m, tileH, tileW, TUC)
 }
 
 // NewGridWithFormat is NewGrid with an explicit micro-tile representation.
-func NewGridWithFormat[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int, f Format) *Grid {
+func NewGridWithFormat(m *tensor.CSR, tileH, tileW int, f Format) *Grid {
 	g := newGrid(m.Rows, m.Cols, tileH, tileW, f)
 	// Count non-zeros one grid row at a time (the tileH parent rows of grid
 	// row gr map to it contiguously) and fold the row straight into the
@@ -121,14 +121,14 @@ func NewGridWithFormat[T tensor.Ix](m *tensor.Mat[T], tileH, tileW int, f Format
 		if hi > m.Rows {
 			hi = m.Rows
 		}
-		lo, end := int(m.Ptr[gr*tileH]), int(m.Ptr[hi])
+		lo, end := m.Ptr[gr*tileH], m.Ptr[hi]
 		if shift >= 0 {
 			for _, c := range m.Idx[lo:end] {
-				row[int(c)>>shift]++
+				row[c>>shift]++
 			}
 		} else {
 			for _, c := range m.Idx[lo:end] {
-				row[int(c)/tileW]++
+				row[c/tileW]++
 			}
 		}
 		g.buildSumRow(gr, row)
@@ -268,7 +268,7 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // metadata on hyper-sparse data; large tiles pay segment-array overhead
 // and converge to S-U-C behavior. With no candidates, {8, 16, 32, 64} are
 // tried.
-func SuggestMicroTile[T tensor.Ix](m *tensor.Mat[T], candidates ...int) int {
+func SuggestMicroTile(m *tensor.CSR, candidates ...int) int {
 	if len(candidates) == 0 {
 		candidates = []int{8, 16, 32, 64}
 	}
