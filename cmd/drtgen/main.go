@@ -89,7 +89,7 @@ func main() {
 	// Occupancy histogram over non-empty micro tiles (powers of two).
 	hist := map[int]int{}
 	var nonEmpty int64
-	g.EachTile(func(_, _ int, n int64) {
+	g.EachTile(func(_, _ int, n, _ int64) {
 		nonEmpty++
 		bucket := 0
 		for v := n; v > 1; v >>= 1 {

@@ -17,14 +17,29 @@ import (
 // separate series, so full-scale runs never pollute the scaled drift
 // baselines (their ns/op differ by orders of magnitude).
 type Snapshot struct {
-	File       string  `json:"-"`
-	Series     string  `json:"-"`
-	Date       string  `json:"date"`
-	Go         string  `json:"go"`
-	Benchtime  string  `json:"benchtime"`
-	Goos       string  `json:"goos"`
-	Goarch     string  `json:"goarch"`
+	File      string `json:"-"`
+	Series    string `json:"-"`
+	Date      string `json:"date"`
+	Go        string `json:"go"`
+	Benchtime string `json:"benchtime"`
+	Goos      string `json:"goos"`
+	Goarch    string `json:"goarch"`
+	// The host stamp: the CPUs the OS offered the run, the GOMAXPROCS it
+	// used and the CPU model. Snapshots written before the stamp existed
+	// leave all three zero.
+	NumCPU     int     `json:"num_cpu"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	CPUModel   string  `json:"cpu_model"`
 	Benchmarks []Point `json:"benchmarks"`
+}
+
+// Host names the machine the snapshot measured, or "unstamped" when the
+// snapshot carries no host stamp.
+func (s Snapshot) Host() string {
+	if s.NumCPU == 0 && s.CPUModel == "" {
+		return "unstamped"
+	}
+	return fmt.Sprintf("%s, %d CPUs, GOMAXPROCS %d", s.CPUModel, s.NumCPU, s.GOMAXPROCS)
 }
 
 // Point is one benchmark's result inside a snapshot.

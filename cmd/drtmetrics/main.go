@@ -26,6 +26,11 @@
 // series — full-scale wall times never mix into the scaled drift
 // baselines; their trends print with a "scale1/" name prefix.
 //
+// After the drift table a second table names each snapshot's host from
+// its stamp (CPU model, CPU count, GOMAXPROCS), so trends are read
+// against the machines that measured them; snapshots written before
+// scripts/bench.sh stamped them read "unstamped".
+//
 // A benchmark counts as regressed when its latest snapshot exceeds the
 // best (minimum) snapshot in the series by more than the tolerance:
 // ns/op by a fractional growth of -ns-tol (default 0.25, i.e. +25%), or
@@ -135,10 +140,16 @@ func main() {
 			fmt.Sprintf("%+.1f%%", 100*tr.NsGrowth()),
 			tr.First().AllocsPerOp, tr.Latest().AllocsPerOp, status)
 	}
-	if *csv {
-		fmt.Printf("# %s\n%s\n", t.Title, t.CSV())
-	} else {
-		fmt.Println(t.String())
+	hosts := metrics.NewTable("Snapshot hosts", "snapshot", "date", "host")
+	for _, s := range snaps {
+		hosts.AddRow(s.File, s.Date, s.Host())
+	}
+	for _, tab := range []*metrics.Table{t, hosts} {
+		if *csv {
+			fmt.Printf("# %s\n%s\n", tab.Title, tab.CSV())
+		} else {
+			fmt.Println(tab.String())
+		}
 	}
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "drtmetrics: %d benchmark(s) regressed beyond tolerance (ns/op +%.0f%% or allocs/op x%.1f over series best)\n",

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"regexp"
 	"testing"
 )
@@ -104,5 +106,31 @@ func TestNsGrowthAgainstBest(t *testing.T) {
 	tr2 := Trend{Name: "Y", Points: []Point{{NsPerOp: 100}, {NsPerOp: 150}}, BestNs: 100, WorstNs: 150}
 	if g := tr2.NsGrowth(); g < 0.499 || g > 0.501 {
 		t.Errorf("growth = %v, want 0.5", g)
+	}
+}
+
+// TestSnapshotHost reads the host stamp scripts/bench.sh writes, and reads
+// a snapshot without one as unstamped.
+func TestSnapshotHost(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"BENCH_2026-01-01.json": `{"date": "2026-01-01", "benchmarks": [{"name": "BenchmarkA", "ns_per_op": 1}]}`,
+		"BENCH_2026-01-02.json": `{"date": "2026-01-02", "num_cpu": 2, "gomaxprocs": 1,
+			"cpu_model": "Intel(R) Xeon(R) Processor", "benchmarks": [{"name": "BenchmarkA", "ns_per_op": 1}]}`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snaps, err := LoadSnapshots(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"unstamped", "Intel(R) Xeon(R) Processor, 2 CPUs, GOMAXPROCS 1"}
+	for i, s := range snaps {
+		if got := s.Host(); got != want[i] {
+			t.Errorf("%s: host %q, want %q", s.File, got, want[i])
+		}
 	}
 }

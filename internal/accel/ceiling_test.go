@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"drt/internal/gen"
 	"drt/internal/obs"
 	"drt/internal/sim"
+	"drt/internal/tiling"
 )
 
 // TestRunTasksBelowCeiling pins the ceiling's two edges on the static
@@ -86,5 +88,128 @@ func TestCeilingLower(t *testing.T) {
 	}
 	if c.Load() != 3 {
 		t.Fatalf("ceiling = %v, want the lowest value 3", c.Load())
+	}
+}
+
+// bruteFits reports whether every macro tile of the regular grid opt's
+// static shape cuts fits its partition, querying each tile's footprint.
+func bruteFits(w *Workload, opt EngineOptions) bool {
+	gi, gk := w.GA.Extents()
+	_, gj := w.GB.Extents()
+	s := opt.InitialSize
+	fits := func(g tiling.Summary, rows, cols, er, ec int, capacity int64) bool {
+		for r := 0; r < rows; r += er {
+			for c := 0; c < cols; c += ec {
+				if g.RegionFootprint(r, r+er, c, c+ec) > capacity {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	return fits(w.GA, gi, gk, s[DimI], s[DimK], opt.CapA) && fits(w.GB, gk, gj, s[DimK], s[DimJ], opt.CapB)
+}
+
+// TestStaticFloorMatchesRun pins staticFloor against the run it bounds:
+// over all six loop orders, StaticShapes' candidates plus [1 1 1] and an
+// odd shape, and several partition pairs, a grid whose tiles all fit its
+// partitions gets a floor equal to the finished run's A+B bytes, and any
+// other grid gets none. It covers two operands with their own grids, a
+// square self-product sharing one grid, and a tall-skinny FᵀF pair.
+func TestStaticFloorMatchesRun(t *testing.T) {
+	rm := gen.RMAT(128, 900, 0.57, 0.19, 0.19, 41)
+	pair, err := NewWorkload("pair", rm, gen.Banded(128, 10, 4, 0.6, 42), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	self, err := NewWorkload("self", rm, rm, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := gen.TallSkinny(320, 24, 1200, 43)
+	ftf, err := NewWorkload("ftf", f.Transpose(), f, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders := [][]int{
+		{DimI, DimJ, DimK}, {DimI, DimK, DimJ}, {DimJ, DimI, DimK},
+		{DimJ, DimK, DimI}, {DimK, DimI, DimJ}, {DimK, DimJ, DimI},
+	}
+	fitting, none := 0, 0
+	for _, w := range []*Workload{pair, self, ftf} {
+		for _, caps := range [][2]int64{{500, 500}, {1500, 6000}, {6000, 1500}, {8000, 8000}, {40000, 40000}} {
+			shapes := append(StaticShapes(w, caps[0], caps[1]), [3]int{1, 1, 1}, [3]int{3, 5, 2})
+			for _, order := range orders {
+				for _, s := range shapes {
+					opt := EngineOptions{
+						Machine: sim.DefaultMachine(),
+						CapA:    caps[0], CapB: caps[1], CapO: 1000,
+						LoopOrder:   order,
+						Strategy:    core.Static,
+						InitialSize: []int{s[0], s[1], s[2]},
+						Extractor:   extractor.IdealExtractor,
+					}
+					floor := staticFloor(w, &opt)
+					res, err := RunTasks(w, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s/caps=%v/order=%v/shape=%v", w.Name, caps, order, s)
+					if !bruteFits(w, opt) {
+						none++
+						if floor != 0 {
+							t.Errorf("%s: a tile overflows its partition, yet floor %d", name, floor)
+						}
+						continue
+					}
+					fitting++
+					if want := res.Traffic.A + res.Traffic.B; floor != want {
+						t.Errorf("%s: floor %d, run loaded A+B %d", name, floor, want)
+					}
+				}
+			}
+		}
+	}
+	if fitting == 0 || none == 0 {
+		t.Fatalf("%d fitting and %d overflowing grids, want some of each", fitting, none)
+	}
+}
+
+// TestRunTasksBelowFloorStopsBeforeFirstTask pins the pre-check: a static
+// run whose ceiling is below the DRAM cycles of its A+B floor stops before
+// its first task, and the same run under the ceiling at its own cycles
+// still completes.
+func TestRunTasksBelowFloorStopsBeforeFirstTask(t *testing.T) {
+	w, err := NewWorkload("floor", gen.RMAT(128, 900, 0.57, 0.19, 0.19, 41), gen.Banded(128, 10, 4, 0.6, 42), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := EngineOptions{
+		Machine: sim.DefaultMachine(),
+		CapA:    4000, CapB: 4000, CapO: 500,
+		LoopOrder:   []int{DimJ, DimK, DimI},
+		Strategy:    core.Static,
+		InitialSize: []int{2, 3, 2},
+		Extractor:   extractor.IdealExtractor,
+	}
+	floor := staticFloor(w, &opt)
+	if floor == 0 {
+		t.Fatal("no floor for a grid whose tiles fit")
+	}
+	want, err := RunTasks(w, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := obs.NewProgress()
+	obs.SetActive(p)
+	c := NewCeiling()
+	c.Lower(math.Nextafter(opt.Machine.DRAMCycles(floor), math.Inf(-1)))
+	_, ok, err := RunTasksBelow(w, opt, c)
+	obs.SetActive(nil)
+	if err != nil || ok {
+		t.Fatalf("ceiling below the floor: ok=%v err=%v, want a stopped run", ok, err)
+	}
+	if n := p.Snapshot().TasksDone; n != 0 {
+		t.Errorf("ceiling below the floor consumed %d of %d tasks, want none", n, want.Tasks)
 	}
 }

@@ -168,3 +168,111 @@ func StaticShapes(w *Workload, capA, capB int64) [][3]int {
 		shape(side*4, side/4),
 	}
 }
+
+// staticFloor returns the A+B bytes a static (core.Static) run of opt over
+// the built workload w loads, read off the operand grids before the run
+// starts. When every macro tile of the regular grid the shape cuts fits
+// its partition, the tiler never shrinks a tile, so the run's non-empty
+// tasks are exactly the macro cells (i, j, k) whose A tile (i, k) and B
+// tile (k, j) both hold non-zeros, and an operand tile is loaded at the
+// first non-empty task after each rebuild. A tile is therefore loaded
+// once per non-empty partner tile along the dimension the operand lacks
+// (J for A, I for B), or at most once when that dimension's loop sits
+// inside the operand's stationarity depth, so its rebuilds skip it. The
+// floor is then exactly the run's Traffic.A+Traffic.B; it is 0 when some
+// tile does not fit, for a non-static strategy and when the output tile
+// also constrains the tiler. One row-major pass over each grid's stored
+// micro tiles (one in all when A and B share a grid) sums the macro tiles
+// and their per-K footprints and counts.
+func staticFloor(w *Workload, opt *EngineOptions) int64 {
+	if opt.Strategy != core.Static || opt.ConstrainOutput || len(opt.LoopOrder) != 3 {
+		return 0
+	}
+	var pos [3]int
+	var seen [3]bool
+	for p, d := range opt.LoopOrder {
+		if d < 0 || d > 2 || seen[d] {
+			return 0 // not a loop order: the enumerator reports it
+		}
+		seen[d], pos[d] = true, p
+	}
+	gi, gk := w.GA.Extents()
+	_, gj := w.GB.Extents()
+	ext := [3]int{dimI: gi, dimJ: gj, dimK: gk}
+	var edge [3]int
+	for d := range edge {
+		edge[d] = 1
+		if d < len(opt.InitialSize) && opt.InitialSize[d] > 0 {
+			edge[d] = opt.InitialSize[d]
+		}
+		edge[d] = min(edge[d], ext[d])
+		if edge[d] < 1 {
+			return 0 // empty iteration space
+		}
+	}
+	nk := (gk + edge[dimK] - 1) / edge[dimK]
+	a := newMacroFold(edge[dimI], edge[dimK], nk, nk, false, opt.CapA)
+	b := newMacroFold(edge[dimK], edge[dimJ], (gj+edge[dimJ]-1)/edge[dimJ], nk, true, opt.CapB)
+	if w.GA == w.GB {
+		w.GA.EachTile(func(r, c int, _, fp int64) {
+			a.add(r, c, fp)
+			b.add(r, c, fp)
+		})
+	} else {
+		w.GA.EachTile(func(r, c int, _, fp int64) { a.add(r, c, fp) })
+		w.GB.EachTile(func(r, c int, _, fp int64) { b.add(r, c, fp) })
+	}
+	if a.over || b.over {
+		return 0
+	}
+	aOnce := pos[dimJ] > max(pos[dimI], pos[dimK])
+	bOnce := pos[dimI] > max(pos[dimK], pos[dimJ])
+	loads := func(partners int64, once bool) int64 {
+		if once {
+			return min(partners, 1)
+		}
+		return partners
+	}
+	var floor int64
+	for k := range nk {
+		floor += a.fp[k]*loads(b.tiles[k], aOnce) + b.fp[k]*loads(a.tiles[k], bOnce)
+	}
+	return floor
+}
+
+// macroFold sums one operand's stored micro tiles, visited in row-major
+// order, into the macro tiles of a regular grid of rows×cols micro tiles.
+// It holds the current macro row only, one entry per macro column, plus
+// the footprint and the non-empty macro tile count per K macro index, K
+// being the operand's rows (B) or columns (A).
+type macroFold struct {
+	rows, cols int
+	kRows      bool
+	capacity   int64
+	row        []int   // per macro column: 1 + the macro row acc sums
+	acc        []int64 // per macro column: footprint of that macro tile
+	fp, tiles  []int64 // per K macro index
+	over       bool    // some macro tile exceeds capacity
+}
+
+func newMacroFold(rows, cols, nCols, nK int, kRows bool, capacity int64) *macroFold {
+	return &macroFold{rows: rows, cols: cols, kRows: kRows, capacity: capacity,
+		row: make([]int, nCols), acc: make([]int64, nCols),
+		fp: make([]int64, nK), tiles: make([]int64, nK)}
+}
+
+// add folds the stored micro tile (r, c) with footprint fp.
+func (f *macroFold) add(r, c int, fp int64) {
+	mr, mc := r/f.rows, c/f.cols
+	k := mc
+	if f.kRows {
+		k = mr
+	}
+	if f.row[mc] != mr+1 {
+		f.row[mc], f.acc[mc] = mr+1, 0
+		f.tiles[k]++
+	}
+	f.acc[mc] += fp
+	f.over = f.over || f.acc[mc] > f.capacity
+	f.fp[k] += fp
+}

@@ -210,10 +210,18 @@ var errAboveCeiling = errors.New("accel: run exceeds its cycle ceiling")
 // over the A+B+Z bytes charged so far plus the write-back the resident
 // output regions still owe, the busiest PE and the extraction total — so
 // their running maximum bounds the finished run's Cycles() from below.
+// A static run's A+B bytes are known before it starts: when the ceiling
+// is already finite as the run starts, the bound counts the larger of the
+// A+B bytes charged so far and the exact A+B bytes its tile grid loads
+// (staticFloor, 0 when the grid has a tile that overflows its partition).
+// A run that starts unbounded skips the floor's grid pass: the first
+// candidate of a sequential sweep can only finish, and one that starts
+// alongside it is still cut by the bytes it has charged.
 // The run stops, returning ok=false and no Result, as soon as that bound
-// is strictly above the ceiling, or when the finished run is. A run that
-// returns ok is exactly RunTasks' run: the checks read the pricing state
-// and never change it.
+// is strictly above the ceiling — checked before the first task and after
+// every task — or when the finished run is. A run that returns ok is
+// exactly RunTasks' run: the checks read the pricing state and never
+// change it.
 func RunTasksBelow(w *Workload, opt EngineOptions, c *Ceiling) (sim.Result, bool, error) {
 	rec := obs.OrNop(opt.Rec)
 	runSpan := rec.Begin(obs.CatPhase, "simulate")
@@ -222,19 +230,27 @@ func RunTasksBelow(w *Workload, opt EngineOptions, c *Ceiling) (sim.Result, bool
 	if err != nil {
 		return sim.Result{}, false, err
 	}
-	return runBelow(w.Name, sp, opt, c)
+	var floor int64
+	if c != nil && !math.IsInf(c.Load(), 1) {
+		floor = staticFloor(w.current(), &opt)
+	}
+	return runBelow(w.Name, sp, opt, c, floor)
 }
 
 // runBelow runs the engine over sp and prices each task as it is
-// captured, under ceiling c (see RunTasksBelow).
-func runBelow(name string, sp *taskSpace, opt EngineOptions, c *Ceiling) (res sim.Result, ok bool, err error) {
+// captured, under ceiling c with the run's A+B bytes known to be at least
+// floor (see RunTasksBelow).
+func runBelow(name string, sp *taskSpace, opt EngineOptions, c *Ceiling, floor int64) (res sim.Result, ok bool, err error) {
 	sc := retimePool.Get().(*retimeScratch)
 	defer retimePool.Put(sc)
 	sc.plan([]RetimeConfig{{Machine: opt.Machine, Intersect: opt.Intersect, Extractor: opt.Extractor}}, opt.Rec)
-	sc.ceiling = c
+	sc.ceiling, sc.floor = c, floor
 	trc := &sc.capture
 	*trc = Trace{Name: name, hierarchical: opt.PELevel != nil,
 		taskRecs: trc.taskRecs[:0], rows: trc.rows[:0], subs: trc.subs[:0], exts: trc.exts[:0], dists: trc.dists[:0]}
+	if sc.above(trc, 0) {
+		return sim.Result{}, false, nil
+	}
 	err = runTasks(sp, opt, trc, sc)
 	if errors.Is(err, errAboveCeiling) {
 		return sim.Result{}, false, nil

@@ -264,7 +264,9 @@ func runSweep(w *accel.Workload, base accel.EngineOptions, workers int, rec obs.
 // branch-and-bound search. Candidates start cheapest first, by their
 // grid's task count, and share one ceiling: each completed run lowers it
 // to its cycles, and every running candidate stops as soon as its cycles
-// provably exceed it (accel.RunTasksBelow). The result is the lowest
+// provably exceed it (accel.RunTasksBelow). A candidate whose grid's
+// exact A+B bytes alone already take more DRAM cycles than the ceiling
+// stops before its first task, running no kernel. The result is the lowest
 // (cycles, proposal index) among completed runs, which is exactly what
 // running every candidate to the end and keeping the first strict
 // minimum in proposal order returns, at any worker count: the ceiling is

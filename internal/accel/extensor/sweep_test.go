@@ -34,8 +34,8 @@ func exhaustiveSweep(t *testing.T, v Variant, w *accel.Workload, opt Options) (s
 
 // TestSweepMatchesExhaustiveArgmin pins the bounded sweep's exactness:
 // its shape and whole Result equal the exhaustive argmin's at every worker
-// count, on a diamond, an R-MAT and an A-overflow workload, for both
-// S-U-C variants.
+// count, on a diamond, an R-MAT, an A-overflow and a tall-skinny
+// workload, for both S-U-C variants.
 func TestSweepMatchesExhaustiveArgmin(t *testing.T) {
 	rmat := testWorkload(t, 31)
 	diamond, err := accel.NewWorkload("diamond", gen.Banded(512, 24, 4, 0.6, 3), gen.Banded(512, 24, 4, 0.6, 4), 8)
@@ -49,7 +49,14 @@ func TestSweepMatchesExhaustiveArgmin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []*accel.Workload{diamond, rmat, overflow} {
+	// Fig. 7's F·Fᵀ: a tall, narrow A over a short, wide B, so K spans 4
+	// grid columns while I and J span 128.
+	f := gen.TallSkinny(1024, 32, 3000, 7)
+	tall, err := accel.NewWorkload("tallskinny", f, f.Transpose(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []*accel.Workload{diamond, rmat, overflow, tall} {
 		for _, v := range []Variant{Original, OP} {
 			opt := DefaultOptions()
 			opt.Machine = smallMachine()

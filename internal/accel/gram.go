@@ -130,7 +130,7 @@ func RunGram(w *GramWorkload, opt GramOptions) (sim.Result, error) {
 	if opt.Strategy == core.Static {
 		eo.InitialSize = gramStaticShape(w, capA)
 	}
-	res, _, err := runBelow(w.Name, w.space(&eo), eo, nil)
+	res, _, err := runBelow(w.Name, w.space(&eo), eo, nil, 0)
 	return res, err
 }
 

@@ -36,12 +36,12 @@ func sameAnswers(got, want tiling.Summary) error {
 		}
 	}
 	type tile struct {
-		r, c int
-		n    int64
+		r, c  int
+		n, fp int64
 	}
 	var gt, wt []tile
-	got.EachTile(func(r, c int, n int64) { gt = append(gt, tile{r, c, n}) })
-	want.EachTile(func(r, c int, n int64) { wt = append(wt, tile{r, c, n}) })
+	got.EachTile(func(r, c int, n, fp int64) { gt = append(gt, tile{r, c, n, fp}) })
+	want.EachTile(func(r, c int, n, fp int64) { wt = append(wt, tile{r, c, n, fp}) })
 	if !reflect.DeepEqual(gt, wt) {
 		return fmt.Errorf("EachTile visits %d tiles, want %d", len(gt), len(wt))
 	}

@@ -79,9 +79,10 @@ type retimeScratch struct {
 	// capture holds the task RunTasks is pricing; its per-task arrays are
 	// truncated after every task.
 	capture Trace
-	// ceiling, when non-nil, bounds a one-configuration direct run (see
-	// RunTasksBelow).
+	// ceiling, when non-nil, bounds a one-configuration direct run whose
+	// A+B bytes are known to be at least floor (see RunTasksBelow).
 	ceiling *Ceiling
+	floor   int64
 }
 
 var retimePool = sync.Pool{New: func() any { return &retimeScratch{} }}
@@ -92,7 +93,7 @@ var retimePool = sync.Pool{New: func() any { return &retimeScratch{} }}
 // one.
 func (sc *retimeScratch) plan(configs []RetimeConfig, rec obs.Recorder) {
 	sc.rec = rec
-	sc.ceiling = nil
+	sc.ceiling, sc.floor = nil, 0
 	sc.comp = sc.comp[:0]
 	sc.ext = sc.ext[:0]
 	if cap(sc.lanes) < len(configs) {
@@ -208,15 +209,15 @@ func (sc *retimeScratch) price(t *Trace, task *traceTask) {
 }
 
 // above reports whether configuration 0's cycles, as priced so far with
-// z output bytes charged or owed, are already strictly above the ceiling.
-// Each term is a non-decreasing lower bound of the matching
-// Result.Cycles() term.
+// z output bytes charged or owed and at least floor A+B bytes to load,
+// are already strictly above the ceiling. Each term is a non-decreasing
+// lower bound of the matching Result.Cycles() term.
 func (sc *retimeScratch) above(t *Trace, z int64) bool {
 	if sc.ceiling == nil {
 		return false
 	}
 	ln := &sc.lanes[0]
-	c := ln.m.DRAMCycles(t.traffic.A + t.traffic.B + z)
+	c := ln.m.DRAMCycles(max(t.traffic.A+t.traffic.B, sc.floor) + z)
 	if v := sc.comp[ln.comp].pe.MaxBusy(); v > c {
 		c = v
 	}

@@ -232,3 +232,66 @@ func TestEffectualMACCsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRestrictedSaturatedRows covers rows whose distinct output columns
+// fill the whole J window before their last B segment: every third row of
+// B is dense, so any A row that hits two of them saturates, including in
+// a window clamped at B's last column. The whole TaskResult must match a
+// brute-force count.
+func TestRestrictedSaturatedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	saturated := 0
+	for trial := 0; trial < 20; trial++ {
+		m, k, n := rng.Intn(20)+4, rng.Intn(20)+6, rng.Intn(20)+6
+		a := gen.Uniform(m, k, m*k/2+1, rng.Int63())
+		co := tensor.NewCOO(k, n)
+		for r := 0; r < k; r++ {
+			for c := 0; c < n; c++ {
+				if r%3 == 0 || rng.Intn(4) == 0 {
+					co.Append(r, c, 1)
+				}
+			}
+		}
+		b := tensor.FromCOO(co)
+		spa := NewSPA(n)
+		iR, kR := Range{0, m}, Range{1, k}
+		for _, jR := range []Range{{0, n}, {n / 3, n/3 + 2}, {n - 3, n + 5}} {
+			got := checkRestricted(t, a, b, iR, kR, jR, spa)
+			var want TaskResult
+			for i := iR.Lo; i < iR.Hi; i++ {
+				rw := RowWork{Row: i}
+				cols := map[int]bool{}
+				for p := a.Ptr[i]; p < a.Ptr[i+1]; p++ {
+					kk := a.Idx[p]
+					if !kR.Contains(kk) {
+						continue
+					}
+					rw.AElems++
+					for q := b.Ptr[kk]; q < b.Ptr[kk+1]; q++ {
+						if jR.Contains(b.Idx[q]) {
+							rw.MACCs++
+							cols[b.Idx[q]] = true
+						}
+					}
+				}
+				rw.OutNNZ = len(cols)
+				want.MACCs += rw.MACCs
+				want.ScannedA += int64(rw.AElems)
+				want.OutputNNZ += int64(rw.OutNNZ)
+				if rw.AElems > 0 && rw.MACCs > 0 {
+					want.Rows = append(want.Rows, rw)
+				}
+				if rw.OutNNZ == min(jR.Hi, n)-jR.Lo && rw.MACCs > int64(rw.OutNNZ) {
+					saturated++
+				}
+			}
+			if got.MACCs != want.MACCs || got.ScannedA != want.ScannedA || got.OutputNNZ != want.OutputNNZ ||
+				!slices.Equal(got.Rows, want.Rows) {
+				t.Fatalf("trial %d, j%v: got %+v, want %+v", trial, jR, got, want)
+			}
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("no row saturated its J window")
+	}
+}

@@ -42,7 +42,9 @@ type TaskResult struct {
 // of the iteration space equals the full kernel, which the simulators rely
 // on for exact traffic accounting. Every number it reports is a count, so
 // it multiplies nothing: per output row, a generation stamp per column and
-// a counter give the distinct output points.
+// a counter give the distinct output points. Once a row has touched every
+// column of the J window, its remaining B segments add MACCs without
+// visiting their columns.
 //
 // The spa scratch must have width ≥ b.Cols and is reused across calls;
 // pass nil to allocate a fresh one. The returned Rows slice aliases the
@@ -59,6 +61,8 @@ func RestrictedGustavson(a, b *tensor.CSR, iR, kR, jR Range, spa *SPA) TaskResul
 	rows := spa.rows[:0]
 	kGen, kLo, kHi := spa.rangeMemo(b, kR, jR)
 	kCur, stamp := spa.kCur, spa.gen
+	// A row touches at most the window's width of distinct columns.
+	width := min(jR.Hi, b.Cols) - max(jR.Lo, 0)
 	for i := max(iR.Lo, 0); i < iR.Hi && i < a.Rows; i++ {
 		lo, hi := a.RowRange(i, kR.Lo, kR.Hi)
 		if lo == hi {
@@ -78,6 +82,9 @@ func RestrictedGustavson(a, b *tensor.CSR, iR, kR, jR Range, spa *SPA) TaskResul
 				kGen[off], kLo[off], kHi[off] = kCur, blo, bhi
 			}
 			rowMACCs += int64(bhi - blo)
+			if n == width {
+				continue // saturated: no segment adds a new column
+			}
 			for _, j := range b.Idx[blo:bhi] {
 				if stamp[j] != cur {
 					stamp[j] = cur

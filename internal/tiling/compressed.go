@@ -30,8 +30,9 @@ type Summary interface {
 	// TotalFootprint returns the footprint of the whole tiled matrix.
 	TotalFootprint() int64
 	// EachTile calls f for every stored (non-empty) micro tile in
-	// row-major order with its grid coordinates and occupancy.
-	EachTile(f func(gr, gc int, nnz int64))
+	// row-major order with its grid coordinates, occupancy and byte
+	// footprint.
+	EachTile(f func(gr, gc int, nnz, fp int64))
 }
 
 var (
@@ -304,10 +305,10 @@ func (g *CompressedGrid) TotalFootprint() int64 { return g.fpCum[len(g.fpCum)-1]
 
 // EachTile implements Summary: only stored tiles are visited, in row-major
 // order.
-func (g *CompressedGrid) EachTile(f func(gr, gc int, nnz int64)) {
+func (g *CompressedGrid) EachTile(f func(gr, gc int, nnz, fp int64)) {
 	for t, r := range g.occRows {
 		for p := g.rowPtr[t]; p < g.rowPtr[t+1]; p++ {
-			f(r, g.cols[p], g.nnzCum[p+1]-g.nnzCum[p])
+			f(r, g.cols[p], g.nnzCum[p+1]-g.nnzCum[p], g.fpCum[p+1]-g.fpCum[p])
 		}
 	}
 }

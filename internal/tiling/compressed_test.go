@@ -56,15 +56,21 @@ func TestCompressedGridEquivalence(t *testing.T) {
 }
 
 // TestCompressedGridEachTile checks both representations enumerate the same
-// stored tiles in the same (row-major) order.
+// stored tiles in the same (row-major) order, each with the footprint a
+// one-tile query returns.
 func TestCompressedGridEachTile(t *testing.T) {
 	type tile struct {
-		r, c int
-		nnz  int64
+		r, c    int
+		nnz, fp int64
 	}
 	collect := func(s Summary) []tile {
 		var out []tile
-		s.EachTile(func(gr, gc int, n int64) { out = append(out, tile{gr, gc, n}) })
+		s.EachTile(func(gr, gc int, n, fp int64) {
+			if q := s.RegionFootprint(gr, gr+1, gc, gc+1); fp != q {
+				t.Errorf("tile (%d,%d): EachTile footprint %d, query %d", gr, gc, fp, q)
+			}
+			out = append(out, tile{gr, gc, n, fp})
+		})
 		return out
 	}
 	rng := rand.New(rand.NewSource(12))

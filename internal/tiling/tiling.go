@@ -247,15 +247,36 @@ func (g *Grid) TotalNNZ() int64 { return g.RegionNNZ(0, g.GR, 0, g.GC) }
 // Extents implements Summary.
 func (g *Grid) Extents() (int, int) { return g.GR, g.GC }
 
-// EachTile implements Summary: every grid cell is inspected and the
-// non-empty ones visited in row-major order.
-func (g *Grid) EachTile(f func(gr, gc int, nnz int64)) {
+// EachTile implements Summary: the non-empty cells are visited in
+// row-major order, each with the footprint buildSumRow folded for it. A
+// row's occupancy over its first c cells, cum(c), never decreases in c,
+// so each stored tile is found by galloping from the last one: a row with
+// t stored tiles costs O(t·log(GC/t)) probes instead of one per cell,
+// which matters for the mostly empty grids of sparse matrices.
+func (g *Grid) EachTile(f func(gr, gc int, nnz, fp int64)) {
 	w := g.GC + 1
 	for r := 0; r < g.GR; r++ {
-		for c := 0; c < g.GC; c++ {
-			if n := rectQuery(g.nnzSum, w, r, r+1, c, c+1); n > 0 {
-				f(r, c, n)
+		up, down := g.nnzSum[r*w:(r+1)*w], g.nnzSum[(r+1)*w:(r+2)*w]
+		cum := func(c int) int64 { return down[c] - up[c] }
+		// seen is cum(c): every stored tile left of cell c was visited.
+		for c, seen := 0, int64(0); seen < cum(g.GC); {
+			// The next stored tile is the cell lo with cum(lo) == seen <
+			// cum(lo+1): gallop hi out until it passes seen, then bisect.
+			lo, hi := c, c+1
+			for step := 1; cum(hi) == seen; step *= 2 {
+				lo, hi = hi, min(hi+step, g.GC)
 			}
+			for lo+1 < hi {
+				if mid := (lo + hi) / 2; cum(mid) == seen {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			n := cum(lo+1) - seen
+			f(r, lo, n, MicroFootprintFormat(g.Format, g.TileH, int(n)))
+			seen += n
+			c = lo + 1
 		}
 	}
 }

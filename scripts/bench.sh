@@ -67,6 +67,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# host_stamp prints a snapshot's host fields as JSON members: the CPUs the
+# OS offers this process, the GOMAXPROCS the runs used (Go's default is
+# that CPU count) and the CPU model, so drtmetrics can tell which host
+# each snapshot measured.
+host_stamp() {
+  local ncpu model
+  ncpu="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
+  model="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -1 || true)"
+  if [ -z "$model" ]; then
+    model="$(sysctl -n machdep.cpu.brand_string 2>/dev/null || echo unknown)"
+  fi
+  model="${model//\\/\\\\}"
+  model="${model//\"/\\\"}"
+  printf '  "num_cpu": %s,\n  "gomaxprocs": %s,\n  "cpu_model": "%s",\n' \
+    "$ncpu" "${GOMAXPROCS:-$ncpu}" "$model"
+}
+
 mode=run
 case "${1:-}" in
   compare) mode=compare; shift ;;
@@ -148,6 +165,7 @@ if [ "$mode" = tracestore ]; then
       "$(date -u +%FT%TZ)" "$(go env GOVERSION)"
     printf '  "goos": "%s",\n  "goarch": "%s",\n' \
       "$(go env GOOS)" "$(go env GOARCH)"
+    host_stamp
     printf '  "note": "%s",\n' "${NOTE:-}"
     printf '  "benchmarks": [\n'
     printf '    {"name":"TracestoreDirect","iterations":1,"ns_per_op":%d},\n' "$direct"
@@ -232,8 +250,10 @@ if [ "$mode" = scale1 ]; then
   {
     printf '{\n  "date": "%s",\n  "go": "%s",\n  "benchtime": "wall",\n' \
       "$(date -u +%FT%TZ)" "$(go env GOVERSION)"
-    printf '  "goos": "%s",\n  "goarch": "%s",\n  "benchmarks": [\n' \
+    printf '  "goos": "%s",\n  "goarch": "%s",\n' \
       "$(go env GOOS)" "$(go env GOARCH)"
+    host_stamp
+    printf '  "benchmarks": [\n'
     printf '    {"name":"Scale1Tab3ColdSharded","iterations":1,"ns_per_op":%d},\n' "$cold"
     printf '    {"name":"Scale1Tab3Warm","iterations":1,"ns_per_op":%d}\n' "$warm"
     printf '  ]\n}\n'
@@ -267,8 +287,10 @@ go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem ./... | te
 {
   printf '{\n  "date": "%s",\n  "go": "%s",\n  "benchtime": "%s",\n' \
     "$(date -u +%FT%TZ)" "$(go env GOVERSION)" "$benchtime"
-  printf '  "goos": "%s",\n  "goarch": "%s",\n  "benchmarks": [\n' \
+  printf '  "goos": "%s",\n  "goarch": "%s",\n' \
     "$(go env GOOS)" "$(go env GOARCH)"
+  host_stamp
+  printf '  "benchmarks": [\n'
   awk '
     /^Benchmark/ && NF >= 4 {
       sub(/-[0-9]+$/, "", $1)
