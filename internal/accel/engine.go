@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"drt/internal/core"
@@ -215,8 +216,7 @@ var errAboveCeiling = errors.New("accel: run exceeds its cycle ceiling")
 // A+B bytes charged so far and the exact A+B bytes its tile grid loads
 // (staticFloor, 0 when the grid has a tile that overflows its partition).
 // A run that starts unbounded skips the floor's grid pass: the first
-// candidate of a sequential sweep can only finish, and one that starts
-// alongside it is still cut by the bytes it has charged.
+// candidate of a sweep, which runs alone, can only finish.
 // The run stops, returning ok=false and no Result, as soon as that bound
 // is strictly above the ceiling — checked before the first task and after
 // every task — or when the finished run is. A run that returns ok is
@@ -266,6 +266,11 @@ func runBelow(name string, sp *taskSpace, opt EngineOptions, c *Ceiling, floor i
 	return res, true, nil
 }
 
+// fullKOff sends full-K tasks through RestrictedGustavson like every
+// other task; tests flip it to check that reading a full-K task's output
+// count off GZ changes nothing.
+var fullKOff bool
+
 // taskSpace is all the engine loop reads of the kernel it walks: the DRT
 // kernel, the exact work of one task, the reference product's micro-tile
 // grid with the two kernel dimensions indexing its rows and columns, and
@@ -284,7 +289,10 @@ type taskSpace struct {
 
 // space builds w when it is deferred and returns its task space under
 // opt: SpMSpM intersects stream each coordinate and charge each MACC
-// twice, scanned + 2·MACCs.
+// twice, scanned + 2·MACCs. A task whose K range spans the whole
+// contraction takes its output count from the reference product's grid
+// and its work from RestrictedWork; every other task runs
+// RestrictedGustavson.
 func (w *Workload) space(opt *EngineOptions) (*taskSpace, error) {
 	w, err := w.Built()
 	if err != nil {
@@ -296,8 +304,18 @@ func (w *Workload) space(opt *EngineOptions) (*taskSpace, error) {
 	}
 	spa := kernels.NewSPA(w.BCols())
 	mt := w.MicroTile
+	kExt := k.Extent[DimK]
 	work := func(r []core.Range) (kernels.TaskResult, int64) {
-		tr := w.Restricted(coords(r[DimI], mt), coords(r[DimK], mt), coords(r[DimJ], mt), spa)
+		iR, kR, jR := coords(r[DimI], mt), coords(r[DimK], mt), coords(r[DimJ], mt)
+		var tr kernels.TaskResult
+		if r[DimK].Lo == 0 && r[DimK].Hi == kExt && !fullKOff {
+			// A task spanning all of K touches exactly the reference
+			// product's points inside its I×J box, which GZ counts.
+			tr = kernels.RestrictedWork(w.A, w.B, iR, kR, jR, spa)
+			tr.OutputNNZ = w.GZ.RegionNNZ(r[DimI].Lo, r[DimI].Hi, r[DimJ].Lo, r[DimJ].Hi)
+		} else {
+			tr = w.Restricted(iR, kR, jR, spa)
+		}
 		return tr, tr.ScannedA + 2*tr.MACCs
 	}
 	sp := &taskSpace{kernel: k, work: work, out: w.GZ, outDims: [2]int{DimI, DimJ}, maccs: w.MACCs}
@@ -461,16 +479,46 @@ func recordCacheStats(rec obs.Recorder, st core.ExtractStats, ps *peState) {
 
 // peState is the hierarchical level's reusable machinery: one enumerator
 // re-windowed per outer task (its builder scratch and box cache survive
-// the Reset), the per-outer-task multicast maps, cleared in place, and
-// the count scratch that prices sub-tasks.
+// the Reset), the J ranges of the current K step's B sub-tiles, truncated
+// in place, and the count scratch that prices sub-tasks.
 type peState struct {
-	w    *Workload
-	e    *core.Enumerator
-	err  error
-	seen [2]map[[2][2]int]bool
+	w   *Workload
+	e   *core.Enumerator
+	err error
+	// sentJ holds the J ranges of the B sub-tiles rebuilt in the current
+	// K step (see runPELevel).
+	sentJ rangeSet
 	// slab holds the J-sweep counts of the current resident A sub-tile
 	// (see runPELevel).
 	slab kernels.SlabCounts
+}
+
+// rangeSet is a set of ranges kept in ascending (Lo, Hi) order. A lookup
+// resumes where the previous one stopped, or from the start when the
+// range is not past the previous one, so a run of ascending lookups —
+// one I range's J sweep — walks the list once.
+type rangeSet struct {
+	rs []core.Range
+	at int // one past the last range added
+}
+
+func (s *rangeSet) reset() { s.rs, s.at = s.rs[:0], 0 }
+
+// add inserts r and reports whether it was already in the set.
+func (s *rangeSet) add(r core.Range) bool {
+	before := func(a core.Range) bool { return a.Lo < r.Lo || a.Lo == r.Lo && a.Hi < r.Hi }
+	if s.at > 0 && !before(s.rs[s.at-1]) {
+		s.at = 0
+	}
+	for s.at < len(s.rs) && before(s.rs[s.at]) {
+		s.at++
+	}
+	had := s.at < len(s.rs) && s.rs[s.at] == r
+	if !had {
+		s.rs = slices.Insert(s.rs, s.at, r)
+	}
+	s.at++
+	return had
 }
 
 func newPEState(w *Workload, pl *PELevelOptions) *peState {
@@ -484,9 +532,6 @@ func newPEState(w *Workload, pl *PELevelOptions) *peState {
 		Strategy:  pl.Strategy,
 	}
 	ps.e, ps.err = core.NewEnumerator(k, cfg)
-	for oi := range ps.seen {
-		ps.seen[oi] = map[[2][2]int]bool{}
-	}
 	return ps
 }
 
@@ -496,6 +541,15 @@ func newPEState(w *Workload, pl *PELevelOptions) *peState {
 // NoC distribution event (the caller closes the task's windows). It
 // returns the MACCs its sub-tasks cover; pricing deals the sub-tasks
 // round-robin across the PE array.
+//
+// A rebuild that re-derives a sub-tile region already distributed in the
+// outer task is served by the NoC's multicast (Sec. 5.2.1 notes
+// ExTensor's regular multicast patterns): its bytes amortize across the
+// PE array and its metadata needs no rebuild. Under K→I→J, A's sub-tile
+// (I, K) is rebuilt only at a new (I, K) origin, so it never repeats. B's
+// sub-tile (K, J) repeats only inside its own K step, as the J sweep
+// recurs for every I range, so the J ranges of B's rebuilds since K last
+// moved (ps.sentJ) decide its multicasts.
 //
 // Sub-tasks are priced without multiplying: the first non-empty sub-task
 // of each A sub-tile counts that slab's MACCs per J micro tile over the
@@ -524,26 +578,8 @@ func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, trc *Trace) (
 	// tiles rebuilt during empty sub-tasks are never sent.
 	var pending [2]distEvent
 	var pendSet [2]bool
-	// seenRegions remembers each operand's already-distributed sub-tile
-	// regions within this outer task: a rebuild that re-derives a region
-	// distributed before (e.g. the streamed operand's sub-tile sequence
-	// recurring for every parallel I range) is served by the NoC's
-	// multicast (Sec. 5.2.1 notes ExTensor's regular multicast patterns)
-	// — its bytes amortize across the PE array and its metadata needs no
-	// rebuild.
-	seenRegions := ps.seen
-	for oi := range seenRegions {
-		clear(seenRegions[oi])
-	}
-	k := e.Kernel()
-	opRegion := func(oi int, t *core.Task) [2][2]int {
-		op := &k.Operands[oi]
-		var r [2][2]int
-		for i, d := range op.Dims {
-			r[i] = [2]int{t.Ranges[d].Lo, t.Ranges[d].Hi}
-		}
-		return r
-	}
+	// stepK is the K range ps.sentJ belongs to; the zero Range is none.
+	var stepK core.Range
 	var maccs int64
 	for {
 		t, ok, err := e.Next()
@@ -558,15 +594,19 @@ func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, trc *Trace) (
 				continue
 			}
 			pendSet[oi] = true
-			reg := opRegion(oi, &t)
-			if seenRegions[oi][reg] {
-				// Multicast replay of an already-distributed sub-tile.
-				pending[oi] = distEvent{footprint: t.OpFootprint[oi], multicast: true}
-				rec.Count("pe.multicast_replays", 1)
-				continue
+			if oi == OpB {
+				if kR := t.Ranges[DimK]; kR != stepK {
+					stepK = kR
+					ps.sentJ.reset()
+				}
+				if ps.sentJ.add(t.Ranges[DimJ]) {
+					// Multicast replay of an already-distributed sub-tile.
+					pending[oi] = distEvent{footprint: t.OpFootprint[oi], multicast: true}
+					rec.Count("pe.multicast_replays", 1)
+					continue
+				}
 			}
 			pending[oi] = distEvent{footprint: t.OpFootprint[oi]}
-			seenRegions[oi][reg] = true
 			// Second-level extraction for this operand's new sub-tile is
 			// the Aggregate unit's P-wide pass over its micro-tile
 			// metadata; metadata itself was already built by the DRAM

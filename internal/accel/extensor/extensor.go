@@ -264,19 +264,20 @@ func runSweep(w *accel.Workload, base accel.EngineOptions, workers int, rec obs.
 // branch-and-bound search. Candidates start cheapest first, by their
 // grid's task count, and share one ceiling: each completed run lowers it
 // to its cycles, and every running candidate stops as soon as its cycles
-// provably exceed it (accel.RunTasksBelow). A candidate whose grid's
-// exact A+B bytes alone already take more DRAM cycles than the ceiling
-// stops before its first task, running no kernel. The result is the lowest
-// (cycles, proposal index) among completed runs, which is exactly what
-// running every candidate to the end and keeping the first strict
-// minimum in proposal order returns, at any worker count: the ceiling is
-// always some completed run's cycles, so a stopped candidate is strictly
-// slower than that run, while the winner's running cycles never pass the
-// minimum and it always completes, unchanged by the checks. A candidate
-// is only stopped after another has succeeded, so when none succeeds
-// every candidate ran to its end and the first error in proposal order is
-// reported. Which losers stop, and how far they get, depends on timing
-// when workers > 1. w must be built.
+// provably exceed it (accel.RunTasksBelow). The cheapest runs alone, and
+// the rest fan out over the workers under the ceiling it set. A candidate
+// whose grid's exact A+B bytes alone already take more DRAM cycles than
+// the ceiling stops before its first task, running no kernel. The result
+// is the lowest (cycles, proposal index) among completed runs, which is
+// exactly what running every candidate to the end and keeping the first
+// strict minimum in proposal order returns, at any worker count: the
+// ceiling is always some completed run's cycles, so a stopped candidate
+// is strictly slower than that run, while the winner's running cycles
+// never pass the minimum and it always completes, unchanged by the
+// checks. A candidate is only stopped after another has succeeded, so
+// when none succeeds every candidate ran to its end and the first error
+// in proposal order is reported. Which losers stop, and how far they get,
+// depends on timing when workers > 1. w must be built.
 func sweepShapes(w *accel.Workload, base accel.EngineOptions, shapes [][3]int, workers int) (sim.Result, []int, error) {
 	// The tile volume is fixed, so a shape's cost grows with its task
 	// count. The cheapest candidates finish first and set the ceiling the
@@ -297,10 +298,7 @@ func sweepShapes(w *accel.Workload, base accel.EngineOptions, shapes [][3]int, w
 	}
 	ceiling := accel.NewCeiling()
 	cands := make([]candidate, len(shapes))
-	// The mapped function never fails: each candidate's error is kept in
-	// cands and resolved in proposal order below.
-	_, _ = par.Map(workers, len(shapes), func(n int) (struct{}, error) {
-		i := order[n]
+	run := func(i int) {
 		opt := base
 		opt.InitialSize = []int{shapes[i][0], shapes[i][1], shapes[i][2]}
 		r, ok, err := accel.RunTasksBelow(w, opt, ceiling)
@@ -308,8 +306,18 @@ func sweepShapes(w *accel.Workload, base accel.EngineOptions, shapes [][3]int, w
 			ceiling.Lower(r.Cycles())
 		}
 		cands[i] = candidate{r: r, ok: ok, err: err}
-		return struct{}{}, nil
-	})
+	}
+	// The cheapest candidate runs alone, so every other one starts under
+	// the ceiling it sets instead of racing it unbounded to the end. The
+	// mapped function never fails: each candidate's error is kept in
+	// cands and resolved in proposal order below.
+	if len(order) > 0 {
+		run(order[0])
+		_, _ = par.Map(workers, len(order)-1, func(n int) (struct{}, error) {
+			run(order[n+1])
+			return struct{}{}, nil
+		})
+	}
 	var best sim.Result
 	var bestShape []int
 	var firstErr error

@@ -83,6 +83,24 @@ func TestRestrictedAllocs(t *testing.T) {
 	}
 }
 
+// TestRestrictedWorkAllocs does the same for the union-free pass, with
+// the scratch warmed by RestrictedGustavson and the two passes taking
+// turns on it, as in the engine.
+func TestRestrictedWorkAllocs(t *testing.T) {
+	a := gen.Uniform(64, 64, 900, 31)
+	b := gen.Uniform(64, 64, 900, 32)
+	spa := NewSPA(b.Cols)
+	iR, kR, jR := Range{0, a.Rows}, Range{0, a.Cols}, Range{8, 40}
+	RestrictedGustavson(a, b, iR, kR, jR, spa) // warm the scratch
+	allocs := testing.AllocsPerRun(20, func() {
+		RestrictedWork(a, b, iR, kR, jR, spa)
+		RestrictedGustavson(a, b, iR, Range{16, 48}, jR, spa)
+	})
+	if allocs != 0 {
+		t.Fatalf("RestrictedWork allocates %.1f objects per call with warm scratch, want 0", allocs)
+	}
+}
+
 // TestDrainAllocFree does the same for the full SPA drain used by the
 // library API's row emission.
 func TestDrainAllocFree(t *testing.T) {

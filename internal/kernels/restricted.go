@@ -19,16 +19,18 @@ func (r Range) Contains(c int) bool { return c >= r.Lo && c < r.Hi }
 // RowWork records the effectual work one output row contributes within a
 // task; the accelerator models round-robin rows across PEs and take the
 // maximum per-PE sum, so per-row granularity is what load balance needs.
+// The engines read Row, MACCs and AElems only.
 type RowWork struct {
 	Row    int
 	MACCs  int64
 	AElems int // A-row elements visited (intersection stream length)
-	OutNNZ int // distinct output columns touched
+	OutNNZ int // distinct output columns touched; 0 from RestrictedWork
 }
 
 // TaskResult holds the exact outcome of one Einsum task (Sec. 3,
 // "Einsum task"): the partial-output points produced within the task's
-// coordinate ranges and the effectual work performed.
+// coordinate ranges and the effectual work performed. RestrictedWork
+// leaves OutputNNZ at 0 for its caller to fill.
 type TaskResult struct {
 	MACCs     int64
 	ScannedA  int64 // total A elements visited (drives intersection cycles)
@@ -97,6 +99,44 @@ func RestrictedGustavson(a, b *tensor.CSR, iR, kR, jR Range, spa *SPA) TaskResul
 		if n > 0 || rowMACCs > 0 {
 			res.OutputNNZ += int64(n)
 			rows = append(rows, RowWork{Row: i, MACCs: rowMACCs, AElems: hi - lo, OutNNZ: n})
+		}
+	}
+	spa.rows = rows
+	res.Rows = rows
+	return res
+}
+
+// RestrictedWork is RestrictedGustavson without the column union: the same
+// MACCs, ScannedA and per-row (Row, MACCs, AElems), with OutputNNZ and
+// every row's OutNNZ left at 0. A caller that knows the task's output
+// count another way skips the stamp loop, so the pass costs one B-range
+// lookup per A element, memoized per k in the scratch RestrictedGustavson
+// uses (the two share one memo), instead of one stamp per MACC. spa must
+// not be nil; otherwise the spa and Rows contracts are
+// RestrictedGustavson's.
+func RestrictedWork(a, b *tensor.CSR, iR, kR, jR Range, spa *SPA) TaskResult {
+	var res TaskResult
+	rows := spa.rows[:0]
+	kGen, kLo, kHi := spa.rangeMemo(b, kR, jR)
+	kCur := spa.kCur
+	for i := max(iR.Lo, 0); i < iR.Hi && i < a.Rows; i++ {
+		lo, hi := a.RowRange(i, kR.Lo, kR.Hi)
+		if lo == hi {
+			continue
+		}
+		var rowMACCs int64
+		for _, k := range a.Idx[lo:hi] {
+			off := k - kR.Lo
+			if kGen[off] != kCur {
+				kLo[off], kHi[off] = b.RowRange(k, jR.Lo, jR.Hi)
+				kGen[off] = kCur
+			}
+			rowMACCs += int64(kHi[off] - kLo[off])
+		}
+		res.MACCs += rowMACCs
+		res.ScannedA += int64(hi - lo)
+		if rowMACCs > 0 {
+			rows = append(rows, RowWork{Row: i, MACCs: rowMACCs, AElems: hi - lo})
 		}
 	}
 	spa.rows = rows
@@ -246,13 +286,14 @@ type SPA struct {
 	bounds  []int
 	bounds2 []int
 	vals    []float64
-	// rows is the RestrictedGustavson per-task RowWork scratch, pooled
-	// here so both engine call sites share one reusable buffer.
+	// rows is the per-task RowWork scratch of RestrictedGustavson and
+	// RestrictedWork, pooled here so both share one reusable buffer.
 	rows []RowWork
 	// kLo/kHi memoize b.RowRange per contracted coordinate for
-	// RestrictedGustavson; kGen stamps entries with kCur, which is bumped
-	// whenever the key (kB, kR, kJ) — the operand B and both windows —
-	// changes, so stale ranges are never read (see rangeMemo).
+	// RestrictedGustavson and RestrictedWork; kGen stamps entries with
+	// kCur, which is bumped whenever the key (kB, kR, kJ) — the operand B
+	// and both windows — changes, so stale ranges are never read (see
+	// rangeMemo).
 	kLo, kHi, kGen []int
 	kCur           int
 	kB             *tensor.CSR
