@@ -1,9 +1,14 @@
 package exp
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the table goldens under testdata/tables")
 
 // tinyContext runs experiments on heavily scaled workloads so the whole
 // evaluation smoke-tests quickly.
@@ -11,6 +16,10 @@ func tinyContext() *Context {
 	return NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 4})
 }
 
+// TestAllExperimentsRun renders every experiment's table on the tiny
+// context and diffs it against testdata/tables/<id>.golden, so any change
+// to any table's bytes fails here. Regenerate with
+// `go test ./internal/exp -run AllExperimentsRun -update`.
 func TestAllExperimentsRun(t *testing.T) {
 	c := tinyContext()
 	for _, id := range Experiments() {
@@ -27,8 +36,26 @@ func TestAllExperimentsRun(t *testing.T) {
 			if table.NumRows() == 0 {
 				t.Fatal("experiment produced no rows")
 			}
-			if !strings.Contains(table.String(), table.Headers[0]) {
+			got := table.String()
+			if !strings.Contains(got, table.Headers[0]) {
 				t.Fatal("table failed to render")
+			}
+			golden := filepath.Join("testdata", "tables", id+".golden")
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden (run with -update to create): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("%s table diverged from %s.\n--- got ---\n%s--- want ---\n%s", id, golden, got, want)
 			}
 		})
 	}
