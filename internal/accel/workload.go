@@ -183,24 +183,19 @@ func (w *Workload) Retile(cfg WorkloadConfig) (*Workload, error) {
 	return finishWorkload(&Workload{Name: w.Name, A: w.A, B: w.B, MicroTile: mt}, cfg), nil
 }
 
-// AShape returns A's shape and occupancy.
+// AShape returns A's shape and occupancy. The engine reads w.A itself;
+// cmd/drtsim's report and figbench's layer probes call this.
 func (w *Workload) AShape() (rows, cols, nnz int) { return w.A.Rows, w.A.Cols, w.A.NNZ() }
 
-// BCols returns the output column extent (B's column count).
+// BCols returns the output column extent (B's column count). The engine
+// reads w.B itself; figbench's layer probes call this.
 func (w *Workload) BCols() int { return w.B.Cols }
 
-// Restricted counts the range-restricted partial product — the engines'
-// compute kernel (kernels.RestrictedGustavson).
+// Restricted counts the range-restricted partial product
+// (kernels.RestrictedGustavson), the engine's per-task kernel. The engine
+// calls the kernel itself; figbench's layer probes call this.
 func (w *Workload) Restricted(iR, kR, jR kernels.Range, spa *kernels.SPA) kernels.TaskResult {
 	return kernels.RestrictedGustavson(w.A, w.B, iR, kR, jR, spa)
-}
-
-// CountSlab prices one resident A slab's J sweep over the window jR with
-// the workload's micro tile (see kernels.CountSlab). Every tile-aligned J
-// sub-range then reads the MACCs and ScannedA that Restricted would
-// compute for it.
-func (w *Workload) CountSlab(iR, kR, jR kernels.Range, s *kernels.SlabCounts) {
-	kernels.CountSlab(w.A, w.B, iR, kR, jR, w.MicroTile, s)
 }
 
 // Kernel assembles the I,J,K DRT kernel description for this workload with

@@ -157,6 +157,24 @@ func (e *Enumerator) Next() (Task, bool, error) {
 	return t, true, nil
 }
 
+// SkipInner ends the innermost loop's current sweep: the next Next
+// advances the next-outer loop exactly as if the rest of the sweep had
+// been walked. The rest of the sweep would only rebuild the operands
+// indexed by the innermost dimension, which the next-outer advance
+// rebuilds from the window origin anyway (their sweep-log positions
+// rewind), and would touch the builder's memos, which never change a
+// result; so skipping it changes no later task. A caller that already
+// knows the rest of the sweep (hierarchical DRT's replay of a J sweep)
+// uses it to step over those builds. It does nothing before the first
+// task.
+func (e *Enumerator) SkipInner() {
+	if !e.started {
+		return
+	}
+	d := e.cfg.LoopOrder[len(e.cfg.LoopOrder)-1]
+	e.base[d], e.sizes[d] = e.window[d].Hi, 0
+}
+
 // plan sets up the build of a task at loop level `level`: dimensions of
 // outer, mid-flight loops freeze, and the operands whose stationarity
 // depth reaches the level rebuild. A rebuilt operand's sweep-log position

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -110,5 +111,82 @@ func TestBoxCacheCounts(t *testing.T) {
 	st2 := e.CacheStats()
 	if st2.BoxHits <= st.BoxHits {
 		t.Fatalf("warm replay hits %d not above cold %d", st2.BoxHits, st.BoxHits)
+	}
+}
+
+// TestSkipInnerMatchesWalk pins Enumerator.SkipInner on K→I→J walks of
+// the sweep-log fixtures, over the full window and re-windowed across an
+// outer J→K→I walk's tasks: skipping the rest of every other J sweep
+// right after its first task yields exactly the full walk's tasks minus
+// those sweeps' remaining tasks, every field equal.
+func TestSkipInnerMatchesWalk(t *testing.T) {
+	skipped := 0
+	for kn, k := range replayKernels() {
+		outer, err := NewEnumerator(k, &Config{LoopOrder: []int{1, 2, 0}, Strategy: GreedyContractedFirst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outerTasks, err := outer.Tasks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows := [][]Range{fullWindow(k)}
+		for i := range outerTasks {
+			windows = append(windows, outerTasks[i].Ranges)
+		}
+		for _, sn := range []string{"greedy", "alternating", "static"} {
+			cfg := replayConfigs()["kij-"+sn]
+			inner := cfg.LoopOrder[len(cfg.LoopOrder)-1]
+			// walk drains a fresh enumerator over every window, calling
+			// SkipInner after the first task of each sweep skip names.
+			// It returns every task, its sweep's index and whether it
+			// opens the sweep.
+			walk := func(skip func(sweep int) bool) (tasks []Task, sweeps []int, opens []bool) {
+				e, err := NewEnumerator(k, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sweep := -1
+				for _, w := range windows {
+					if err := e.Reset(w); err != nil {
+						t.Fatal(err)
+					}
+					for {
+						task, ok, err := e.Next()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+						open := task.Ranges[inner].Lo == w[inner].Lo
+						if open {
+							sweep++
+						}
+						tasks, sweeps, opens = append(tasks, task.Clone()), append(sweeps, sweep), append(opens, open)
+						if open && skip(sweep) {
+							e.SkipInner()
+						}
+					}
+				}
+				return tasks, sweeps, opens
+			}
+			full, sweeps, opens := walk(func(int) bool { return false })
+			for parity := 0; parity < 2; parity++ {
+				skip := func(sweep int) bool { return sweep%2 == parity }
+				var want []Task
+				for i, task := range full {
+					if opens[i] || !skip(sweeps[i]) {
+						want = append(want, task)
+					}
+				}
+				got, _, _ := walk(skip)
+				requireSameTasks(t, fmt.Sprintf("%s/%s parity %d", kn, sn, parity), got, want)
+				skipped += len(full) - len(got)
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no sweep had a task to skip: the test checks nothing")
 	}
 }
