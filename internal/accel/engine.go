@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"drt/internal/core"
@@ -123,7 +124,7 @@ func (o *outputModel) touch(k [4]int, newPartial int64) {
 	}
 	if !r.resident {
 		for o.bytes+r.estF > o.capO && len(o.fifo) > 0 {
-			o.evict(o.fifo[0])
+			o.evictHead()
 		}
 		r.resident = true
 		o.fifo = append(o.fifo, r)
@@ -140,7 +141,10 @@ func (o *outputModel) touch(k [4]int, newPartial int64) {
 	o.owed += r.writeBack()
 }
 
-func (o *outputModel) evict(r *regionState) {
+// evictHead writes back the region loaded first and pops it off the FIFO.
+func (o *outputModel) evictHead() {
+	r := o.fifo[0]
+	o.fifo = o.fifo[1:]
 	w := r.writeBack()
 	o.owed -= w
 	if r.spilled > 0 {
@@ -151,19 +155,12 @@ func (o *outputModel) evict(r *regionState) {
 	r.partial = 0
 	r.resident = false
 	o.bytes -= r.estF
-	// Remove from the FIFO.
-	for i, e := range o.fifo {
-		if e == r {
-			o.fifo = append(o.fifo[:i], o.fifo[i+1:]...)
-			break
-		}
-	}
 }
 
 // flush writes back every resident region; called at end of kernel.
 func (o *outputModel) flush() {
 	for len(o.fifo) > 0 {
-		o.evict(o.fifo[0])
+		o.evictHead()
 	}
 }
 
@@ -360,6 +357,10 @@ func runTasks(sp *taskSpace, opt EngineOptions, trc *Trace, price *retimeScratch
 	// the residency.
 	pendingLoad := [2]int64{}
 	ps := sp.pe
+	if ps != nil {
+		ps.slab = slabPool.Get().(*kernels.SlabCounts)
+		defer ps.putSlab()
+	}
 
 	for {
 		t, ok, err := e.Next()
@@ -481,7 +482,8 @@ func recordCacheStats(rec obs.Recorder, st core.ExtractStats, ps *peState) {
 // re-windowed per outer task (its builder scratch and box cache survive
 // the Reset), the J ranges of the current K step's B sub-tiles, truncated
 // in place, the record of the current K step's J sweep, the count scratch
-// that prices sub-tasks, and the capture state of the current outer task.
+// that prices sub-tasks (pooled across runs, see slabPool), and the
+// capture state of the current outer task.
 type peState struct {
 	w   *Workload
 	e   *core.Enumerator
@@ -495,14 +497,13 @@ type peState struct {
 	// sweep records the J sweep of the current K step's first I range
 	// whose A sub-tile is non-empty (see runPELevel).
 	sweep []peTask
-	// slab holds the J-sweep counts of the current resident A sub-tile,
-	// named by its I and K grid ranges slabKey once slabOK is set (see
-	// runPELevel).
-	slab    kernels.SlabCounts
+	// slab is bound to the outer task's window and holds the J-sweep
+	// counts of the current resident A sub-tile, named by its I and K grid
+	// ranges slabKey once slabOK is set (see runPELevel). runTasks takes
+	// it from slabPool for the run.
+	slab    *kernels.SlabCounts
 	slabKey [2]core.Range
 	slabOK  bool
-	// jW is the outer task's J window in coordinates.
-	jW kernels.Range
 	// pending holds each operand's rebuilt sub-tile until a non-empty
 	// sub-task distributes it: a later rebuild overwrites the slot, and
 	// tiles rebuilt during empty sub-tasks are never sent.
@@ -559,6 +560,19 @@ func (s *rangeSet) add(r core.Range) bool {
 	return had
 }
 
+// slabPool reuses the PE level's count scratch across runs, the way
+// retimePool reuses the pricing scratch: its row cursors, B-run arena and
+// prefix sums grow to the largest window seen instead of being allocated
+// per run.
+var slabPool = sync.Pool{New: func() any { return new(kernels.SlabCounts) }}
+
+// putSlab returns the run's count scratch to slabPool.
+func (ps *peState) putSlab() {
+	ps.slab.Release()
+	slabPool.Put(ps.slab)
+	ps.slab = nil
+}
+
 func newPEState(w *Workload, pl *PELevelOptions) *peState {
 	ps := &peState{w: w}
 	k := w.Kernel(pl.CapA, pl.CapB)
@@ -598,12 +612,16 @@ var (
 // recurs for every I range, so the J ranges of B's rebuilds since K last
 // moved (ps.sentJ) decide its multicasts.
 //
-// Sub-tasks are priced without multiplying: the first non-empty sub-task
-// of each A sub-tile counts that slab's MACCs per J micro tile over the
-// outer J window (kernels.CountSlab), and it and every later sub-task of
-// the same slab read their MACCs and scanned-A from those counts. Over one
-// outer task the slab passes visit each of its MACCs at most once, and
-// the caller checks the sub-tasks' MACCs against the outer multiply's.
+// Sub-tasks are priced without multiplying: the count scratch is bound to
+// the outer task's window (kernels.(*SlabCounts).Window), the first
+// non-empty sub-task of each A sub-tile counts that slab's MACCs per J
+// micro tile over the outer J window (Count), and it and every later
+// sub-task of the same slab read their MACCs and scanned-A from those
+// counts. K steps ascend, so each A row's slab pass resumes where the
+// previous K step's stopped, and B's binned rows are kept across the
+// outer tasks of an I sweep. Over one outer task the slab passes visit
+// each of its MACCs at most once, and the caller checks the sub-tasks'
+// MACCs against the outer multiply's.
 //
 // The J sweep is walked once per K step. When I advances, K is frozen and
 // J restarts at the window origin, so B's builds, the only ones a J step
@@ -625,7 +643,8 @@ func runPELevel(ps *peState, opt *EngineOptions, outer *core.Task, trc *Trace) (
 	if err := e.Reset(outer.Ranges); err != nil {
 		return 0, err
 	}
-	ps.jW = coords(outer.Ranges[DimJ], ps.w.MicroTile)
+	w, mt := ps.w, ps.w.MicroTile
+	ps.slab.Window(w.A, w.B, coords(outer.Ranges[DimI], mt), coords(outer.Ranges[DimK], mt), coords(outer.Ranges[DimJ], mt), mt)
 	ps.slabOK, ps.pendSet, ps.maccs = false, [2]bool{}, 0
 	ps.stepK = core.Range{}
 	// recording is set while the current I range's sweep is being
@@ -720,9 +739,9 @@ func (ps *peState) capture(t *peTask, rec obs.Recorder, trc *Trace) {
 			ps.pendSet[oi] = false
 		}
 	}
-	w, mt := ps.w, ps.w.MicroTile
+	mt := ps.w.MicroTile
 	if key := [2]core.Range{t.i, t.k}; !ps.slabOK || key != ps.slabKey {
-		kernels.CountSlab(w.A, w.B, coords(key[0], mt), coords(key[1], mt), ps.jW, mt, &ps.slab)
+		ps.slab.Count(coords(key[0], mt), coords(key[1], mt))
 		ps.slabKey, ps.slabOK = key, true
 	}
 	m := ps.slab.MACCs(coords(t.j, mt))

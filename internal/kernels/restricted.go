@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"math"
+
 	"drt/internal/obs"
 	"drt/internal/tensor"
 )
@@ -168,88 +170,204 @@ func (s *SPA) rangeMemo(b *tensor.CSR, kR, jR Range) (gen, lo, hi []int) {
 	return s.kGen[:kw], s.kLo[:kw], s.kHi[:kw]
 }
 
-// SlabCounts prices the J sweep of one resident A slab. Fig. 5's K→I→J
-// PE dataflow keeps A's sub-tile (iR, kR) resident while J sweeps the
-// outer task's J window, and the engine reads only two numbers per
-// sub-task: its MACCs and its scanned-A count. CountSlab fills both for
-// every tile-aligned J sub-range of the window at once, so pricing a
-// sub-task is two loads instead of a RestrictedGustavson call.
+// SlabCounts prices the J sweeps of one outer task's resident A slabs.
+// Fig. 5's K→I→J PE dataflow keeps A's sub-tile (iR, kR) resident while J
+// sweeps the outer task's J window, and the engine reads only two numbers
+// per sub-task: its MACCs and its scanned-A count. Window binds the
+// scratch to one outer task, and Count fills both for every tile-aligned
+// J sub-range of the window at once, so pricing a sub-task is two loads
+// instead of a RestrictedGustavson call.
+//
+// Two memos keep a slab pass close to the A elements it counts. Each row
+// of the I window keeps a cursor past the elements earlier slabs consumed;
+// under ascending K steps a row resumes there, and a row with no element
+// in the slab's K range costs one compare. B's (J micro tile, count) runs
+// inside the window are built per contracted coordinate on first use and
+// kept while B and the K and J windows stay the same — under the outer
+// J→K→I order, every outer task of an I sweep — so each B row is binned
+// once however many slabs hit it.
 type SlabCounts struct {
 	// ScannedA is the number of A elements in the slab. Every J sub-range
 	// walks all of them, so it is RestrictedGustavson's ScannedA for any
 	// jR inside the window.
 	ScannedA int64
-	jLo, mt  int
-	// cum[t] is the slab's MACCs over the window's first t micro tiles.
+	// cum[t] is the slab's MACCs over the J window's first t micro tiles.
 	cum []int64
-	// mult[k-kR.Lo] counts the slab's A elements in column k. ks lists
-	// the columns hit, so mult is back to zero at the end of every call.
-	mult []int64
-	ks   []int
+	a   *tensor.CSR
+	// cur[i-iLo] is row i's cursor, for the rows of the I window.
+	cur []rowCursor
+	iLo int
+	// b, kW, jW and mt key the B memo: kc's entries stamped gen are
+	// valid, and runs is their arena, emptied when the key changes.
+	b      *tensor.CSR
+	kW, jW Range
+	mt     int
+	gen    uint32
+	kc     []kCol
+	runs   []tileRun
+	// ks lists the columns the current slab hits; Count leaves every
+	// kCol.mult back at zero.
+	ks []int
 }
 
-// MACCs returns the slab's MACCs over j ∈ jR, which must be a tile-aligned
-// sub-range of the window CountSlab priced. It equals RestrictedGustavson's
-// MACCs over (iR, kR, jR).
-func (s *SlabCounts) MACCs(jR Range) int64 {
-	return s.cum[(jR.Hi-s.jLo)/s.mt] - s.cum[(jR.Lo-s.jLo)/s.mt]
+// rowCursor is an A row's position in the K sweep: pos is its first
+// element not yet consumed, prev the column before pos (-1 if none) and
+// next the column at pos (math.MaxInt if none). The row is sorted, so a
+// slab whose K range starts above prev has no element before pos.
+type rowCursor struct{ pos, prev, next int }
+
+// at moves c to position p of row i of a.
+func (c *rowCursor) at(a *tensor.CSR, i, p int) {
+	c.pos, c.prev, c.next = p, -1, math.MaxInt
+	if p > a.Ptr[i] {
+		c.prev = a.Idx[p-1]
+	}
+	if p < a.Ptr[i+1] {
+		c.next = a.Idx[p]
+	}
 }
 
-// CountSlab prices the J sweep of the A slab (iR, kR) over the window jR
-// with micro tile edge mt; jR's bounds must be multiples of mt (the
-// engines' ranges are grid coordinates × micro tile). One pass over
-// A[iR, kR] counts the slab's elements per contracted coordinate k, and
-// one pass over each hit row of B inside the window bins k's count by
-// micro-tile column. The cost is nnz(A[iR, kR]), plus the hit B rows'
-// window lengths (at most the slab's MACCs over the window), plus one
-// pass over the window's micro tiles; the call allocates nothing once s's
-// scratch has grown.
-func CountSlab(a, b *tensor.CSR, iR, kR, jR Range, mt int, s *SlabCounts) {
-	s.ScannedA = 0
-	s.jLo, s.mt = jR.Lo, mt
-	nb := max(jR.Hi-jR.Lo, 0) / mt
-	if cap(s.cum) < nb+1 {
+// kCol is a contracted coordinate k's state: mult counts the slab's A
+// elements in column k, and when gen is the memo's, B row k's runs inside
+// the J window are runs[lo:hi]. kc spans the whole K window and the
+// engine keeps the scratch live across runs, so the fields are 32-bit: a
+// slab has fewer than 2³¹ rows and a window's B tile fewer than 2³¹
+// elements.
+type kCol struct {
+	gen          uint32
+	mult, lo, hi int32
+}
+
+// tileRun is n consecutive elements of a B row in the J window's micro
+// tile t.
+type tileRun struct{ t, n int32 }
+
+// Window binds s to one outer task: A's rows iW, the contracted window kW
+// and the J window jW, whose bounds must be multiples of the micro tile
+// edge mt (the engines' ranges are grid coordinates × micro tile). Every
+// row's cursor starts at its first element inside kW. The B memo survives
+// when b, kW, jW and mt are those of the previous window, so b must not be
+// modified while a scratch that has seen it is reused.
+func (s *SlabCounts) Window(a, b *tensor.CSR, iW, kW, jW Range, mt int) {
+	if b != s.b || kW != s.kW || jW != s.jW || mt != s.mt {
+		s.b, s.kW, s.jW, s.mt = b, kW, jW, mt
+		if s.gen++; s.gen == 0 {
+			// The stamp wrapped: clear every entry it could match.
+			clear(s.kc[:cap(s.kc)])
+			s.gen = 1
+		}
+		s.runs = s.runs[:0]
+		kw := max(kW.Hi-kW.Lo, 0)
+		if cap(s.kc) < kw {
+			s.kc = make([]kCol, kw)
+		}
+		s.kc = s.kc[:kw]
+	}
+	if nb := max(jW.Hi-jW.Lo, 0) / mt; cap(s.cum) < nb+1 {
 		s.cum = make([]int64, nb+1)
+	} else {
+		s.cum = s.cum[:nb+1]
 	}
-	cum := s.cum[:nb+1]
+	s.a, s.iLo = a, max(iW.Lo, 0)
+	n := max(min(iW.Hi, a.Rows)-s.iLo, 0)
+	if cap(s.cur) < n {
+		s.cur = make([]rowCursor, n)
+	}
+	s.cur = s.cur[:n]
+	for r := range s.cur {
+		i := s.iLo + r
+		p, _ := a.RowRange(i, kW.Lo, kW.Hi)
+		s.cur[r].at(a, i, p)
+	}
+}
+
+// Count prices the J sweep of the A slab (iR, kR) over the window; iR and
+// kR must lie inside the window's I and K ranges. Each row of the slab
+// resumes at its cursor when kR starts above the column before it, and
+// otherwise (a repeated slab or a K step out of order) finds its range by
+// binary search, so the counts do not depend on the call order. The pass
+// counts the slab's elements per contracted coordinate k, then adds each
+// hit k's count times B row k's memoized runs to the micro tiles they
+// fall in, binning B row k on its first use. The cost is nnz(A[iR, kR])
+// plus one compare per row with no element in kR, plus the hit k's runs
+// (at most the slab's MACCs over the window), plus one pass over the
+// window's micro tiles; the call allocates nothing once s's scratch has
+// grown.
+func (s *SlabCounts) Count(iR, kR Range) {
+	a, ks := s.a, s.ks[:0]
+	var scanned int64
+	for i := max(iR.Lo, s.iLo); i < iR.Hi && i < a.Rows; i++ {
+		c := &s.cur[i-s.iLo]
+		p := c.pos
+		if c.prev >= kR.Lo {
+			p, _ = a.RowRange(i, kR.Lo, kR.Hi)
+		} else if c.next >= kR.Hi {
+			continue
+		}
+		end := a.Ptr[i+1]
+		for p < end && a.Idx[p] < kR.Lo {
+			p++ // elements of K steps this row was not counted in
+		}
+		lo := p
+		for ; p < end && a.Idx[p] < kR.Hi; p++ {
+			e := &s.kc[a.Idx[p]-s.kW.Lo]
+			if e.mult == 0 {
+				ks = append(ks, a.Idx[p])
+			}
+			e.mult++
+		}
+		scanned += int64(p - lo)
+		c.at(a, i, p)
+	}
+	s.ScannedA, s.ks = scanned, ks
+	cum := s.cum
 	clear(cum)
-	kw := max(kR.Hi-kR.Lo, 0)
-	if cap(s.mult) < kw {
-		s.mult = make([]int64, kw)
-	}
-	mult, ks := s.mult[:kw], s.ks[:0]
-	for i := max(iR.Lo, 0); i < iR.Hi && i < a.Rows; i++ {
-		lo, hi := a.RowRange(i, kR.Lo, kR.Hi)
-		s.ScannedA += int64(hi - lo)
-		for _, k := range a.Idx[lo:hi] {
-			off := k - kR.Lo
-			if mult[off] == 0 {
-				ks = append(ks, k)
-			}
-			mult[off]++
-		}
-	}
 	for _, k := range ks {
-		m := mult[k-kR.Lo]
-		mult[k-kR.Lo] = 0
-		lo, hi := b.RowRange(k, jR.Lo, jR.Hi)
-		// B's row is sorted, so each micro tile's columns are one run:
-		// one division per run, not per element.
-		for q := lo; q < hi; {
-			t := (b.Idx[q] - jR.Lo) / mt
-			end := jR.Lo + (t+1)*mt
-			r := q + 1
-			for r < hi && b.Idx[r] < end {
-				r++
-			}
-			cum[t+1] += m * int64(r-q)
-			q = r
+		e := &s.kc[k-s.kW.Lo]
+		if e.gen != s.gen {
+			e.gen, e.lo = s.gen, int32(len(s.runs))
+			s.bin(k)
+			e.hi = int32(len(s.runs))
+		}
+		m := int64(e.mult)
+		e.mult = 0
+		for _, r := range s.runs[e.lo:e.hi] {
+			cum[r.t+1] += m * int64(r.n)
 		}
 	}
-	s.ks = ks
-	for t := 1; t <= nb; t++ {
+	for t := 1; t < len(cum); t++ {
 		cum[t] += cum[t-1]
 	}
+}
+
+// bin appends B row k's runs inside the J window to the memo's arena.
+// B's row is sorted, so each micro tile's columns are one run: one
+// division per run, not per element.
+func (s *SlabCounts) bin(k int) {
+	b, jLo, mt := s.b, s.jW.Lo, s.mt
+	lo, hi := b.RowRange(k, jLo, s.jW.Hi)
+	for q := lo; q < hi; {
+		t := (b.Idx[q] - jLo) / mt
+		end := jLo + (t+1)*mt
+		r := q + 1
+		for r < hi && b.Idx[r] < end {
+			r++
+		}
+		s.runs = append(s.runs, tileRun{t: int32(t), n: int32(r - q)})
+		q = r
+	}
+}
+
+// Release drops s's references to its operands and keeps its buffers, so
+// a pooled scratch does not hold a finished run's matrices alive; the next
+// Window starts a fresh B memo.
+func (s *SlabCounts) Release() { s.a, s.b = nil, nil }
+
+// MACCs returns the slab's MACCs over j ∈ jR, which must be a tile-aligned
+// sub-range of the window. It equals RestrictedGustavson's MACCs over
+// (iR, kR, jR) for the slab Count last priced.
+func (s *SlabCounts) MACCs(jR Range) int64 {
+	return s.cum[(jR.Hi-s.jW.Lo)/s.mt] - s.cum[(jR.Lo-s.jW.Lo)/s.mt]
 }
 
 // Record publishes the task's effectual-work distribution into the

@@ -88,7 +88,8 @@ func (c *CSR) Row(i int) Fiber {
 // for tile-sized windows over sparse rows) and uses open-coded lower
 // bounds instead of sort.SearchInts closures. The window bounds are
 // clamped to [0, Cols]: stored coordinates lie in [0, Cols), so the clamp
-// preserves the result.
+// preserves the result, and a window that clamps to all of [0, Cols) —
+// every full-K task's — holds the whole row without a search.
 func (c *CSR) RowRange(i, c0, c1 int) (lo, hi int) {
 	s, e := c.Ptr[i], c.Ptr[i+1]
 	if c0 < 0 {
@@ -96,6 +97,9 @@ func (c *CSR) RowRange(i, c0, c1 int) (lo, hi int) {
 	}
 	if c1 > c.Cols {
 		c1 = c.Cols
+	}
+	if c0 == 0 && c1 == c.Cols {
+		return s, e
 	}
 	if s == e || c1 <= c0 || c.Idx[e-1] < c0 {
 		return e, e

@@ -146,18 +146,22 @@ func TestRoundTripQuick(t *testing.T) {
 }
 
 func TestRowRange(t *testing.T) {
-	m := NewCOO(1, 100)
+	m := NewCOO(3, 100)
 	for _, j := range []int{3, 10, 11, 40, 90} {
 		m.Append(0, j, 1)
 	}
+	m.Append(2, 7, 1) // row 1 stays empty
 	c := FromCOO(m)
-	cases := []struct{ c0, c1, want int }{
-		{0, 100, 5}, {0, 3, 0}, {3, 4, 1}, {10, 12, 2}, {41, 90, 0}, {41, 91, 1}, {91, 100, 0},
+	cases := []struct{ row, c0, c1, lo, hi int }{
+		{0, 0, 100, 0, 5}, {0, 0, 3, 0, 0}, {0, 3, 4, 0, 1}, {0, 10, 12, 1, 3},
+		{0, 41, 90, 4, 4}, {0, 41, 91, 4, 5}, {0, 91, 100, 5, 5},
+		{0, -5, 140, 0, 5}, {0, -5, 11, 0, 2}, {0, 40, 140, 3, 5},
+		{1, 0, 100, 5, 5}, {1, -5, 140, 5, 5}, {1, 10, 20, 5, 5},
+		{2, -1, 101, 5, 6}, {2, 8, 100, 6, 6},
 	}
 	for _, tc := range cases {
-		lo, hi := c.RowRange(0, tc.c0, tc.c1)
-		if hi-lo != tc.want {
-			t.Errorf("RowRange[%d,%d) = %d entries, want %d", tc.c0, tc.c1, hi-lo, tc.want)
+		if lo, hi := c.RowRange(tc.row, tc.c0, tc.c1); lo != tc.lo || hi != tc.hi {
+			t.Errorf("row %d: RowRange[%d,%d) = [%d,%d), want [%d,%d)", tc.row, tc.c0, tc.c1, lo, hi, tc.lo, tc.hi)
 		}
 	}
 }
