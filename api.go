@@ -110,7 +110,7 @@ func PlanSpMSpM(a, b *Matrix, cfg PlanConfig) (*Plan, error) {
 		return nil, fmt.Errorf("drt: cannot multiply %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	return plan(a, b.Cols, cfg, func(mt int) (core.View, int64) {
-		gb := tiling.NewAutoGrid(b, mt, mt)
+		gb := tiling.NewSummaryGrid(b, mt, mt, tiling.TUC, tiling.Auto)
 		return core.MatrixView{G: gb}, gb.TotalFootprint()
 	})
 }
@@ -129,7 +129,7 @@ func plan(a *Matrix, bCols int, cfg PlanConfig, bView func(mt int) (core.View, i
 	if cfg.BudgetA <= 0 || cfg.BudgetB <= 0 {
 		return nil, fmt.Errorf("drt: budgets must be positive, got %d/%d", cfg.BudgetA, cfg.BudgetB)
 	}
-	ga := tiling.NewAutoGrid(a, mt, mt)
+	ga := tiling.NewSummaryGrid(a, mt, mt, tiling.TUC, tiling.Auto)
 	gaR, gaC := ga.Extents()
 	vb, onePassB := bView(mt)
 	k := &core.Kernel{

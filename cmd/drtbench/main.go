@@ -21,18 +21,17 @@
 // flight; -log off|info|debug emits structured slog records (run start/
 // end, per-experiment timing, slow cells, cache summaries) on stderr.
 //
-// Performance knobs (-parallel, -sched, -trace-store, -operand-cache,
-// -shard) change only how fast the evaluation runs, never what it prints —
+// Performance knobs (-parallel, -trace-store, -operand-cache, -shard)
+// change only how fast the evaluation runs, never what it prints —
 // every table is byte-identical at any setting (for -shard, after
 // drtmetrics -merge). -parallel bounds the worker goroutines used for
 // independent (workload × configuration) cells inside each experiment and
 // for the reference pass that prepares each workload (results are
 // reassembled in input order, so -parallel 1 reproduces the sequential
-// run exactly); -sched picks the dispatch order across those cells (lpt,
-// the default, starts the heaviest cells first with idle workers stealing
-// the largest remaining one; fifo is plain index order — see DESIGN.md
-// "Scheduling"); -trace-store (auto by default: DRT_TRACE_CACHE or the
-// user cache dir, "off" disables) persists recorded schedules as
+// run exactly; the heaviest cells start first, with idle workers
+// stealing the largest remaining one — see DESIGN.md "Scheduling");
+// -trace-store (auto by default: DRT_TRACE_CACHE or the user cache dir,
+// "off" disables) persists recorded schedules as
 // content-addressed .drtt files shared across processes, so warm re-runs
 // and sharded sweeps replay schedules an earlier process already recorded
 // (see DESIGN.md "Persistent trace store"). Independently of any flag,
@@ -46,8 +45,8 @@
 // experiments (fig6, fig7, tab3) so a full-scale sweep spreads across
 // machines, with drtmetrics -merge recombining the per-shard -metrics-out
 // dumps (see DESIGN.md "Operand cache" and EXPERIMENTS.md for the merge
-// recipe). The micro-tile grid representation is not a knob: each
-// workload picks it by its Auto rule (DESIGN.md "Key design decisions").
+// recipe). The micro-tile summary's block edge is not a knob: each grid
+// picks it from its extents (DESIGN.md "Key design decisions").
 //
 // -metrics-out writes every experiment's table as structured JSON together
 // with the run metadata (scale, workload generator specs, VCS revision),
@@ -70,7 +69,6 @@ import (
 	"drt/internal/metrics"
 	"drt/internal/obs"
 	"drt/internal/obs/httpserve"
-	"drt/internal/par"
 )
 
 func main() {
@@ -80,7 +78,6 @@ func main() {
 		microTile  = flag.Int("microtile", 16, "micro tile edge in coordinates")
 		maxW       = flag.Int("workloads", 0, "cap on catalog entries per experiment (0 = all)")
 		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines per experiment (1 = sequential)")
-		sched      = flag.String("sched", "lpt", "cell dispatch order: lpt (longest first, work stealing) | fifo (index order)")
 		traceStore = flag.String("trace-store", "auto", "persistent trace store: auto (DRT_TRACE_CACHE or the user cache dir), off, or a directory; recorded schedules replay across processes (bit-identical tables)")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		csv        = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
@@ -92,7 +89,7 @@ func main() {
 	listen := cli.AddListenFlag()
 	logLevel := cli.AddLogFlag()
 	prof := cli.AddProfileFlags()
-	cli.GroupUsage("drtbench", "Performance knobs", "parallel", "sched", "trace-store", "operand-cache", "shard")
+	cli.GroupUsage("drtbench", "Performance knobs", "parallel", "trace-store", "operand-cache", "shard")
 	flag.Parse()
 	defer cli.Cleanup()
 	cli.CheckScale("drtbench", *scale, *microTile)
@@ -115,17 +112,12 @@ func main() {
 		rec.SetMeta("exp", *expID)
 		rec.SetMeta("scale", fmt.Sprint(*scale))
 		rec.SetMeta("microtile", fmt.Sprint(*microTile))
-		rec.SetMeta("sched", *sched)
 		rec.SetMeta("trace-store", exp.TraceStoreDir(*traceStore))
 		for k, v := range obs.BuildMeta() {
 			rec.SetMeta(k, v)
 		}
 	}
 
-	schedMode, err := par.ParseSched(*sched)
-	if err != nil {
-		cli.Usagef("drtbench: %v", err)
-	}
 	shard, err := exp.ParseShard(*shardFlag)
 	if err != nil {
 		cli.Usagef("drtbench: %v", err)
@@ -140,7 +132,6 @@ func main() {
 	var prog *obs.Progress
 	if *progress || *listen != "" {
 		prog = obs.NewProgress()
-		prog.SetSched(schedMode.String())
 		obs.SetActive(prog)
 	}
 	if *listen != "" {
@@ -157,7 +148,7 @@ func main() {
 		defer stopLine()
 	}
 
-	opts := exp.Options{Scale: *scale, MicroTile: *microTile, MaxWorkloads: *maxW, Parallel: *parallel, Sched: schedMode, TraceStore: exp.TraceStoreDir(*traceStore), Progress: prog, Shard: shard, NoOperandCache: !*opCache}
+	opts := exp.Options{Scale: *scale, MicroTile: *microTile, MaxWorkloads: *maxW, Parallel: *parallel, TraceStore: exp.TraceStoreDir(*traceStore), Progress: prog, Shard: shard, NoOperandCache: !*opCache}
 	if rec != nil {
 		opts.Rec = rec
 	}
@@ -170,7 +161,7 @@ func main() {
 		ids = strings.Split(*expID, ",")
 	}
 	logger.Info("run start", "cmd", "drtbench", "exp", *expID, "scale", *scale,
-		"parallel", *parallel, "sched", schedMode.String())
+		"parallel", *parallel)
 	runStart := time.Now()
 	var dump metrics.Dump
 	for _, id := range ids {

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"time"
 
@@ -85,25 +86,26 @@ func main() {
 		fmt.Printf("generator spec: %s\n", spec)
 	}
 
-	g := tiling.NewAutoGrid(m, *microTile, *microTile)
-	// Occupancy histogram over non-empty micro tiles (powers of two).
-	hist := map[int]int{}
+	g := tiling.NewSummaryGrid(m, *microTile, *microTile, tiling.TUC, tiling.Auto)
+	// Occupancy histogram over non-empty micro tiles: hist[b] counts the
+	// tiles holding [2^b, 2^(b+1)) non-zeros.
+	var hist []int64
 	var nonEmpty int64
 	g.EachTile(func(_, _ int, n, _ int64) {
 		nonEmpty++
-		bucket := 0
-		for v := n; v > 1; v >>= 1 {
-			bucket++
+		b := bits.Len64(uint64(n)) - 1
+		for len(hist) <= b {
+			hist = append(hist, 0)
 		}
-		hist[bucket]++
+		hist[b]++
 	})
 	gr, gc := g.Extents()
 	fmt.Printf("micro tiles (%dx%d): %d of %d non-empty (%.2f%%)\n",
 		*microTile, *microTile, nonEmpty, int64(gr)*int64(gc),
 		100*float64(nonEmpty)/float64(int64(gr)*int64(gc)))
 	fmt.Println("occupancy histogram (log2 buckets of nnz per stored micro tile):")
-	for b := 0; b <= 12; b++ {
-		if n, ok := hist[b]; ok {
+	for b, n := range hist {
+		if n > 0 {
 			fmt.Printf("  [%4d..%4d): %d tiles\n", 1<<b, 1<<(b+1), n)
 		}
 	}

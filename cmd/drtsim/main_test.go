@@ -12,7 +12,6 @@ import (
 	"drt/internal/accel"
 	"drt/internal/exp"
 	"drt/internal/obs"
-	"drt/internal/tiling"
 	"drt/internal/workloads"
 )
 
@@ -22,10 +21,6 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // generation is seeded and the simulator is closed-form, so any diff here
 // is a real behavior change (or an intentional one — regenerate with
 // `go test ./cmd/drtsim -run Golden -update`).
-//
-// The SAME golden file must match under every grid representation: the
-// compressed summaries answer identical queries, so the representation
-// only changes memory, never output.
 func TestReportGolden(t *testing.T) {
 	const (
 		matrix    = "bcsstk17"
@@ -39,94 +34,81 @@ func TestReportGolden(t *testing.T) {
 	}
 	a := e.Generate(scale)
 	golden := filepath.Join("testdata", "report_bcsstk17.golden")
-	for _, cfg := range []struct {
-		name string
-		grid tiling.Mode
-	}{
-		{"dense", tiling.Dense},
-		{"compressed", tiling.Compressed},
-	} {
-		grid := cfg.grid
-		w, err := accel.NewWorkloadWith(e.Name, a, a,
-			accel.WorkloadConfig{MicroTile: microTile, Grid: grid})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := exp.NewContext(exp.Options{Scale: scale, MicroTile: microTile})
-		m := c.Machine()
-		// The golden file was produced by a sequential run; simulating
-		// with four workers and still matching it byte-for-byte pins the
-		// parallel paths' determinism guarantee.
-		r, err := run(c, e.Name, accelName, w, m, 4, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		report(&buf, w, r, m)
+	w, err := accel.NewWorkload(e.Name, a, a, microTile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := exp.NewContext(exp.Options{Scale: scale, MicroTile: microTile})
+	m := c.Machine()
+	// The golden file was produced by a sequential run; simulating with
+	// four workers and still matching it byte-for-byte pins the parallel
+	// paths' determinism guarantee.
+	r, err := run(c, e.Name, accelName, w, m, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	report(&buf, w, r, m)
 
-		if *update && grid == tiling.Dense {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("missing golden file (run with -update to create): %v", err)
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s report diverged from golden file.\n--- got ---\n%s--- want ---\n%s", cfg.name, buf.Bytes(), want)
-		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("report diverged from golden file.\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
 	}
 }
 
 // TestAllAccelReportsGolden pins the text report of every -accel value on
 // two matrices (bcsstk17, and cant, whose tiled designs run 72 to 446
-// tasks) under both grid representations, all against one golden file:
-// any diff is a behavior change in some design's model. Regenerate with
+// tasks), all against one golden file: any diff is a behavior change in
+// some design's model. Regenerate with
 // `go test ./cmd/drtsim -run AllAccel -update`.
 func TestAllAccelReportsGolden(t *testing.T) {
 	const scale, microTile = 64, 8
 	golden := filepath.Join("testdata", "reports_all.golden")
-	for _, grid := range []tiling.Mode{tiling.Dense, tiling.Compressed} {
-		var buf bytes.Buffer
-		for _, matrix := range []string{"bcsstk17", "cant"} {
-			e, err := workloads.Lookup(matrix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := e.Generate(scale)
-			w, err := accel.NewWorkloadWith(e.Name, a, a,
-				accel.WorkloadConfig{MicroTile: microTile, Grid: grid})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := exp.NewContext(exp.Options{Scale: scale, MicroTile: microTile})
-			for _, name := range accelNames {
-				r, err := run(c, e.Name, name, w, c.Machine(), 2, nil)
-				if err != nil {
-					t.Fatalf("%s on %s: %v", name, matrix, err)
-				}
-				fmt.Fprintf(&buf, "== %s %s ==\n", matrix, name)
-				report(&buf, w, r, c.Machine())
-			}
-		}
-		if *update && grid == tiling.Dense {
-			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(golden)
+	var buf bytes.Buffer
+	for _, matrix := range []string{"bcsstk17", "cant"} {
+		e, err := workloads.Lookup(matrix)
 		if err != nil {
-			t.Fatalf("missing golden file (run with -update to create): %v", err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("grid mode %v: reports diverged from golden file.\n--- got ---\n%s--- want ---\n%s", grid, buf.Bytes(), want)
+		a := e.Generate(scale)
+		w, err := accel.NewWorkload(e.Name, a, a, microTile)
+		if err != nil {
+			t.Fatal(err)
 		}
+		c := exp.NewContext(exp.Options{Scale: scale, MicroTile: microTile})
+		for _, name := range accelNames {
+			r, err := run(c, e.Name, name, w, c.Machine(), 2, nil)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, matrix, err)
+			}
+			fmt.Fprintf(&buf, "== %s %s ==\n", matrix, name)
+			report(&buf, w, r, c.Machine())
+		}
+	}
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("reports diverged from golden file.\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
 	}
 }
 

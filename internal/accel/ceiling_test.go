@@ -97,7 +97,7 @@ func bruteFits(w *Workload, opt EngineOptions) bool {
 	gi, gk := w.GA.Extents()
 	_, gj := w.GB.Extents()
 	s := opt.InitialSize
-	fits := func(g tiling.Summary, rows, cols, er, ec int, capacity int64) bool {
+	fits := func(g *tiling.Grid, rows, cols, er, ec int, capacity int64) bool {
 		for r := 0; r < rows; r += er {
 			for c := 0; c < cols; c += ec {
 				if g.RegionFootprint(r, r+er, c, c+ec) > capacity {

@@ -76,7 +76,7 @@ type regionState struct {
 // between the output buffer partition and DRAM. Region footprints come
 // from g, the reference product's micro-tile grid.
 type outputModel struct {
-	g       tiling.Summary
+	g       *tiling.Grid
 	capO    int64
 	regions map[[4]int]*regionState
 	fifo    []*regionState // resident regions in load order
@@ -93,7 +93,7 @@ type outputModel struct {
 // spilled element per partial point, capped by the final footprint.
 func (r *regionState) writeBack() int64 { return min(r.estF, r.partial*PartialBytes) }
 
-func newOutputModel(g tiling.Summary, capO int64) *outputModel {
+func newOutputModel(g *tiling.Grid, capO int64) *outputModel {
 	return &outputModel{g: g, capO: capO, regions: map[[4]int]*regionState{}}
 }
 
@@ -278,7 +278,7 @@ type taskSpace struct {
 	// work counts the task spanning ranges (grid coordinates, one per
 	// kernel dimension) and returns its intersect ops.
 	work    func(ranges []core.Range) (tr kernels.TaskResult, intersectOps int64)
-	out     tiling.Summary
+	out     *tiling.Grid
 	outDims [2]int
 	maccs   int64
 	pe      *peState // nil without EngineOptions.PELevel

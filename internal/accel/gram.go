@@ -20,13 +20,14 @@ type GramWorkload struct {
 	X         *tensor.CSF3
 	MicroTile int
 	G3        tiling.Summary3
-	GZ        tiling.Summary
+	GZ        *tiling.Grid
 	Z         *tensor.CSR
 	MACCs     int64
 }
 
 // NewGramWorkload pre-processes a 3-tensor for the Gram experiments with
-// the default configuration (auto grid, sequential reference kernel).
+// the default configuration (T-UC output tiles, sequential reference
+// kernel).
 func NewGramWorkload(name string, x *tensor.CSF3, microTile int) (*GramWorkload, error) {
 	return NewGramWorkloadWith(name, x, WorkloadConfig{MicroTile: microTile})
 }
@@ -50,8 +51,8 @@ func NewGramWorkloadWith(name string, x *tensor.CSF3, cfg WorkloadConfig) (*Gram
 		Name:      name,
 		X:         x,
 		MicroTile: mt,
-		G3:        tiling.NewSummaryGrid3(x, mt, mt, mt, cfg.Grid),
-		GZ:        tiling.NewSummaryGrid(z, mt, mt, cfg.Format, cfg.Grid),
+		G3:        tiling.NewSummaryGrid3(x, mt, mt, mt),
+		GZ:        tiling.NewSummaryGrid(z, mt, mt, cfg.Format, tiling.Auto),
 		Z:         z,
 		MACCs:     st.MACCs,
 	}, nil

@@ -18,15 +18,10 @@ import (
 
 // WorkloadConfig bundles the pre-processing knobs of workload construction.
 // The zero value reproduces the historical defaults: T-UC micro tiles,
-// auto-selected grid representation, sequential reference pass.
+// sequential reference pass.
 type WorkloadConfig struct {
 	MicroTile int
 	Format    tiling.Format
-	// Grid selects the micro-tile summary representation (tiling.Auto picks
-	// dense or compressed by the cell-count budget). The experiments and
-	// CLIs always leave it Auto; forcing either representation is the seam
-	// TestGridModesIdenticalResults compares them through.
-	Grid tiling.Mode
 	// Parallel is the reference-pass worker count: 0 or 1 run
 	// sequentially, <0 selects one worker per CPU. The pass counts
 	// integers, so its result is identical at any worker count and this
@@ -54,9 +49,9 @@ type Workload struct {
 	A, B      *tensor.CSR
 	MicroTile int
 
-	GA tiling.Summary // A as I×K (rows I)
-	GB tiling.Summary // B as K×J (rows K)
-	GZ tiling.Summary // structural Z = A·B as I×J
+	GA *tiling.Grid // A as I×K (rows I)
+	GB *tiling.Grid // B as K×J (rows K)
+	GZ *tiling.Grid // structural Z = A·B as I×J
 
 	MACCs int64
 
@@ -150,16 +145,16 @@ func NewWorkloadWith(name string, a, b *tensor.CSR, cfg WorkloadConfig) (*Worklo
 // Z's summary grid along with the product's effectual MACCs.
 func finishWorkload(w *Workload, cfg WorkloadConfig) *Workload {
 	mt := w.MicroTile
-	w.GA = tiling.NewSummaryGrid(w.A, mt, mt, cfg.Format, cfg.Grid)
+	w.GA = tiling.NewSummaryGrid(w.A, mt, mt, cfg.Format, tiling.Auto)
 	w.GB = w.GA
 	if w.B != w.A {
-		w.GB = tiling.NewSummaryGrid(w.B, mt, mt, cfg.Format, cfg.Grid)
+		w.GB = tiling.NewSummaryGrid(w.B, mt, mt, cfg.Format, tiling.Auto)
 	}
 	workers := cfg.Parallel
 	if workers == 0 {
 		workers = 1
 	}
-	sb := tiling.NewSummaryBuilder(w.A.Rows, w.B.Cols, mt, mt, cfg.Format, cfg.Grid)
+	sb := tiling.NewSummaryBuilder(w.A.Rows, w.B.Cols, mt, mt, cfg.Format)
 	w.MACCs = kernels.CountProductTiles(w.A, w.B, mt, workers, sb.AddRow)
 	w.GZ = sb.Summary()
 	return w

@@ -29,8 +29,8 @@ func fig3Matrices() (a, b *tensor.CSR) {
 // spmspmKernel assembles the I,J,K kernel for A·B at the given micro tile
 // edge and per-operand byte capacities.
 func spmspmKernel(a, b *tensor.CSR, tile int, capA, capB int64) *Kernel {
-	ga := tiling.NewGrid(a, tile, tile)
-	gb := tiling.NewGrid(b, tile, tile)
+	ga := tiling.NewSummaryGrid(a, tile, tile, tiling.TUC, tiling.Auto)
+	gb := tiling.NewSummaryGrid(b, tile, tile, tiling.TUC, tiling.Auto)
 	return &Kernel{
 		DimNames:   []string{"I", "J", "K"},
 		Contracted: []bool{false, false, true},

@@ -18,8 +18,8 @@ func TestTasksTileSpaceGeometrically(t *testing.T) {
 		n := rng.Intn(80) + 16
 		a := gen.RMAT(n, n*3, 0.57, 0.19, 0.19, rng.Int63())
 		b := gen.RMAT(n, n*3, 0.57, 0.19, 0.19, rng.Int63())
-		ga := tiling.NewGrid(a, 2, 2)
-		gb := tiling.NewGrid(b, 2, 2)
+		ga := tiling.NewSummaryGrid(a, 2, 2, tiling.TUC, tiling.Auto)
+		gb := tiling.NewSummaryGrid(b, 2, 2, tiling.TUC, tiling.Auto)
 		k := &Kernel{
 			DimNames:   []string{"I", "J", "K"},
 			Contracted: []bool{false, false, true},
@@ -79,7 +79,7 @@ func TestTasksTileSpaceGeometrically(t *testing.T) {
 // hierarchical (windowed) enumeration.
 func TestWindowedTasksStayInWindow(t *testing.T) {
 	a := gen.Uniform(64, 64, 700, 9)
-	g := tiling.NewGrid(a, 2, 2)
+	g := tiling.NewSummaryGrid(a, 2, 2, tiling.TUC, tiling.Auto)
 	k := &Kernel{
 		DimNames:   []string{"I", "J", "K"},
 		Contracted: []bool{false, false, true},

@@ -2,12 +2,11 @@ package core
 
 import "drt/internal/tiling"
 
-// MatrixView adapts a 2-D micro-tile grid summary (dense or compressed)
-// to the View interface. The operand's first dimension maps to grid rows
+// MatrixView adapts a 2-D micro-tile grid summary to the View interface. The operand's first dimension maps to grid rows
 // and the second to grid columns; set Transposed when the operand is the
 // transpose of the stored matrix (e.g. a view of Aᵀ over A's grid).
 type MatrixView struct {
-	G          tiling.Summary
+	G          *tiling.Grid
 	Transposed bool
 }
 

@@ -9,7 +9,7 @@ import (
 
 func TestMatrixViewTransposed(t *testing.T) {
 	m := gen.Uniform(16, 24, 60, 1)
-	g := tiling.NewGrid(m, 4, 4)
+	g := tiling.NewSummaryGrid(m, 4, 4, tiling.TUC, tiling.Auto)
 	v := MatrixView{G: g}
 	vt := MatrixView{G: g, Transposed: true}
 	// A (rows, cols) query on the direct view equals the (cols, rows)
@@ -51,7 +51,7 @@ func TestDenseViewExactArithmetic(t *testing.T) {
 
 func TestEnumeratorExhaustion(t *testing.T) {
 	a := gen.Uniform(16, 16, 40, 2)
-	g := tiling.NewGrid(a, 4, 4)
+	g := tiling.NewSummaryGrid(a, 4, 4, tiling.TUC, tiling.Auto)
 	k := &Kernel{
 		DimNames:   []string{"I", "J", "K"},
 		Contracted: []bool{false, false, true},
@@ -78,7 +78,7 @@ func TestEnumeratorExhaustion(t *testing.T) {
 
 func TestEmptyWindowYieldsNoTasks(t *testing.T) {
 	a := gen.Uniform(16, 16, 40, 3)
-	g := tiling.NewGrid(a, 4, 4)
+	g := tiling.NewSummaryGrid(a, 4, 4, tiling.TUC, tiling.Auto)
 	k := &Kernel{
 		DimNames:   []string{"I", "J", "K"},
 		Contracted: []bool{false, false, true},

@@ -72,7 +72,7 @@ func TestOperandCacheIdentity(t *testing.T) {
 }
 
 type workloadsResult struct {
-	gz         tiling.Summary
+	gz         *tiling.Grid
 	maccs      int64
 	fa, fb, fz int64
 }

@@ -65,13 +65,6 @@ type Options struct {
 	// bit-identical (pinned by gen's round-trip tests), so this knob never
 	// changes a table.
 	NoOperandCache bool
-	// Sched selects the experiment cells' dispatch order (par.FIFO index
-	// order or par.LPT longest-first with work stealing). Cells are
-	// reassembled in input order either way, so every table is
-	// byte-identical at any setting; LPT only keeps workers from idling
-	// behind a power-law cell at the end of a sweep. The static-shape
-	// sweep inside an S-U-C cell orders its own candidates.
-	Sched par.Sched
 	// Rec, when non-nil, receives run metadata (each prepared workload's
 	// generator spec) and wall-clock phase spans for workload preparation,
 	// so the benchmark harness's metrics dump records how to rebuild every
@@ -196,13 +189,12 @@ func forEntries[T any](c *Context, entries []workloads.Entry, f func(e workloads
 }
 
 // pool is the par pool configuration the context's options select: worker
-// count, dispatch order, per-cell weights (nil is allowed) and the live
-// progress sink. Every runner fan-out goes through it so one -sched /
-// -parallel setting governs every experiment's cells.
+// count, per-cell weights (nil is allowed; weighted cells start heaviest
+// first) and the live progress sink. Every runner fan-out goes through it
+// so one -parallel setting governs every experiment's cells.
 func (c *Context) pool(weights []int64) par.Options {
 	return par.Options{
 		Workers:  c.Opt.Parallel,
-		Sched:    c.Opt.Sched,
 		Weights:  weights,
 		Progress: c.Opt.Progress,
 	}

@@ -7,26 +7,24 @@ import (
 
 	"drt/internal/accel"
 	"drt/internal/obs"
-	"drt/internal/par"
-	"drt/internal/tiling"
 )
 
 // TestParallelDeterminism is the acceptance check for the parallel
-// runner: the same experiment run sequentially, with eight workers, and
-// with eight workers under the LPT work-stealing schedule must render
-// byte-identical tables. The ids cover the three fan-out shapes the
-// runners use — per-entry cells (fig6), a flattened multi-axis grid with
-// geomean slices over the flat results (fig16) and cells with internal
-// candidate sweeps (abl-part) — picking the cheapest experiment of each
-// shape so the run stays affordable under -race on one core. Dense and
-// compressed grids are compared per engine configuration by
-// accel.TestGridModesIdenticalResults.
+// runner: the same experiment run sequentially and with eight workers
+// under the LPT work-stealing schedule must render byte-identical tables.
+// The ids cover the three fan-out shapes the runners use — per-entry
+// cells (fig6), a flattened multi-axis grid with geomean slices over the
+// flat results (fig16) and cells with internal candidate sweeps
+// (abl-part) — picking the cheapest experiment of each shape so the run
+// stays affordable under -race on one core. Summaries at block edges 1
+// and 4 are compared per engine configuration by package tiling's
+// TestBlockEdgeEngineIdentity.
 func TestParallelDeterminism(t *testing.T) {
 	for _, id := range []string{"fig6", "fig16", "abl-part"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			render := func(parallel int, sched par.Sched) string {
-				c := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Parallel: parallel, Sched: sched})
+			render := func(parallel int) string {
+				c := NewContext(Options{Scale: 64, MicroTile: 8, MaxWorkloads: 2, Parallel: parallel})
 				f, ok := c.Runner(id)
 				if !ok {
 					t.Fatalf("no runner for %s", id)
@@ -37,12 +35,9 @@ func TestParallelDeterminism(t *testing.T) {
 				}
 				return table.String()
 			}
-			seq := render(1, par.FIFO)
-			if par8 := render(8, par.FIFO); seq != par8 {
+			seq := render(1)
+			if par8 := render(8); seq != par8 {
 				t.Errorf("-parallel 8 output diverged from sequential:\n--- parallel 1 ---\n%s\n--- parallel 8 ---\n%s", seq, par8)
-			}
-			if lpt := render(8, par.LPT); seq != lpt {
-				t.Errorf("-sched lpt output diverged from fifo:\n--- fifo ---\n%s\n--- lpt ---\n%s", seq, lpt)
 			}
 		})
 	}
@@ -64,8 +59,8 @@ func TestWorkloadConfigResolvesParallel(t *testing.T) {
 		if cfg.Parallel != tc.want {
 			t.Errorf("Parallel %d: workload config Parallel = %d, want %d", tc.in, cfg.Parallel, tc.want)
 		}
-		if cfg.MicroTile != 8 || cfg.Grid != tiling.Auto {
-			t.Errorf("Parallel %d: workload config %+v, want micro tile 8 with Auto grid", tc.in, cfg)
+		if cfg.MicroTile != 8 {
+			t.Errorf("Parallel %d: workload config %+v, want micro tile 8", tc.in, cfg)
 		}
 	}
 }

@@ -41,7 +41,6 @@ type Progress struct {
 
 	mu        sync.Mutex
 	phase     string
-	sched     string
 	units     map[string]*unitState
 	unitOrder []string
 }
@@ -84,18 +83,6 @@ func (p *Progress) SetPhase(name string) {
 	}
 	p.mu.Lock()
 	p.phase = name
-	p.mu.Unlock()
-}
-
-// SetSched records the cell dispatch order ("fifo", "lpt") driving the
-// run, so a /metrics or /progress reader can attribute the per-worker
-// utilization profile to the scheduler that produced it.
-func (p *Progress) SetSched(name string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.sched = name
 	p.mu.Unlock()
 }
 
@@ -188,7 +175,6 @@ type UnitStat struct {
 // debug server's /progress endpoint returns one per request.
 type ProgressSnapshot struct {
 	Phase          string  `json:"phase,omitempty"`
-	Sched          string  `json:"sched,omitempty"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	CellsDone      int64   `json:"cells_done"`
 	CellsTotal     int64   `json:"cells_total"`
@@ -241,7 +227,6 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	}
 	p.mu.Lock()
 	snap.Phase = p.phase
-	snap.Sched = p.sched
 	for _, name := range p.unitOrder {
 		u := p.units[name]
 		us := UnitStat{Name: name, State: "running"}

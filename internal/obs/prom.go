@@ -126,9 +126,6 @@ func (p *Progress) WriteProm(w io.Writer) error {
 	gauge("drt_progress_work_total", float64(s.WorkTotal))
 	gauge("drt_progress_eta_seconds", s.ETASeconds)
 	gauge("drt_progress_elapsed_seconds", s.ElapsedSeconds)
-	if s.Sched != "" {
-		fmt.Fprintf(&b, "# TYPE drt_progress_info gauge\ndrt_progress_info{sched=%q} 1\n", promEscape(s.Sched))
-	}
 	if len(s.Workers) > 0 {
 		b.WriteString("# TYPE drt_progress_worker_utilization gauge\n")
 		sort.Slice(s.Workers, func(i, j int) bool { return s.Workers[i].Worker < s.Workers[j].Worker })

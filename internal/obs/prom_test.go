@@ -68,7 +68,6 @@ func TestWritePromNilCollector(t *testing.T) {
 
 func TestProgressWritePromGolden(t *testing.T) {
 	p, advance := fakeClock(t)
-	p.SetSched("lpt")
 	p.AddCells(4, 100)
 	advance(10 * time.Second)
 	p.CellDone(2, 8*time.Second, 25)
@@ -93,8 +92,6 @@ drt_progress_work_total 100
 drt_progress_eta_seconds 10
 # TYPE drt_progress_elapsed_seconds gauge
 drt_progress_elapsed_seconds 10
-# TYPE drt_progress_info gauge
-drt_progress_info{sched="lpt"} 1
 # TYPE drt_progress_worker_utilization gauge
 drt_progress_worker_utilization{worker="2"} 0.8
 drt_progress_worker_utilization{worker="3"} 0.3

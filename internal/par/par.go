@@ -6,15 +6,15 @@
 // error returned is always the one with the lowest input index, the same
 // error a `for` loop that stops at the first failure would surface.
 //
-// Two dispatch orders are available. FIFO hands out cells in input index
-// order — the pre-scheduler behavior. LPT (longest processing time first)
-// orders cells by an a-priori cost estimate and lets every idle worker
-// steal the largest remaining cell from a shared priority heap: per-cell
-// cost in the paper's sweeps is power-law skewed (one matrix can be 100×
-// the rest), and index-order dispatch strands the pool behind a heavy
-// cell that starts late. Because results land in out[i] regardless of
-// execution order, the output bytes are identical under either schedule
-// at any worker count.
+// Cells given a-priori cost estimates (Options.Weights) are dispatched
+// longest processing time first (LPT): every idle worker steals the
+// largest remaining cell from a shared priority heap. Per-cell cost in the
+// paper's sweeps is power-law skewed (one matrix can be 100× the rest),
+// and index-order dispatch strands the pool behind a heavy cell that
+// starts late. Cells without weights, and every run on one worker, go in
+// input index order. Because results land in out[i] regardless of
+// execution order, the output bytes are identical under either order at
+// any worker count.
 package par
 
 import (
@@ -27,49 +27,16 @@ import (
 	"drt/internal/obs"
 )
 
-// Sched selects the order the pool hands cells to workers.
-type Sched int
-
-const (
-	// FIFO dispatches cells in input index order.
-	FIFO Sched = iota
-	// LPT dispatches the heaviest remaining cell first (by Options.Weights;
-	// ties break toward the lower index, and a nil weight vector degrades
-	// to FIFO), so long-tail cells start as early as possible and cannot
-	// strand the pool at the end of a sweep.
-	LPT
-)
-
-// String returns the flag spelling of the schedule.
-func (s Sched) String() string {
-	if s == LPT {
-		return "lpt"
-	}
-	return "fifo"
-}
-
-// ParseSched parses a -sched flag value.
-func ParseSched(s string) (Sched, error) {
-	switch s {
-	case "fifo":
-		return FIFO, nil
-	case "lpt":
-		return LPT, nil
-	}
-	return FIFO, fmt.Errorf(`par: unknown schedule %q (want "fifo" or "lpt")`, s)
-}
-
 // Options bundles the pool configuration of MapWith.
 type Options struct {
 	// Workers bounds the goroutines (values < 1 select one per CPU).
 	Workers int
-	// Sched is the dispatch order; see the package comment.
-	Sched Sched
 	// Weights holds per-cell a-priori cost estimates (any monotone proxy
 	// works; the experiment runners use scaled nnz, the same totals the
-	// tiling summaries carry). Nil is allowed; non-nil must have exactly
-	// one entry per cell. Weights key the LPT heap and, with Progress
-	// attached, the nnz-weighted ETA.
+	// tiling summaries carry). Nil is allowed and dispatches in index
+	// order; non-nil must have exactly one entry per cell. Weights key
+	// the LPT heap (heaviest first, ties toward the lower index) and,
+	// with Progress attached, the nnz-weighted ETA.
 	Weights []int64
 	// Progress, when non-nil, receives live telemetry: the cells are
 	// registered up front (with their summed weights) and every completed
@@ -99,10 +66,10 @@ func Map[T any](workers, n int, f func(i int) (T, error)) ([]T, error) {
 	return MapWith(Options{Workers: workers}, n, f)
 }
 
-// MapWith is Map under an explicit pool configuration: scheduling order,
-// a-priori cell weights and live progress. Results are always reassembled
-// in input order and the error returned is always the lowest-index one, so
-// output bytes do not depend on Workers or Sched. A non-nil Weights slice
+// MapWith is Map under an explicit pool configuration: a-priori cell
+// weights, which set the dispatch order, and live progress. Results are
+// always reassembled in input order and the error returned is always the
+// lowest-index one, so output bytes do not depend on Workers or Weights. A non-nil Weights slice
 // whose length differs from n is a caller bug and returns an error before
 // any cell runs.
 func MapWith[T any](opt Options, n int, f func(i int) (T, error)) ([]T, error) {
@@ -158,7 +125,7 @@ func mapObserved[T any](opt Options, n int, f func(i int) (T, error), onCell fun
 	}
 	if workers <= 1 || n == 1 {
 		// The inline path always runs in index order whatever the
-		// schedule: with one worker LPT cannot improve the makespan, and
+		// weights: with one worker LPT cannot improve the makespan, and
 		// index order reproduces the pre-pool sequential loops bit for
 		// bit, including stopping at the first failure.
 		for i := 0; i < n; i++ {
@@ -179,7 +146,7 @@ func mapObserved[T any](opt Options, n int, f func(i int) (T, error), onCell fun
 		lowErr error
 	)
 	var dispatch func(worker int) int // next cell for an idle worker, -1 when drained
-	if opt.Sched == LPT && opt.Weights != nil {
+	if opt.Weights != nil {
 		h := newLPTHeap(n, opt.Weights)
 		dispatch = func(int) int {
 			mu.Lock()
@@ -191,7 +158,7 @@ func mapObserved[T any](opt Options, n int, f func(i int) (T, error), onCell fun
 				// index — are worth running: one of them could fail with an
 				// even lower index, and sequential equivalence promises the
 				// lowest one. Everything else is discarded unrun, exactly
-				// like FIFO's undispatched tail.
+				// like index-order dispatch's undispatched tail.
 				if i < errIdx {
 					return i
 				}
@@ -244,7 +211,7 @@ func mapObserved[T any](opt Options, n int, f func(i int) (T, error), onCell fun
 }
 
 // lptHeap is a binary max-heap of cell indices ordered by weight (which
-// must be non-nil — weightless LPT degrades to FIFO before reaching
+// must be non-nil — weightless cells go in index order and never reach
 // here), ties broken toward the lower index. The pool's cells are coarse
 // (milliseconds to tens of seconds), so one mutex-guarded heap shared by
 // every worker is the whole work-stealing structure: an idle worker's pop

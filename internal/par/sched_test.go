@@ -9,36 +9,16 @@ import (
 	"drt/internal/obs"
 )
 
-func TestParseSched(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Sched
-	}{{"fifo", FIFO}, {"lpt", LPT}} {
-		got, err := ParseSched(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseSched(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("%v.String() = %q, want %q", got, got.String(), tc.in)
-		}
-	}
-	if _, err := ParseSched("random"); err == nil {
-		t.Fatal("ParseSched accepted an unknown schedule")
-	}
-}
-
 // TestMapWithWeightLengthMismatch pins the weight validation: a non-nil
 // weight vector of the wrong length is a caller bug reported before any
 // cell runs, not a mid-grid panic.
 func TestMapWithWeightLengthMismatch(t *testing.T) {
-	for _, sched := range []Sched{FIFO, LPT} {
-		_, err := MapWith(Options{Workers: 2, Sched: sched, Weights: []int64{1, 2}}, 5, func(i int) (int, error) {
-			t.Fatal("f ran despite the weight mismatch")
-			return 0, nil
-		})
-		if err == nil {
-			t.Fatalf("sched=%v: no error for 2 weights over 5 cells", sched)
-		}
+	_, err := MapWith(Options{Workers: 2, Weights: []int64{1, 2}}, 5, func(i int) (int, error) {
+		t.Fatal("f ran despite the weight mismatch")
+		return 0, nil
+	})
+	if err == nil {
+		t.Fatal("no error for 2 weights over 5 cells")
 	}
 	p := obs.NewProgress()
 	if _, err := MapWith(Options{Workers: 2, Weights: []int64{1}, Progress: p}, 3, func(i int) (int, error) { return i, nil }); err == nil {
@@ -50,17 +30,17 @@ func TestMapWithWeightLengthMismatch(t *testing.T) {
 }
 
 // TestSchedDeterministicOutput is the byte-identity property: the same
-// cells produce the same serialized output at every (workers, sched)
-// combination, because results are reassembled in input order regardless
-// of execution order.
+// cells produce the same serialized output at every worker count, in
+// index order (no weights) and longest first (weights), because results
+// are reassembled in input order regardless of execution order.
 func TestSchedDeterministicOutput(t *testing.T) {
 	const n = 23
 	weights := make([]int64, n)
 	for i := range weights {
 		weights[i] = int64((i*7)%11 + 1) // skewed, with ties
 	}
-	render := func(workers int, sched Sched) []byte {
-		rows, err := MapWith(Options{Workers: workers, Sched: sched, Weights: weights}, n, func(i int) (string, error) {
+	render := func(workers int, weights []int64) []byte {
+		rows, err := MapWith(Options{Workers: workers, Weights: weights}, n, func(i int) (string, error) {
 			return fmt.Sprintf("row %d = %d", i, i*i), nil
 		})
 		if err != nil {
@@ -72,11 +52,11 @@ func TestSchedDeterministicOutput(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	want := render(1, FIFO)
+	want := render(1, nil)
 	for _, workers := range []int{1, 2, 3, 8} {
-		for _, sched := range []Sched{FIFO, LPT} {
-			if got := render(workers, sched); !bytes.Equal(got, want) {
-				t.Fatalf("workers=%d sched=%v output differs from sequential", workers, sched)
+		for _, w := range [][]int64{nil, weights} {
+			if got := render(workers, w); !bytes.Equal(got, want) {
+				t.Fatalf("workers=%d weighted=%v output differs from sequential", workers, w != nil)
 			}
 		}
 	}
@@ -110,7 +90,7 @@ func TestLPTStealsHeaviestFirst(t *testing.T) {
 	weights[heavy] = 100
 	var started atomic.Int64
 	var heavyPos int64 = -1
-	got, err := MapWith(Options{Workers: workers, Sched: LPT, Weights: weights}, n, func(i int) (int, error) {
+	got, err := MapWith(Options{Workers: workers, Weights: weights}, n, func(i int) (int, error) {
 		pos := started.Add(1)
 		if i == heavy {
 			atomic.StoreInt64(&heavyPos, pos)
@@ -144,7 +124,7 @@ func TestLPTFirstDispatchIsHeaviest(t *testing.T) {
 		}
 		close(gate)
 	}()
-	_, err := MapWith(Options{Workers: 2, Sched: LPT, Weights: []int64{1, 10, 1, 20}}, 4, func(i int) (int, error) {
+	_, err := MapWith(Options{Workers: 2, Weights: []int64{1, 10, 1, 20}}, 4, func(i int) (int, error) {
 		started <- i
 		<-gate
 		return i, nil
@@ -162,7 +142,7 @@ func TestLPTFirstDispatchIsHeaviest(t *testing.T) {
 func TestLPTLowestIndexError(t *testing.T) {
 	heavyFailed := make(chan struct{})
 	weights := []int64{1, 1, 50, 1, 1, 100}
-	_, err := MapWith(Options{Workers: 2, Sched: LPT, Weights: weights}, 6, func(i int) (int, error) {
+	_, err := MapWith(Options{Workers: 2, Weights: weights}, 6, func(i int) (int, error) {
 		switch i {
 		case 5: // dispatched first (weight 100), fails immediately
 			close(heavyFailed)
@@ -178,18 +158,19 @@ func TestLPTLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestSchedAllFail: when every cell fails, both schedules converge on the
-// sequential answer — cell 0 — at any worker count, because the salvage
-// pass keeps running cells below the lowest failing index seen.
+// TestSchedAllFail: when every cell fails, index order and longest first
+// both converge on the sequential answer — cell 0 — at any worker count,
+// because the salvage pass keeps running cells below the lowest failing
+// index seen.
 func TestSchedAllFail(t *testing.T) {
 	weights := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, workers := range []int{1, 2, 3, 8} {
-		for _, sched := range []Sched{FIFO, LPT} {
-			_, err := MapWith(Options{Workers: workers, Sched: sched, Weights: weights}, len(weights), func(i int) (int, error) {
+		for _, w := range [][]int64{nil, weights} {
+			_, err := MapWith(Options{Workers: workers, Weights: w}, len(weights), func(i int) (int, error) {
 				return 0, fmt.Errorf("cell %d", i)
 			})
 			if err == nil || err.Error() != "cell 0" {
-				t.Fatalf("workers=%d sched=%v: err = %v, want cell 0", workers, sched, err)
+				t.Fatalf("workers=%d weighted=%v: err = %v, want cell 0", workers, w != nil, err)
 			}
 		}
 	}
@@ -204,7 +185,7 @@ func TestLPTBoundedConcurrency(t *testing.T) {
 		weights[i] = int64(i % 9)
 	}
 	var inFlight, peak int32
-	_, err := MapWith(Options{Workers: workers, Sched: LPT, Weights: weights}, len(weights), func(i int) (int, error) {
+	_, err := MapWith(Options{Workers: workers, Weights: weights}, len(weights), func(i int) (int, error) {
 		cur := atomic.AddInt32(&inFlight, 1)
 		for {
 			p := atomic.LoadInt32(&peak)
@@ -236,7 +217,7 @@ func TestProgressNotOvercountedAfterFailure(t *testing.T) {
 	// pass then dispatches cell 0, which — running strictly after the
 	// failure was recorded — releases cell 2. Both successful completions
 	// therefore land after the failure and must not tick.
-	_, err := MapWith(Options{Workers: 2, Sched: LPT, Progress: p, Weights: []int64{1, 20, 10, 1}}, 4, func(i int) (int, error) {
+	_, err := MapWith(Options{Workers: 2, Progress: p, Weights: []int64{1, 20, 10, 1}}, 4, func(i int) (int, error) {
 		switch i {
 		case 1:
 			<-started2

@@ -7,7 +7,7 @@ import (
 	"drt/internal/tensor"
 )
 
-// Summary3 is the 3-D analog of Summary: box queries over a GI×GJ×GK
+// Summary3 is the 3-D micro-tile summary: box queries over a GI×GJ×GK
 // micro-tile grid, implemented by both the dense Grid3 and the
 // CompressedGrid3. core.TensorView adapts a Summary3 to the growth
 // kernel's View interface.
@@ -24,17 +24,10 @@ var (
 	_ Summary3 = (*CompressedGrid3)(nil)
 )
 
-// NewSummaryGrid3 tiles x into ti×tj×tk micro tiles using the given
-// representation mode. Auto uses the same cell-count budget as the 2-D
-// grids (dense Grid3 likewise stores three int64 prefix-sum arrays over
-// all cells).
-func NewSummaryGrid3(x *tensor.CSF3, ti, tj, tk int, mode Mode) Summary3 {
-	switch mode {
-	case Dense:
-		return NewGrid3(x, ti, tj, tk)
-	case Compressed:
-		return NewCompressedGrid3(x, ti, tj, tk)
-	}
+// NewSummaryGrid3 tiles x into ti×tj×tk micro tiles: a dense Grid3 while
+// the grid fits DefaultCellBudget (it likewise stores three int64
+// prefix-sum arrays over all cells), a CompressedGrid3 past it.
+func NewSummaryGrid3(x *tensor.CSF3, ti, tj, tk int) Summary3 {
 	gi, gj, gk := ceilDiv(x.I, ti), ceilDiv(x.J, tj), ceilDiv(x.K, tk)
 	if int64(gi)*int64(gj)*int64(gk) > DefaultCellBudget {
 		return NewCompressedGrid3(x, ti, tj, tk)
